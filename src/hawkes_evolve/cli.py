@@ -22,7 +22,6 @@ from .core import KernelBank, UnsupportedKernelError, bank_from_json
 from .expectations import (
     DegenerateParametersError,
     NoStationaryRateError,
-    NumericFailureError,
     classify_regime,
     expected_intensity_paper,
     expected_intensity_renewal,
@@ -344,7 +343,7 @@ def run(argv) -> int:
         return args.fn(args)
     except (ValueError, KeyError, OSError, UnsupportedKernelError,
             DegenerateParametersError, NoStationaryRateError,
-            NumericFailureError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

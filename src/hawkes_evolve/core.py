@@ -4,8 +4,9 @@ Three counting processes drive the population: mutant births (type 1),
 clone births (type 2) and deaths (type 3).  The first two are mutually
 exciting, the third is self exciting and gated by the population size.
 This module holds the static parameters (kernels, baseline rates), the
-event log of a realization, and the shot-noise state together with the
-exact propagation laws available when every kernel is exponential.
+event log of a realization, and the shot-noise state together with its
+exact propagation laws.  Every kernel is exponential, which is what
+makes (counts, shot noise) a Markov process.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-from scipy.integrate import quad
+from typing import Optional, Sequence
 
 
 class UnsupportedKernelError(ValueError):
@@ -57,44 +56,11 @@ class ExpKernel:
         return self.delta + self.alpha * math.exp(-self.beta * t)
 
 
-@dataclass(frozen=True)
-class GeneralKernel:
-    """Arbitrary non-negative excitation kernel.
-
-    The caller declares monotonicity; only non-increasing kernels admit a
-    valid thinning bound and may be simulated.  The L1 norm is computed
-    once by quadrature unless supplied (use math.inf for non-integrable
-    kernels).
-    """
-
-    func: Callable[[float], float]
-    non_increasing: bool = False
-    l1: Optional[float] = None
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"kernel argument must be >= 0, got {t}")
-        v = self.func(t)
-        if v < 0:
-            raise ValueError(f"kernel must be non-negative, got {v} at t={t}")
-        return v
-
-
-def kernel_eval(kernel, t: float) -> float:
-    """Evaluate a kernel at elapsed time t >= 0."""
-    return kernel(t)
-
-
-def l1_norm(kernel) -> float:
+def l1_norm(kernel: ExpKernel) -> float:
     """Integral of the kernel over [0, inf); +inf for a constant offset."""
-    if isinstance(kernel, ExpKernel):
-        if kernel.delta > 0:
-            return math.inf
-        return kernel.alpha / kernel.beta
-    if kernel.l1 is not None:
-        return kernel.l1
-    value, _ = quad(kernel.func, 0, math.inf, limit=200)
-    return value
+    if kernel.delta > 0:
+        return math.inf
+    return kernel.alpha / kernel.beta
 
 
 @dataclass(frozen=True)
@@ -102,31 +68,33 @@ class KernelBank:
     """Baseline rates and excitation kernels of the three processes.
 
     ``birth_kernels[j][i]`` is the effect of a type-(j+1) event on the
-    intensity of process i+1, for i, j in {0, 1}.  When both kernels
-    targeting intensity i are exponential they must share the decay rate,
-    which is what makes the exponential system Markov.
+    intensity of process i+1, for i, j in {0, 1}.  Every kernel is an
+    ``ExpKernel``, and the two kernels targeting intensity i share their
+    decay rate, which is what makes the system Markov.
     """
 
     base_rates: tuple[float, float, float]
-    birth_kernels: tuple[tuple[object, object], tuple[object, object]]
-    death_kernel: object
+    birth_kernels: tuple[tuple[ExpKernel, ExpKernel], tuple[ExpKernel, ExpKernel]]
+    death_kernel: ExpKernel
 
     def __post_init__(self):
         if len(self.base_rates) != 3 or any(r <= 0 for r in self.base_rates):
             raise ValueError(f"base rates must be three positive numbers, got {self.base_rates}")
+        kernels = [k for row in self.birth_kernels for k in row] + [self.death_kernel]
+        if not all(isinstance(k, ExpKernel) for k in kernels):
+            raise ValueError("every kernel of a bank must be an ExpKernel")
         for i in range(2):
             k1, k2 = self.birth_kernels[0][i], self.birth_kernels[1][i]
-            if isinstance(k1, ExpKernel) and isinstance(k2, ExpKernel):
-                if k1.beta != k2.beta:
-                    raise ValueError(
-                        f"exponential kernels targeting intensity {i + 1} must share "
-                        f"their decay rate, got {k1.beta} and {k2.beta}"
-                    )
+            if k1.beta != k2.beta:
+                raise ValueError(
+                    f"kernels targeting intensity {i + 1} must share their decay "
+                    f"rate, got {k1.beta} and {k2.beta}"
+                )
 
     @classmethod
     def exponential(cls, base_rates, alphas, betas, death_alpha, death_beta,
                     deltas=None, death_delta=0.0) -> "KernelBank":
-        """Build an all-exponential bank.
+        """Build a bank from the kernel parameters.
 
         ``alphas[j][i]`` is the jump of intensity i+1 at a type-(j+1)
         event; ``betas[i]`` is the decay rate attached to intensity i+1.
@@ -144,41 +112,31 @@ class KernelBank:
         """Bank with all excitation switched off (three Poisson processes)."""
         return cls.exponential(base_rates, ((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0), 0.0, 1.0)
 
-    def all_exponential(self) -> bool:
-        return isinstance(self.death_kernel, ExpKernel) and all(
-            isinstance(self.birth_kernels[j][i], ExpKernel) for j in range(2) for i in range(2)
-        )
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Structural checks for exact Markov simulation.
 
-    ``exponential_shared_beta`` and ``zero_offsets`` together permit the
-    exact engine; ``non_explosive`` additionally bounds the jump sizes by
-    the decay rates.  Checks after a failed prerequisite are None.
+    ``zero_offsets`` permits the exact engine; ``non_explosive``
+    additionally bounds the jump sizes by the decay rates, and is None
+    when the offsets already rule the engine out.
     """
 
-    exponential_shared_beta: bool
-    zero_offsets: Optional[bool]
+    zero_offsets: bool
     non_explosive: Optional[bool]
 
     @property
     def markov(self) -> bool:
-        return self.exponential_shared_beta and bool(self.zero_offsets)
+        return self.zero_offsets
 
 
 def is_markov_admissible(bank: KernelBank) -> AdmissibilityReport:
     """Check the kernel structure required for the exact Markov engine."""
-    if not bank.all_exponential():
-        return AdmissibilityReport(False, None, None)
     kernels = [bank.birth_kernels[j][i] for j in range(2) for i in range(2)]
     kernels.append(bank.death_kernel)
-    zero_offsets = all(k.delta == 0 for k in kernels)
-    if not zero_offsets:
-        return AdmissibilityReport(True, False, None)
-    non_explosive = all(k.alpha <= k.beta for k in kernels)
-    return AdmissibilityReport(True, True, non_explosive)
+    if not all(k.delta == 0 for k in kernels):
+        return AdmissibilityReport(False, None)
+    return AdmissibilityReport(True, all(k.alpha <= k.beta for k in kernels))
 
 
 @dataclass(frozen=True)
@@ -272,14 +230,11 @@ def intensities_at(bank: KernelBank, state: IntensityState) -> tuple[float, floa
 def propagate(state: IntensityState, dt: float, bank: KernelBank) -> IntensityState:
     """Advance the shot noise by dt with no intervening events.
 
-    Exact for exponential kernels: each component decays at its target
-    rate and drifts toward the offset-induced floor delta_ji * n_j.
+    Exact: each component decays at its target rate and drifts toward the
+    offset-induced floor delta_ji * n_j.
     """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    report = is_markov_admissible(bank)
-    if not report.exponential_shared_beta:
-        raise UnsupportedKernelError("exact propagation requires exponential kernels")
     xi = list(state.xi)
     for i in range(2):
         beta = bank.birth_kernels[0][i].beta
@@ -296,8 +251,6 @@ def propagate(state: IntensityState, dt: float, bank: KernelBank) -> IntensitySt
 
 def apply_jump(state: IntensityState, mark: Mark, bank: KernelBank) -> IntensityState:
     """Apply the instantaneous intensity jumps of one event."""
-    if not bank.all_exponential():
-        raise UnsupportedKernelError("jump updates require exponential kernels")
     xi = list(state.xi)
     counts = list(state.counts)
     if mark is Mark.DEATH:
@@ -316,8 +269,8 @@ def apply_jump(state: IntensityState, mark: Mark, bank: KernelBank) -> Intensity
 def shot_noise_from_history(bank: KernelBank, events: Sequence[Event], t: float) -> tuple[float, float, float]:
     """Shot noise at time t by direct summation over past events.
 
-    Works for any kernel; this is the defining representation and serves
-    as the reference for the recursive propagation above.
+    This is the defining representation and serves as the reference for
+    the recursive propagation above.
     """
     xi = [0.0, 0.0, 0.0]
     for ev in events:
@@ -325,20 +278,18 @@ def shot_noise_from_history(bank: KernelBank, events: Sequence[Event], t: float)
             break
         dt = t - ev.time
         if ev.mark is Mark.DEATH:
-            xi[2] += kernel_eval(bank.death_kernel, dt)
+            xi[2] += bank.death_kernel(dt)
         else:
             j = ev.mark - 1
-            xi[0] += kernel_eval(bank.birth_kernels[j][0], dt)
-            xi[1] += kernel_eval(bank.birth_kernels[j][1], dt)
+            xi[0] += bank.birth_kernels[j][0](dt)
+            xi[1] += bank.birth_kernels[j][1](dt)
     return tuple(xi)
 
 
 _KERNEL_KEYS = {"alpha", "beta", "delta"}
 
 
-def _kernel_to_dict(kernel) -> dict:
-    if not isinstance(kernel, ExpKernel):
-        raise UnsupportedKernelError("only exponential kernels serialize to JSON")
+def _kernel_to_dict(kernel: ExpKernel) -> dict:
     return {"alpha": kernel.alpha, "beta": kernel.beta, "delta": kernel.delta}
 
 
@@ -350,7 +301,7 @@ def _kernel_from_dict(d: dict) -> ExpKernel:
 
 
 def bank_to_json(bank: KernelBank) -> str:
-    """Serialize an all-exponential bank to its JSON document."""
+    """Serialize a bank to its JSON document."""
     doc = {
         "base_rates": list(bank.base_rates),
         "birth_kernels": [

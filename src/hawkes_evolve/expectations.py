@@ -2,10 +2,11 @@
 
 Two parallel routes to the first moments are kept side by side.  The
 "paper" route evaluates the closed forms stated for the exponential
-model; the "renewal" route solves the standard first-moment Volterra
-equation y = lambda0 + Phi^T * y numerically.  The two routes disagree
-for nonzero excitation (their steady states differ), so both are exposed
-and Monte Carlo arbitrates between them; nothing is reconciled silently.
+model; the "renewal" route solves the standard first-moment equation
+y = lambda0 + Phi^T * y exactly, as the linear ODE it becomes for
+exponential kernels.  The two routes disagree for nonzero excitation
+(their steady states differ), so both are exposed and Monte Carlo
+arbitrates between them; nothing is reconciled silently.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import (
     DegenerateParametersError,
-    ExpKernel,
     KernelBank,
     UnsupportedKernelError,
-    kernel_eval,
     l1_norm,
 )
-
-
-class NumericFailureError(RuntimeError):
-    """Volterra iteration failed to converge within the refinement cap."""
 
 
 class NoStationaryRateError(ValueError):
@@ -37,9 +33,7 @@ class NoStationaryRateError(ValueError):
 
 
 def _exp_params(bank: KernelBank):
-    """(alpha[j][i], beta[i], alpha3, beta3) of a zero-offset exponential bank."""
-    if not bank.all_exponential():
-        raise UnsupportedKernelError("closed forms require exponential kernels")
+    """(alpha[j][i], beta[i], alpha3, beta3) of a zero-offset bank."""
     kernels = [bank.birth_kernels[j][i] for j in range(2) for i in range(2)]
     if any(k.delta != 0 for k in kernels) or bank.death_kernel.delta != 0:
         raise UnsupportedKernelError("closed forms require zero kernel offsets")
@@ -122,78 +116,48 @@ def univariate_remark_intensity(lam0: float, alpha: float, beta: float, t) -> np
     return beta * lam0 / g * (np.exp(g * t) - 1.0) + lam0 * np.exp(g * t)
 
 
-def _solve_volterra(kernel_mat, base, grid: np.ndarray) -> np.ndarray:
-    """Trapezoidal solve of y_i = base_i + sum_j int phi_ji(t-u) y_j(u) du.
+def _renewal_moments(bank: KernelBank, i: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """Exact renewal mean intensity and mean count of process i at times t.
 
-    kernel_mat[j][i] evaluated on the grid; returns y with shape (d, n).
+    With phi_ji(t) = delta_ji + alpha_ji exp(-beta_i t) the first-moment
+    equation y = lambda0 + Phi^T * y is a linear ODE in the mean shot
+    noise x and the mean counts c: x' = -diag(beta) x + A^T y, c' = y,
+    with y = lambda0 + x + Delta^T c.  The state (x, c, 1) starts at
+    (0, 0, 1), so its value at t is the last column of expm(M t).  M is
+    defective (the counts grow linearly), which rules out diagonalizing it.
     """
-    d = len(base)
-    n = grid.size
-    h = grid[1] - grid[0]
-    phi = np.empty((d, d, n))
-    for j in range(d):
-        for i in range(d):
-            ker = kernel_mat[j][i]
-            if isinstance(ker, ExpKernel):
-                phi[j, i] = ker.delta + ker.alpha * np.exp(-ker.beta * grid)
-            else:
-                phi[j, i] = [kernel_eval(ker, float(s)) for s in grid]
-    y = np.empty((d, n))
-    y[:, 0] = base
-    # Implicit trapezoid step: (I - h/2 * Phi0^T) y_n = base + h * past.
-    phi0 = phi[:, :, 0]
-    lhs = np.eye(d) - 0.5 * h * phi0.T
-    for m in range(1, n):
-        rhs = np.array(base, dtype=float)
-        for i in range(d):
-            acc = 0.0
-            for j in range(d):
-                w = phi[j, i, m:0:-1]  # phi(t_m - t_k) for k = 0..m-1
-                acc += w @ y[j, :m] - 0.5 * w[0] * y[j, 0]
-            rhs[i] += h * acc
-        y[:, m] = np.linalg.solve(lhs, rhs)
-    return y
-
-
-def _renewal_on_grid(bank: KernelBank, i: int, t_max: float, tol: float = 1e-6,
-                     max_refinements: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Converged renewal solution of intensity i on a uniform grid [0, t_max]."""
     if i in (1, 2):
-        kernel_mat = [[bank.birth_kernels[j][k] for k in range(2)] for j in range(2)]
-        base = [bank.base_rates[0], bank.base_rates[1]]
-        comp = i - 1
+        kernels, lam0, comp = bank.birth_kernels, np.array(bank.base_rates[:2]), i - 1
     elif i == 3:
-        kernel_mat = [[bank.death_kernel]]
-        base = [bank.base_rates[2]]
-        comp = 0
+        kernels, lam0, comp = ((bank.death_kernel,),), np.array(bank.base_rates[2:]), 0
     else:
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
-    n = 256
-    grid = np.linspace(0.0, t_max, n + 1)
-    y_prev = _solve_volterra(kernel_mat, base, grid)[comp]
-    for _ in range(max_refinements):
-        n *= 2
-        grid = np.linspace(0.0, t_max, n + 1)
-        y = _solve_volterra(kernel_mat, base, grid)[comp]
-        diff = np.max(np.abs(y[::2] - y_prev))
-        scale = max(np.max(np.abs(y)), 1e-300)
-        if diff / scale < tol:
-            return grid, y
-        y_prev = y
-    raise NumericFailureError(
-        f"renewal solution did not converge to {tol} after {max_refinements} refinements"
-    )
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    d = lam0.size
+    a = np.array([[k.alpha for k in row] for row in kernels])
+    delta = np.array([[k.delta for k in row] for row in kernels])
+    beta = np.array([k.beta for k in kernels[0]])
+    m = np.zeros((2 * d + 1, 2 * d + 1))
+    m[:d, :d] = a.T - np.diag(beta)
+    m[:d, d:2 * d] = a.T @ delta.T
+    m[:d, -1] = a.T @ lam0
+    m[d:2 * d, :d] = np.eye(d)
+    m[d:2 * d, d:2 * d] = delta.T
+    m[d:2 * d, -1] = lam0
+    z = expm(t[..., None, None] * m)[..., -1]
+    x, c = z[..., :d], z[..., d:2 * d]
+    y = lam0 + x + c @ delta
+    return y[..., comp], c[..., comp]
 
 
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
-    """Numerical first-moment intensity of process i on t_grid."""
+    """Exact first-moment intensity of process i on t_grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
-    if t_grid[-1] == 0:
-        return np.array([float(bank.base_rates[i - 1])])
-    grid, y = _renewal_on_grid(bank, i, float(t_grid[-1]))
-    return np.interp(t_grid, grid, y)
+    return _renewal_moments(bank, i, t_grid)[0]
 
 
 def expected_count(bank: KernelBank, i: int, t: float, method: str = "paper") -> float:
@@ -214,8 +178,7 @@ def expected_count(bank: KernelBank, i: int, t: float, method: str = "paper") ->
                 + coef.a * (1.0 - math.exp(-bi * t)) / bi
                 + coef.b * (1.0 - math.exp(-bj * t)) / bj)
     if method == "renewal":
-        grid, y = _renewal_on_grid(bank, i, float(t))
-        return float(np.trapezoid(y, grid))
+        return float(_renewal_moments(bank, i, t)[1])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -378,22 +341,13 @@ class ExpectationCurve:
     count: Callable[[float], float]
 
 
-def expectation_curve(bank: KernelBank, i: int, method: str = "paper",
-                      t_max: float = 10.0) -> ExpectationCurve:
-    """Build the selected expectation curve; renewal curves are tabulated
-    on [0, t_max] and interpolated."""
+def expectation_curve(bank: KernelBank, i: int, method: str = "paper") -> ExpectationCurve:
+    """Build the selected expectation curve; both routes are exact at any t >= 0."""
     if method == "paper":
-        return ExpectationCurve(
-            i, "paper",
-            intensity=lambda t: expected_intensity_paper(bank, i, t),
-            count=lambda t: expected_count(bank, i, t, "paper"),
-        )
-    if method == "renewal":
-        grid, y = _renewal_on_grid(bank, i, t_max)
-        cum = np.concatenate([[0.0], np.cumsum((y[1:] + y[:-1]) * 0.5 * np.diff(grid))])
-        return ExpectationCurve(
-            i, "renewal",
-            intensity=lambda t: float(np.interp(t, grid, y)),
-            count=lambda t: float(np.interp(t, grid, cum)),
-        )
-    raise ValueError(f"unknown method {method!r}")
+        intensity = lambda t: expected_intensity_paper(bank, i, t)
+    elif method == "renewal":
+        intensity = lambda t: float(_renewal_moments(bank, i, t)[0])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return ExpectationCurve(i, method, intensity=intensity,
+                            count=lambda t: expected_count(bank, i, t, method))

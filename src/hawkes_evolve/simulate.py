@@ -1,13 +1,12 @@
 """Event generation by thinning.
 
 Two engines share one loop structure: the exact Markov engine propagates
-the shot-noise state in closed form (admissible exponential banks only),
-while the general engine recomputes intensities by direct summation over
-the full event history and works for any non-increasing kernel.  Both
-refresh the dominating bound at every event and every rejected
-candidate; with non-increasing kernels and zero offsets the total
-intensity decays between events, so the value at the last refresh is a
-valid bound.
+the shot-noise state in closed form, while the full-history engine
+recomputes intensities by direct summation over every past event and so
+serves as an independent reference check on it.  Both refresh the
+dominating bound at every event and every rejected candidate; with zero
+offsets the total intensity decays between events, so the value at the
+last refresh is a valid bound.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .core import (
     Event,
     EventLog,
     ExpKernel,
-    GeneralKernel,
     IntensityState,
     KernelBank,
     Mark,
@@ -58,9 +56,11 @@ class SimPath:
     """One realization: events, final state and optional intensity samples.
 
     ``intensity_samples`` columns are (lambda1, lambda2, gated lambda3,
-    ungated lambda3) on the recording grid; the ungated column exists so
-    grid means can be compared against the analytic curves, which ignore
-    the gate.
+    ungated lambda3) on the recording grid; rows past the end of a capped
+    path are NaN.  The ungated column drops the gate from the intensity
+    but not from the path: xi3 jumps only at deaths, and deaths stop
+    while N = 0.  Its grid means therefore fall below the analytic
+    curves, which ignore the gate, whenever deaths self-excite.
     """
 
     events: EventLog
@@ -98,11 +98,8 @@ def sample_mark(lam1: float, lam2: float, lam3_gated: float, u: float) -> Mark:
 
 
 def _reject_offsets(bank: KernelBank) -> None:
-    kernels = [bank.birth_kernels[j][i] for j in range(2) for i in range(2)]
-    kernels.append(bank.death_kernel)
-    for k in kernels:
-        if isinstance(k, ExpKernel) and k.delta != 0:
-            raise UnsupportedKernelError("simulation rejects kernels with a constant offset")
+    if not is_markov_admissible(bank).markov:
+        raise UnsupportedKernelError("simulation rejects kernels with a constant offset")
 
 
 def _run(bank: KernelBank, config: SimConfig, intensity_fn, jump_fn, state0,
@@ -111,7 +108,7 @@ def _run(bank: KernelBank, config: SimConfig, intensity_fn, jump_fn, state0,
     t0 = state0.clock
     horizon = t0 + config.horizon
     grid = None if config.record_grid is None else np.asarray(config.record_grid, dtype=float)
-    samples = None if grid is None else np.empty((grid.size, 4))
+    samples = None if grid is None else np.full((grid.size, 4), np.nan)
     gi = 0
     state = state0
     fresh_start = state0.counts == (0, 0, 0)
@@ -164,9 +161,6 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
                     initial_state: Optional[IntensityState] = None,
                     rng: Optional[np.random.Generator] = None) -> SimPath:
     """Statistically exact sample via the closed-form Markov state."""
-    report = is_markov_admissible(bank)
-    if not report.markov:
-        raise UnsupportedKernelError("markov engine requires an admissible exponential bank")
     _reject_offsets(bank)
     if rng is None:
         rng = rng_for(config.seed, path_index)
@@ -188,26 +182,19 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     return _run(bank, config, intensity_fn, jump_fn, state0, rng)
 
 
-def _history_sum(kernel, dts: np.ndarray) -> float:
-    if isinstance(kernel, ExpKernel):
-        if kernel.alpha == 0:
-            return kernel.delta * dts.size
-        return kernel.delta * dts.size + kernel.alpha * float(np.exp(-kernel.beta * dts).sum())
-    return float(sum(kernel.func(float(d)) for d in dts))
+def _history_sum(kernel: ExpKernel, dts: np.ndarray) -> float:
+    if kernel.alpha == 0:
+        return 0.0
+    return kernel.alpha * float(np.exp(-kernel.beta * dts).sum())
 
 
 def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0,
                               rng: Optional[np.random.Generator] = None) -> SimPath:
-    """Full-history thinning for non-increasing kernels.
+    """Full-history thinning, the reference check on the Markov engine.
 
     Each intensity evaluation sums the kernels over the entire history,
     O(n) per candidate.
     """
-    for k in [bank.birth_kernels[j][i] for j in range(2) for i in range(2)] + [bank.death_kernel]:
-        if isinstance(k, GeneralKernel) and not k.non_increasing:
-            raise UnsupportedKernelError(
-                "thinning requires kernels declared non-increasing"
-            )
     _reject_offsets(bank)
     if rng is None:
         rng = rng_for(config.seed, path_index)
@@ -263,8 +250,6 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
-    if not is_markov_admissible(bank).markov:
-        raise UnsupportedKernelError("closed-form compensator requires exponential kernels")
     _reject_offsets(bank)
     lam0 = bank.base_rates[i - 1]
     beta = bank.birth_kernels[0][i - 1].beta if i < 3 else bank.death_kernel.beta

@@ -10,17 +10,14 @@ from hawkes_evolve import (
     Event,
     EventLog,
     ExpKernel,
-    GeneralKernel,
     IntensityState,
     KernelBank,
     Mark,
-    UnsupportedKernelError,
     apply_jump,
     bank_from_json,
     bank_to_json,
     intensities_at,
     is_markov_admissible,
-    kernel_eval,
     l1_norm,
     propagate,
     shot_noise_from_history,
@@ -34,17 +31,17 @@ def exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)), betas=(2.0, 3.0), a3=0.4, b3=1.0,
 
 class TestKernels:
     def test_eval_at_zero(self):
-        assert kernel_eval(ExpKernel(1.0, 2.0), 0.0) == 1.0
+        assert ExpKernel(1.0, 2.0)(0.0) == 1.0
 
     def test_eval_decay(self):
-        assert kernel_eval(ExpKernel(1.0, 2.0), math.log(2)) == pytest.approx(0.25, abs=1e-15)
+        assert ExpKernel(1.0, 2.0)(math.log(2)) == pytest.approx(0.25, abs=1e-15)
 
     def test_eval_zero_alpha(self):
-        assert kernel_eval(ExpKernel(0.0, 5.0), 3.7) == 0.0
+        assert ExpKernel(0.0, 5.0)(3.7) == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            kernel_eval(ExpKernel(1.0, 2.0), -0.1)
+            ExpKernel(1.0, 2.0)(-0.1)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -54,11 +51,6 @@ class TestKernels:
         with pytest.raises(ValueError):
             ExpKernel(1.0, 2.0, -0.5)
 
-    def test_general_kernel_negative_value(self):
-        k = GeneralKernel(lambda t: -1.0)
-        with pytest.raises(ValueError):
-            kernel_eval(k, 1.0)
-
     def test_l1_exponential(self):
         assert l1_norm(ExpKernel(1.0, 2.0)) == 0.5
 
@@ -67,13 +59,6 @@ class TestKernels:
 
     def test_l1_offset_is_infinite(self):
         assert l1_norm(ExpKernel(1.0, 2.0, 0.1)) == math.inf
-
-    def test_l1_general_quadrature(self):
-        k = GeneralKernel(lambda t: math.exp(-t))
-        assert l1_norm(k) == pytest.approx(1.0, rel=1e-8)
-
-    def test_l1_general_override(self):
-        assert l1_norm(GeneralKernel(lambda t: 0.0, l1=7.0)) == 7.0
 
 
 class TestKernelBank:
@@ -86,13 +71,19 @@ class TestKernelBank:
                 ExpKernel(0.1, 1.0),
             )
 
+    def test_non_exponential_kernel_rejected(self):
+        k = ExpKernel(0.1, 2.0)
+        with pytest.raises(ValueError):
+            KernelBank((1.0, 1.0, 1.0), ((k, k), (k, k)), lambda t: 0.1 * math.exp(-t))
+        with pytest.raises(ValueError):
+            KernelBank((1.0, 1.0, 1.0), ((k, lambda t: 0.0), (k, k)), k)
+
     def test_positive_base_rates(self):
         with pytest.raises(ValueError):
             KernelBank.poisson((1.0, 0.0, 1.0))
 
     def test_poisson_constructor(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
-        assert bank.all_exponential()
         assert all(
             bank.birth_kernels[j][i].alpha == 0 for j in range(2) for i in range(2)
         )
@@ -123,23 +114,13 @@ class TestKernelBank:
 class TestAdmissibility:
     def test_clean_exponential(self):
         r = is_markov_admissible(exp_bank())
-        assert (r.exponential_shared_beta, r.zero_offsets, r.non_explosive) == (
-            True, True, True)
+        assert (r.zero_offsets, r.non_explosive) == (True, True)
         assert r.markov
-
-    def test_general_kernel(self):
-        power = GeneralKernel(lambda t: (1 + t) ** -2, non_increasing=True)
-        bank = KernelBank((1.0, 1.0, 1.0), ((power, power), (power, power)), power)
-        r = is_markov_admissible(bank)
-        assert (r.exponential_shared_beta, r.zero_offsets, r.non_explosive) == (
-            False, None, None)
-        assert not r.markov
 
     def test_offset_blocks_markov(self):
         bank = exp_bank(death_delta=0.2)
         r = is_markov_admissible(bank)
-        assert (r.exponential_shared_beta, r.zero_offsets, r.non_explosive) == (
-            True, False, None)
+        assert (r.zero_offsets, r.non_explosive) == (False, None)
         assert not r.markov
 
     def test_explosive_still_markov(self):
@@ -181,12 +162,6 @@ class TestIntensityState:
         state = IntensityState(counts=(2, 0, 0))
         out = propagate(state, 50.0, bank)
         assert out.xi[0] == pytest.approx(0.6, rel=1e-9)
-
-    def test_propagate_requires_exponential(self):
-        power = GeneralKernel(lambda t: (1 + t) ** -2, non_increasing=True)
-        bank = KernelBank((1.0, 1.0, 1.0), ((power, power), (power, power)), power)
-        with pytest.raises(UnsupportedKernelError):
-            propagate(IntensityState(), 1.0, bank)
 
     @given(dt1=st.floats(0, 20), dt2=st.floats(0, 20),
            xi=st.tuples(*[st.floats(0, 10)] * 3))

@@ -24,6 +24,22 @@ from hawkes_evolve import (
 )
 
 
+rates = st.floats(0.1, 3.0)
+jumps = st.floats(0.0, 1.5)
+decays = st.floats(0.5, 3.0)
+offsets = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
+
+
+@st.composite
+def random_banks(draw, jumps=jumps, offsets=offsets):
+    return KernelBank.exponential(
+        draw(st.tuples(rates, rates, rates)),
+        draw(st.tuples(st.tuples(jumps, jumps), st.tuples(jumps, jumps))),
+        draw(st.tuples(decays, decays)), draw(jumps), draw(decays),
+        deltas=draw(st.tuples(st.tuples(offsets, offsets), st.tuples(offsets, offsets))),
+        death_delta=draw(offsets))
+
+
 def univariate_bank(lam0=1.0, alpha=1.0, beta=2.0):
     """Bank where only process 1 self-excites; processes 2 and 3 are idle."""
     return KernelBank.exponential(
@@ -113,6 +129,48 @@ class TestRenewal:
         remark = univariate_remark_intensity(1.0, 1.0, 2.0, 50.0)
         assert paper == pytest.approx(1.5, abs=1e-6)
         assert remark == pytest.approx(2.0, abs=1e-6)
+
+    @given(bank=random_banks())
+    @settings(max_examples=40, deadline=None)
+    def test_solves_the_renewal_equation(self, bank):
+        # y_i(t) = lambda0_i + sum_j int_0^t phi_ji(t - u) y_j(u) du, with the
+        # integral by the trapezoid rule on a fine grid.
+        grid = np.linspace(0.0, 5.0, 4001)
+        h = grid[1]
+        y = {i: expected_intensity_renewal(bank, i, grid) for i in (1, 2, 3)}
+        sources = {1: ((1, bank.birth_kernels[0][0]), (2, bank.birth_kernels[1][0])),
+                   2: ((1, bank.birth_kernels[0][1]), (2, bank.birth_kernels[1][1])),
+                   3: ((3, bank.death_kernel),)}
+        for i in (1, 2, 3):
+            for m in range(400, grid.size, 400):
+                lag = grid[m] - grid[:m + 1]
+                rhs = bank.base_rates[i - 1]
+                for j, k in sources[i]:
+                    f = (k.delta + k.alpha * np.exp(-k.beta * lag)) * y[j][:m + 1]
+                    rhs += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+                assert rhs == pytest.approx(y[i][m], rel=1e-5)
+
+    @given(bank=random_banks())
+    @settings(max_examples=40, deadline=None)
+    def test_count_slope_is_intensity(self, bank):
+        h = 1e-4
+        for i in (1, 2, 3):
+            curve = expectation_curve(bank, i, "renewal")
+            assert curve.intensity(0.0) == bank.base_rates[i - 1]
+            assert curve.count(0.0) == 0.0
+            for t in (0.5, 2.0, 5.0):
+                slope = (curve.count(t + h) - curve.count(t - h)) / (2 * h)
+                assert slope == pytest.approx(curve.intensity(t), rel=1e-6)
+
+    # Jumps of at most 0.2 against decay rates of at least 0.5 keep every
+    # column of the branching matrix below 0.8: subcritical by construction.
+    @given(bank=random_banks(jumps=st.floats(0.0, 0.2), offsets=st.just(0.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_tends_to_stationary_rates(self, bank):
+        limits = asymptotic_rates(bank, "renewal")
+        for i in (1, 2, 3):
+            assert expected_intensity_renewal(bank, i, [0.0, 2000.0])[-1] == pytest.approx(
+                limits[i - 1], rel=1e-8)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -223,7 +281,7 @@ class TestRegimes:
 
 class TestExpectationCurve:
     def test_renewal_curve_consistency(self):
-        curve = expectation_curve(univariate_bank(), 1, "renewal", t_max=10.0)
+        curve = expectation_curve(univariate_bank(), 1, "renewal")
         assert curve.intensity(0.0) == pytest.approx(1.0, abs=1e-9)
         assert curve.count(0.0) == 0.0
         counts = [curve.count(t) for t in np.linspace(0, 10, 11)]

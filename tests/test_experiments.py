@@ -26,6 +26,16 @@ class TestMcMeanIntensity:
         for i in (1, 2, 3):
             assert report.matched_method(i) == "both"
 
+    def test_constant_grid_point_has_zero_spread(self):
+        # Every path starts at the base rates; their mean carries a
+        # rounding-level standard error, which is no spread at all.
+        cross = KernelBank.exponential(
+            (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
+        report = mc_mean_intensity(cross, np.array([0.0, 1.0]), 200, seed=7)
+        for i in (1, 2, 3):
+            for method in ("paper", "renewal"):
+                assert report.comparisons[(i, method)].z[0] == 0.0
+
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
             mc_mean_intensity(KernelBank.poisson((1.0, 1.0, 1.0)),

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from hawkes_evolve import (
-    GeneralKernel,
     KernelBank,
     Mark,
     SimConfig,
@@ -15,7 +14,6 @@ from hawkes_evolve import (
     shot_noise_from_history,
     simulate,
     simulate_markov,
-    simulate_thinning_general,
     time_rescale_residuals,
 )
 
@@ -103,6 +101,18 @@ class TestMarkovEngine:
                                                     max_events=500))
         assert path.capped and len(path.events) == 500
 
+    def test_capped_path_leaves_nan_on_unreached_grid(self):
+        grid = tuple(np.linspace(0.0, 100.0, 11))
+        path = simulate(KernelBank.poisson((2.0, 1.0, 1.0)),
+                        SimConfig(horizon=100.0, seed=1, max_events=20, record_grid=grid))
+        assert path.capped
+        stop = path.events.events[-1].time
+        reached = np.asarray(grid) <= stop
+        assert path.intensity_samples[0, 0] == 2.0
+        assert np.all(np.isfinite(path.intensity_samples[reached]))
+        assert np.all(np.isnan(path.intensity_samples[~reached]))
+        assert (~reached).sum() == 10
+
     def test_offset_kernels_rejected(self):
         bank = KernelBank.exponential(
             (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0,
@@ -145,19 +155,6 @@ class TestThinningEngine:
         a = simulate(HAWKES_BANK, config)
         b = simulate(HAWKES_BANK, config)
         assert a.events.events == b.events.events
-
-    def test_general_kernel_requires_declaration(self):
-        k = GeneralKernel(lambda t: 1.0 / (1.0 + t) ** 2)
-        bank = KernelBank((1.0, 1.0, 1.0), ((k, k), (k, k)), k)
-        with pytest.raises(UnsupportedKernelError):
-            simulate_thinning_general(bank, SimConfig(horizon=1.0, seed=1))
-
-    def test_general_kernel_runs_when_declared(self):
-        k = GeneralKernel(lambda t: 0.3 / (1.0 + t) ** 2, non_increasing=True, l1=0.3)
-        bank = KernelBank((1.0, 1.0, 1.0), ((k, k), (k, k)), k)
-        path = simulate_thinning_general(bank, SimConfig(horizon=10.0, seed=6))
-        assert len(path.events) > 0
-        assert path.events.events[0].mark is Mark.MUTANT
 
 
 class TestTimeRescaling:
