@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import KernelBank, UnsupportedKernelError, bank_from_json
+from .core import IntensityState, KernelBank, UnsupportedKernelError, bank_from_json
 from .expectations import (
     DegenerateParametersError,
     NoStationaryRateError,
@@ -217,8 +217,6 @@ _POLY_FUNCTIONS = [
 
 
 def _cmd_generator_check(args) -> int:
-    from .core import IntensityState
-
     bank = _load_bank(args.bank)
     state = IntensityState()
     checks = generator_drift_check(bank, state, [f for _, f in _POLY_FUNCTIONS],
@@ -256,25 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p, threads=False, gnuplot=False):
         p.add_argument("--bank", required=True, help="kernel bank JSON file")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--gnuplot", action="store_true",
-                       help="also emit a gnuplot script next to the CSV")
+        if gnuplot:
+            p.add_argument("--gnuplot", action="store_true",
+                           help="also emit a gnuplot script next to the CSV")
         if threads:
             p.add_argument("--threads", type=int, default=None,
                            help="replication pool size (default: HAWKES_EVOLVE_THREADS "
                                 "or the CPU count)")
 
     p = sub.add_parser("expect", help="tabulate the analytic mean-intensity curves")
-    common(p)
+    common(p, gnuplot=True)
     p.add_argument("--t-max", type=float, default=10.0, help="end of the time grid")
     p.add_argument("--points", type=int, default=101, help="grid size")
     p.add_argument("--method", choices=["paper", "renewal", "both"], default="both")
     p.set_defaults(fn=_cmd_expect)
 
     p = sub.add_parser("simulate", help="sample one event path")
-    common(p)
+    common(p, gnuplot=True)
     p.add_argument("--engine", choices=["markov", "thinning"], default="markov")
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_population)
 
     p = sub.add_parser("sweep", help="terminal site-distribution sweep over runs")
-    common(p, threads=True)
+    common(p, threads=True, gnuplot=True)
     p.add_argument("--f-grid", required=True, help="start:stop:step fitness grid")
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--runs", type=int, default=50)

@@ -15,7 +15,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class UnsupportedKernelError(ValueError):
@@ -113,30 +113,11 @@ class KernelBank:
         return cls.exponential(base_rates, ((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Structural checks for exact Markov simulation.
-
-    ``zero_offsets`` permits the exact engine; ``non_explosive``
-    additionally bounds the jump sizes by the decay rates, and is None
-    when the offsets already rule the engine out.
-    """
-
-    zero_offsets: bool
-    non_explosive: Optional[bool]
-
-    @property
-    def markov(self) -> bool:
-        return self.zero_offsets
-
-
-def is_markov_admissible(bank: KernelBank) -> AdmissibilityReport:
-    """Check the kernel structure required for the exact Markov engine."""
-    kernels = [bank.birth_kernels[j][i] for j in range(2) for i in range(2)]
-    kernels.append(bank.death_kernel)
-    if not all(k.delta == 0 for k in kernels):
-        return AdmissibilityReport(False, None)
-    return AdmissibilityReport(True, all(k.alpha <= k.beta for k in kernels))
+def require_zero_offsets(bank: KernelBank, what: str) -> None:
+    """Raise UnsupportedKernelError, naming ``what``, if any kernel has an offset delta."""
+    kernels = [k for row in bank.birth_kernels for k in row] + [bank.death_kernel]
+    if any(k.delta != 0 for k in kernels):
+        raise UnsupportedKernelError(f"{what}: kernels with a constant offset are not supported")
 
 
 @dataclass(frozen=True)
@@ -250,18 +231,18 @@ def propagate(state: IntensityState, dt: float, bank: KernelBank) -> IntensitySt
 
 
 def apply_jump(state: IntensityState, mark: Mark, bank: KernelBank) -> IntensityState:
-    """Apply the instantaneous intensity jumps of one event."""
+    """Apply the jumps of one event: each kernel's value at lag zero, alpha + delta."""
     xi = list(state.xi)
     counts = list(state.counts)
     if mark is Mark.DEATH:
         if state.population_size <= 0:
             raise ValueError("death event in an empty population")
-        xi[2] += bank.death_kernel.alpha
+        xi[2] += bank.death_kernel(0.0)
         counts[2] += 1
     else:
         j = mark - 1
-        xi[0] += bank.birth_kernels[j][0].alpha
-        xi[1] += bank.birth_kernels[j][1].alpha
+        xi[0] += bank.birth_kernels[j][0](0.0)
+        xi[1] += bank.birth_kernels[j][1](0.0)
         counts[j] += 1
     return IntensityState(tuple(xi), tuple(counts), state.clock)
 

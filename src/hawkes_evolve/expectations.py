@@ -23,8 +23,8 @@ from scipy.linalg import expm
 from .core import (
     DegenerateParametersError,
     KernelBank,
-    UnsupportedKernelError,
     l1_norm,
+    require_zero_offsets,
 )
 
 
@@ -34,9 +34,7 @@ class NoStationaryRateError(ValueError):
 
 def _exp_params(bank: KernelBank):
     """(alpha[j][i], beta[i], alpha3, beta3) of a zero-offset bank."""
-    kernels = [bank.birth_kernels[j][i] for j in range(2) for i in range(2)]
-    if any(k.delta != 0 for k in kernels) or bank.death_kernel.delta != 0:
-        raise UnsupportedKernelError("closed forms require zero kernel offsets")
+    require_zero_offsets(bank, "the closed forms")
     alphas = tuple(tuple(bank.birth_kernels[j][i].alpha for i in range(2)) for j in range(2))
     betas = (bank.birth_kernels[0][0].beta, bank.birth_kernels[0][1].beta)
     return alphas, betas, bank.death_kernel.alpha, bank.death_kernel.beta

@@ -1,9 +1,9 @@
 """Event generation by thinning.
 
-Two engines share one loop structure: the exact Markov engine propagates
-the shot-noise state in closed form, while the full-history engine
-recomputes intensities by direct summation over every past event and so
-serves as an independent reference check on it.  Both refresh the
+One thinning loop serves two engines, each of which supplies only its
+shot noise: the exact Markov engine keeps it in closed form, while the
+full-history engine sums the kernels over every past event and so serves
+as an independent reference check on it.  The loop refreshes the
 dominating bound at every event and every rejected candidate; with zero
 offsets the total intensity decays between events, so the value at the
 last refresh is a valid bound.
@@ -24,11 +24,9 @@ from .core import (
     IntensityState,
     KernelBank,
     Mark,
-    UnsupportedKernelError,
     apply_jump,
-    intensities_at,
-    is_markov_admissible,
     propagate,
+    require_zero_offsets,
 )
 
 
@@ -97,89 +95,114 @@ def sample_mark(lam1: float, lam2: float, lam3_gated: float, u: float) -> Mark:
     return Mark.DEATH
 
 
-def _reject_offsets(bank: KernelBank) -> None:
-    if not is_markov_admissible(bank).markov:
-        raise UnsupportedKernelError("simulation rejects kernels with a constant offset")
-
-
-def _run(bank: KernelBank, config: SimConfig, intensity_fn, jump_fn, state0,
+def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensityState,
          rng: np.random.Generator) -> SimPath:
-    """Shared thinning loop; intensity_fn/jump_fn abstract the state model."""
+    """Ogata's thinning loop over an engine's shot noise.
+
+    ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
+    earlier than its last event; ``record(mark, t)`` adds an accepted
+    event to the engine's history.  The loop keeps the counts and the
+    clock itself and builds the final state and the event log once.
+    """
+    mu1, mu2, mu3 = bank.base_rates
+    counts = list(state0.counts)
+    n = state0.population_size
+
+    def lambdas(t: float) -> tuple[float, float, float, float]:
+        """(lambda1, lambda2, gated lambda3, ungated lambda3) at time t."""
+        x1, x2, x3 = xi_at(t)
+        l3 = mu3 + x3
+        return (mu1 + x1, mu2 + x2, l3 if n > 0 else 0.0, l3)
+
     t0 = state0.clock
     horizon = t0 + config.horizon
     grid = None if config.record_grid is None else np.asarray(config.record_grid, dtype=float)
     samples = None if grid is None else np.full((grid.size, 4), np.nan)
     gi = 0
-    state = state0
     fresh_start = state0.counts == (0, 0, 0)
-    events: list[Event] = []
+    times: list[float] = []
+    marks: list[Mark] = []
     zero_time = 0.0
     capped = False
     t = t0
     if grid is not None:
         while gi < grid.size and grid[gi] <= t:
-            samples[gi] = intensity_fn(state, t)
+            samples[gi] = lambdas(t)
             gi += 1
     while True:
-        lam = intensity_fn(state, t)
+        lam = lambdas(t)
         bound = lam[0] + lam[1] + lam[2]
         t_cand = t + rng.exponential(1.0 / bound)
         t_next = min(t_cand, horizon)
         if grid is not None:
             while gi < grid.size and grid[gi] <= t_next:
-                samples[gi] = intensity_fn(state, float(grid[gi]))
+                samples[gi] = lambdas(float(grid[gi]))
                 gi += 1
-        if state.population_size == 0:
+        if n == 0:
             zero_time += t_next - t
         if t_cand >= horizon:
             t = horizon
             break
         t = t_cand
-        lam = intensity_fn(state, t)
+        lam = lambdas(t)
         total = lam[0] + lam[1] + lam[2]
         if rng.random() * bound < total:
             mark = sample_mark(lam[0], lam[1], lam[2], rng.random())
-            if mark is Mark.CLONE and fresh_start and not events:
+            if mark is Mark.CLONE and fresh_start and not times:
                 # The merged process starts with a mutant birth by
                 # construction; a clone cannot open an empty population.
                 mark = Mark.MUTANT
-            state = jump_fn(state, mark, t)
-            events.append(Event(t, mark))
-            if len(events) >= config.max_events:
+            record(mark, t)
+            counts[mark - 1] += 1
+            n += -1 if mark is Mark.DEATH else 1
+            times.append(t)
+            marks.append(mark)
+            if len(times) >= config.max_events:
                 capped = True
                 break
     if grid is not None:
         while gi < grid.size and grid[gi] <= t:
-            samples[gi] = intensity_fn(state, float(grid[gi]))
+            samples[gi] = lambdas(float(grid[gi]))
             gi += 1
-    final = jump_fn(state, None, t)  # synchronize clock only
-    log = EventLog(tuple(events), initial_counts=state0.counts)
+    final = IntensityState(xi_at(t), tuple(counts), t)
+    log = EventLog(tuple(map(Event, times, marks)), initial_counts=state0.counts)
     return SimPath(log, final, zero_time, capped, grid, samples)
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
                     initial_state: Optional[IntensityState] = None,
                     rng: Optional[np.random.Generator] = None) -> SimPath:
-    """Statistically exact sample via the closed-form Markov state."""
-    _reject_offsets(bank)
+    """Statistically exact sample via the closed-form Markov state.
+
+    The shot noise is three floats and the time of the last event: it
+    decays as exp(-beta (t - t_last)) per component and jumps by the
+    alphas of each event's mark.
+    """
+    require_zero_offsets(bank, "simulate_markov")
     if rng is None:
         rng = rng_for(config.seed, path_index)
     state0 = initial_state if initial_state is not None else IntensityState()
+    (k11, k12), (k21, k22) = bank.birth_kernels
+    b1, b2, b3 = k11.beta, k12.beta, bank.death_kernel.beta
+    jumps = {Mark.MUTANT: (k11.alpha, k12.alpha, 0.0),
+             Mark.CLONE: (k21.alpha, k22.alpha, 0.0),
+             Mark.DEATH: (0.0, 0.0, bank.death_kernel.alpha)}
+    x1, x2, x3 = state0.xi
+    t_last = state0.clock
 
-    def intensity_fn(state: IntensityState, t: float):
-        if t > state.clock:
-            state = propagate(state, t - state.clock, bank)
-        l1, l2, l3g = intensities_at(bank, state)
-        return (l1, l2, l3g, bank.base_rates[2] + state.xi[2])
+    def xi_at(t: float) -> tuple[float, float, float]:
+        dt = t - t_last
+        return (x1 * math.exp(-b1 * dt), x2 * math.exp(-b2 * dt), x3 * math.exp(-b3 * dt))
 
-    def jump_fn(state: IntensityState, mark, t: float):
-        if t > state.clock:
-            state = propagate(state, t - state.clock, bank)
-        if mark is not None:
-            state = apply_jump(state, mark, bank)
-        return state
+    def record(mark: Mark, t: float) -> None:
+        nonlocal x1, x2, x3, t_last
+        y1, y2, y3 = xi_at(t)
+        j1, j2, j3 = jumps[mark]
+        # The clock advances by the elapsed time, as ``propagate`` moves
+        # it, so fixed-seed output stays that of the state recursion.
+        x1, x2, x3, t_last = y1 + j1, y2 + j2, y3 + j3, t_last + (t - t_last)
 
-    return _run(bank, config, intensity_fn, jump_fn, state0, rng)
+    return _run(bank, config, xi_at, record, state0, rng)
 
 
 def _history_sum(kernel: ExpKernel, dts: np.ndarray) -> float:
@@ -195,7 +218,7 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     Each intensity evaluation sums the kernels over the entire history,
     O(n) per candidate.
     """
-    _reject_offsets(bank)
+    require_zero_offsets(bank, "simulate_thinning_general")
     if rng is None:
         rng = rng_for(config.seed, path_index)
 
@@ -213,25 +236,10 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
             xi[2] += _history_sum(bank.death_kernel, dts)
         return tuple(xi)
 
-    def intensity_fn(state: IntensityState, t: float):
-        xi = xi_at(t)
-        n = state.population_size
-        l3 = bank.base_rates[2] + xi[2]
-        return (
-            bank.base_rates[0] + xi[0],
-            bank.base_rates[1] + xi[1],
-            l3 if n > 0 else 0.0,
-            l3,
-        )
+    def record(mark: Mark, t: float) -> None:
+        times[mark].append(t)
 
-    def jump_fn(state: IntensityState, mark, t: float):
-        counts = list(state.counts)
-        if mark is not None:
-            times[mark].append(t)
-            counts[mark - 1] += 1
-        return IntensityState(xi_at(t), tuple(counts), t)
-
-    return _run(bank, config, intensity_fn, jump_fn, IntensityState(), rng)
+    return _run(bank, config, xi_at, record, IntensityState(), rng)
 
 
 def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
@@ -250,7 +258,7 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
-    _reject_offsets(bank)
+    require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
     beta = bank.birth_kernels[0][i - 1].beta if i < 3 else bank.death_kernel.beta
     state = IntensityState(counts=path.events.initial_counts)

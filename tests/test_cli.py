@@ -48,6 +48,9 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 2
 
+    def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
+        assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
+
 
 class TestSubcommands:
     def test_regime_json(self, bank_file, tmp_path, capsys):

@@ -17,7 +17,6 @@ from hawkes_evolve import (
     bank_from_json,
     bank_to_json,
     intensities_at,
-    is_markov_admissible,
     l1_norm,
     propagate,
     shot_noise_from_history,
@@ -109,23 +108,6 @@ class TestKernelBank:
         doc = json.loads(bank_to_json(exp_bank()))
         del doc["death_kernel"]["delta"]
         assert bank_from_json(json.dumps(doc)).death_kernel.delta == 0.0
-
-
-class TestAdmissibility:
-    def test_clean_exponential(self):
-        r = is_markov_admissible(exp_bank())
-        assert (r.zero_offsets, r.non_explosive) == (True, True)
-        assert r.markov
-
-    def test_offset_blocks_markov(self):
-        bank = exp_bank(death_delta=0.2)
-        r = is_markov_admissible(bank)
-        assert (r.zero_offsets, r.non_explosive) == (False, None)
-        assert not r.markov
-
-    def test_explosive_still_markov(self):
-        r = is_markov_admissible(exp_bank(alphas=((5.0, 0.0), (0.0, 0.0))))
-        assert r.markov and r.non_explosive is False
 
 
 class TestIntensityState:
@@ -221,8 +203,12 @@ class TestEventLog:
 
 
 def test_reconstruction_matches_direct_sums():
-    """Replaying propagate/apply_jump reproduces the defining kernel sums."""
-    bank = exp_bank()
+    """Replaying propagate/apply_jump reproduces the defining kernel sums.
+
+    The second bank has offsets: each jump adds alpha + delta, the
+    kernel's value at lag zero, and the shot noise then relaxes to the
+    floor delta * n.
+    """
     rng = np.random.default_rng(7)
     events = []
     t, n = 0.0, 0
@@ -238,13 +224,14 @@ def test_reconstruction_matches_direct_sums():
             n += 1
         events.append(Event(t, mark))
     log = EventLog(tuple(events))
-    state = IntensityState()
-    prev = 0.0
-    for ev in log:
-        state = propagate(state, ev.time - prev, bank)
-        state = apply_jump(state, ev.mark, bank)
-        prev = ev.time
-    horizon = prev + 1.3
-    state = propagate(state, horizon - prev, bank)
-    direct = shot_noise_from_history(bank, log.events, horizon)
-    assert state.xi == pytest.approx(direct, rel=1e-9)
+    for bank in (exp_bank(), exp_bank(deltas=((0.3, 0.1), (0.2, 0.05)), death_delta=0.2)):
+        state = IntensityState()
+        prev = 0.0
+        for ev in log:
+            state = propagate(state, ev.time - prev, bank)
+            state = apply_jump(state, ev.mark, bank)
+            prev = ev.time
+        horizon = prev + 1.3
+        state = propagate(state, horizon - prev, bank)
+        direct = shot_noise_from_history(bank, log.events, horizon)
+        assert state.xi == pytest.approx(direct, rel=1e-9)

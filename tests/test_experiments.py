@@ -75,12 +75,32 @@ class TestGeneratorApply:
         got = generator_apply(HAWKES_BANK, state, lambda z: z[4])
         assert got == pytest.approx(HAWKES_BANK.base_rates[2], rel=1e-9)
 
+    def test_offset_jumps_by_alpha_plus_delta(self):
+        # l1 = 1.9, l2 = 1.1; relaxation 2 * (0.3*2 + 0.2*1 - 0.9) = -0.2;
+        # jumps 1.9 * (0.5 + 0.3) + 1.1 * (0.3 + 0.2) = 2.07.
+        bank = KernelBank.exponential((1.0, 0.8, 1.2), ((0.5, 0.2), (0.3, 0.4)), (2.0, 3.0),
+                                      0.4, 1.0, deltas=((0.3, 0.1), (0.2, 0.05)),
+                                      death_delta=0.2)
+        state = IntensityState(xi=(0.9, 0.3, 0.5), counts=(2, 1, 1))
+        assert generator_apply(bank, state, lambda z: z[1]) == pytest.approx(1.87, rel=1e-6)
+
 
 class TestGeneratorDrift:
     def test_constant_function_exact(self):
         checks = generator_drift_check(HAWKES_BANK, IntensityState(),
                                        [lambda z: 1.0], n_reps=200, seed=1)
         assert checks[0].mc_mean == 0.0 and checks[0].z == 0.0
+
+    def test_flow_only_function_has_no_spread(self):
+        # Deaths are off at N = 0, so n3 * l3 only decays: a rounding-level
+        # stderr, scored by the zero-spread rule against the secant's O(h) gap.
+        state = IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))
+        check, = generator_drift_check(HAWKES_BANK, state, [lambda z: z[4] * z[5]],
+                                       n_reps=5000, seed=3)
+        assert check.mc_stderr <= 1e-12 * abs(check.mc_mean)
+        # The secant's gap, n3 * xi3 * beta3^2 * h / 2 to first order.
+        assert check.mc_mean - check.analytic == pytest.approx(2 * 0.7 * 1e-3 / 2, rel=1e-2)
+        assert check.z == np.inf
 
     def test_population_drift_close(self):
         checks = generator_drift_check(HAWKES_BANK, IntensityState(),

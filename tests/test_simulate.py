@@ -5,15 +5,20 @@ import pytest
 from scipy import stats
 
 from hawkes_evolve import (
+    EventLog,
+    IntensityState,
     KernelBank,
     Mark,
     SimConfig,
+    SimPath,
     UnsupportedKernelError,
+    expected_intensity_paper,
     rng_for,
     sample_mark,
     shot_noise_from_history,
     simulate,
     simulate_markov,
+    simulate_thinning_general,
     time_rescale_residuals,
 )
 
@@ -113,13 +118,6 @@ class TestMarkovEngine:
         assert np.all(np.isnan(path.intensity_samples[~reached]))
         assert (~reached).sum() == 10
 
-    def test_offset_kernels_rejected(self):
-        bank = KernelBank.exponential(
-            (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0,
-            death_delta=0.2)
-        with pytest.raises(UnsupportedKernelError):
-            simulate_markov(bank, SimConfig(horizon=1.0, seed=1))
-
     def test_final_state_matches_history(self):
         config = SimConfig(horizon=40.0, seed=21)
         path = simulate_markov(HAWKES_BANK, config)
@@ -137,6 +135,52 @@ class TestMarkovEngine:
         assert np.allclose(path.intensity_samples[:, 3], 1.0)
         # At t=0 the population is empty, so the gated column starts at 0.
         assert path.intensity_samples[0, 2] == 0.0
+
+
+OFFSET_BANK = KernelBank.exponential(
+    (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)
+EMPTY_PATH = SimPath(EventLog(), IntensityState(clock=1.0), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bank: simulate_markov(bank, SimConfig(horizon=1.0, seed=1)),
+    lambda bank: simulate_thinning_general(bank, SimConfig(horizon=1.0, seed=1)),
+    lambda bank: time_rescale_residuals(EMPTY_PATH, bank, 1),
+    lambda bank: expected_intensity_paper(bank, 1, 1.0),
+], ids=["markov", "thinning", "residuals", "paper"])
+def test_offset_kernels_rejected(call):
+    with pytest.raises(UnsupportedKernelError):
+        call(OFFSET_BANK)
+
+
+class TestPinnedOutput:
+    """Fixed-seed paths, with literal values to catch changes across versions."""
+
+    @pytest.mark.parametrize("engine", ["markov", "thinning"])
+    def test_hawkes_bank(self, engine):
+        path = simulate(HAWKES_BANK, SimConfig(horizon=10.0, seed=7, engine=engine))
+        events = path.events.events
+        assert len(events) == 44
+        pinned = {0: (1.2863250344709833, Mark.MUTANT), 1: (1.3298179234040737, Mark.CLONE),
+                  22: (5.323367534512877, Mark.MUTANT), 43: (9.985127072758697, Mark.DEATH)}
+        for k, (t, mark) in pinned.items():
+            assert (events[k].time, events[k].mark) == (t, mark)
+        assert path.final_state.counts == (10, 14, 20)
+        assert path.final_state.xi == pytest.approx(
+            (0.5626297863552189, 0.5613049451511004, 1.264399216898759), rel=1e-14)
+
+    def test_markov_from_a_nonempty_state(self):
+        start = IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))
+        path = simulate_markov(HAWKES_BANK, SimConfig(horizon=5.0, seed=3),
+                               initial_state=start)
+        events = path.events.events
+        assert len(events) == 35
+        assert [(ev.time, ev.mark) for ev in events[:3]] == [
+            (0.009367904968851386, Mark.MUTANT), (0.14994442544232342, Mark.CLONE),
+            (0.766748411912506, Mark.MUTANT)]
+        assert (events[-1].time, events[-1].mark) == (4.892121947010064, Mark.MUTANT)
+        assert path.final_state == IntensityState(
+            (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14), 5.0)
 
 
 class TestThinningEngine:
