@@ -9,17 +9,13 @@ from .core import (
     KernelBank,
     Mark,
     UnsupportedKernelError,
-    apply_jump,
     bank_from_json,
     bank_to_json,
-    intensities_at,
     l1_norm,
-    propagate,
     shot_noise_from_history,
 )
 from .expectations import (
     ABCCoefficients,
-    ExpectationCurve,
     NoStationaryRateError,
     RegimeKind,
     RegimeReport,
@@ -28,7 +24,6 @@ from .expectations import (
     asymptotic_rates,
     classify_regime,
     critical_fitness,
-    expectation_curve,
     expected_count,
     expected_intensity_paper,
     expected_intensity_renewal,

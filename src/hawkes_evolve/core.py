@@ -4,9 +4,10 @@ Three counting processes drive the population: mutant births (type 1),
 clone births (type 2) and deaths (type 3).  The first two are mutually
 exciting, the third is self exciting and gated by the population size.
 This module holds the static parameters (kernels, baseline rates), the
-event log of a realization, and the shot-noise state together with its
-exact propagation laws.  Every kernel is exponential, which is what
-makes (counts, shot noise) a Markov process.
+event log of a realization, and the shot-noise state record with its
+defining kernel sum.  Every kernel is exponential, which is what makes
+(counts, shot noise) a Markov process; the engines in ``simulate`` run
+that recursion on plain floats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -200,58 +201,11 @@ class IntensityState:
         return self.counts[0] + self.counts[1] - self.counts[2]
 
 
-def intensities_at(bank: KernelBank, state: IntensityState) -> tuple[float, float, float]:
-    """(lambda1, lambda2, gated lambda3) at the state's clock time."""
-    l1 = bank.base_rates[0] + state.xi[0]
-    l2 = bank.base_rates[1] + state.xi[1]
-    l3 = (bank.base_rates[2] + state.xi[2]) if state.population_size > 0 else 0.0
-    return (l1, l2, l3)
-
-
-def propagate(state: IntensityState, dt: float, bank: KernelBank) -> IntensityState:
-    """Advance the shot noise by dt with no intervening events.
-
-    Exact: each component decays at its target rate and drifts toward the
-    offset-induced floor delta_ji * n_j.
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    xi = list(state.xi)
-    for i in range(2):
-        beta = bank.birth_kernels[0][i].beta
-        decay = math.exp(-beta * dt)
-        drift = sum(
-            bank.birth_kernels[j][i].delta * state.counts[j] for j in range(2)
-        )
-        xi[i] = decay * xi[i] + (1.0 - decay) * drift
-    beta3 = bank.death_kernel.beta
-    decay3 = math.exp(-beta3 * dt)
-    xi[2] = decay3 * xi[2] + (1.0 - decay3) * bank.death_kernel.delta * state.counts[2]
-    return IntensityState(tuple(xi), state.counts, state.clock + dt)
-
-
-def apply_jump(state: IntensityState, mark: Mark, bank: KernelBank) -> IntensityState:
-    """Apply the jumps of one event: each kernel's value at lag zero, alpha + delta."""
-    xi = list(state.xi)
-    counts = list(state.counts)
-    if mark is Mark.DEATH:
-        if state.population_size <= 0:
-            raise ValueError("death event in an empty population")
-        xi[2] += bank.death_kernel(0.0)
-        counts[2] += 1
-    else:
-        j = mark - 1
-        xi[0] += bank.birth_kernels[j][0](0.0)
-        xi[1] += bank.birth_kernels[j][1](0.0)
-        counts[j] += 1
-    return IntensityState(tuple(xi), tuple(counts), state.clock)
-
-
 def shot_noise_from_history(bank: KernelBank, events: Sequence[Event], t: float) -> tuple[float, float, float]:
     """Shot noise at time t by direct summation over past events.
 
     This is the defining representation and serves as the reference for
-    the recursive propagation above.
+    the engines' closed-form recursion.
     """
     xi = [0.0, 0.0, 0.0]
     for ev in events:

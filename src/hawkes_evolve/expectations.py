@@ -15,7 +15,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -40,9 +39,22 @@ def _exp_params(bank: KernelBank):
     return alphas, betas, bank.death_kernel.alpha, bank.death_kernel.beta
 
 
-def _is_poisson(bank: KernelBank) -> bool:
-    alphas, _, a3, _ = _exp_params(bank)
-    return a3 == 0 and all(alphas[j][i] == 0 for j in range(2) for i in range(2))
+def _paper_limit(bank: KernelBank, i: int) -> float:
+    """t -> inf limit c of the paper mean of intensity i.
+
+    For i in {1, 2}, with j the partner index, c = l0i + (l0i a_ii +
+    l0j a_ji) / b_i - (a_ii a_jj - a_ij a_ji) l0i / (b_i b_j), which stays
+    finite at equal decay rates.
+    """
+    alphas, betas, a3, b3 = _exp_params(bank)
+    if i == 3:
+        return bank.base_rates[2] * (1.0 + a3 / b3)
+    ii, jj = i - 1, 2 - i
+    bi, bj = betas[ii], betas[jj]
+    l0i, l0j = bank.base_rates[ii], bank.base_rates[jj]
+    # alphas[j][i] is alpha_{ji}: effect of a type-j event on intensity i.
+    a_ii, a_ij, a_ji, a_jj = alphas[ii][ii], alphas[ii][jj], alphas[jj][ii], alphas[jj][jj]
+    return l0i + (l0i * a_ii + l0j * a_ji) / bi - (a_ii * a_jj - a_ij * a_ji) * l0i / (bi * bj)
 
 
 @dataclass(frozen=True)
@@ -65,22 +77,27 @@ def abc_coefficients(bank: KernelBank, i: int) -> ABCCoefficients:
     alphas, betas, _, _ = _exp_params(bank)
     ii, jj = i - 1, 2 - i
     bi, bj = betas[ii], betas[jj]
-    l0i, l0j = bank.base_rates[ii], bank.base_rates[jj]
-    # alphas[j][i] is alpha_{ji}: effect of a type-j event on intensity i.
-    a_ii = alphas[ii][ii]
-    a_ij = alphas[ii][jj]
-    a_ji = alphas[jj][ii]
-    a_jj = alphas[jj][jj]
+    l0i = bank.base_rates[ii]
+    c = _paper_limit(bank, i)
+    a_ii, a_ij, a_ji, a_jj = alphas[ii][ii], alphas[ii][jj], alphas[jj][ii], alphas[jj][jj]
     if bi == bj:
         if a_ii == a_ij == a_ji == a_jj == 0:
-            return ABCCoefficients(0.0, 0.0, l0i)
+            return ABCCoefficients(0.0, 0.0, c)
         raise DegenerateParametersError(
             "equal decay rates make the closed form singular; use the renewal curve"
         )
-    a = (l0i / bi) * (a_ij * a_ji - a_ii * a_jj) / (bi - bj) - (l0i / bi) * a_ii - (l0j / bi) * a_ji
     b = (l0i / bj) * (a_ii * a_jj - a_ij * a_ji) / (bi - bj)
-    c = l0i - a - b
-    return ABCCoefficients(a, b, c)
+    return ABCCoefficients(l0i - b - c, b, c)
+
+
+def _paper_mean(bank: KernelBank, i: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """(c, weights, rates) of the paper mean lambda_i(t) = c + sum w exp(-r t)."""
+    if i == 3:
+        _, _, a3, b3 = _exp_params(bank)
+        return _paper_limit(bank, 3), (-bank.base_rates[2] * a3 / b3,), (b3,)
+    coef = abc_coefficients(bank, i)
+    _, betas, _, _ = _exp_params(bank)
+    return coef.c, (coef.a, coef.b), (betas[i - 1], betas[2 - i])
 
 
 def expected_intensity_paper(bank: KernelBank, i: int, t) -> float:
@@ -88,16 +105,10 @@ def expected_intensity_paper(bank: KernelBank, i: int, t) -> float:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if i == 3:
-        l03 = bank.base_rates[2]
-        _, _, a3, b3 = _exp_params(bank)
-        out = l03 + l03 * (1.0 - np.exp(-b3 * t)) * a3 / b3
-    else:
-        coef = abc_coefficients(bank, i)
-        _, betas, _, _ = _exp_params(bank)
-        bi, bj = betas[i - 1], betas[2 - i]
-        out = coef.c + coef.a * np.exp(-bi * t) + coef.b * np.exp(-bj * t)
-    return float(out) if out.ndim == 0 else out
+    out, weights, rates = _paper_mean(bank, i)
+    for w, r in zip(weights, rates):
+        out = out + w * np.exp(-r * t)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def univariate_remark_intensity(lam0: float, alpha: float, beta: float, t) -> np.ndarray:
@@ -165,16 +176,8 @@ def expected_count(bank: KernelBank, i: int, t: float, method: str = "paper") ->
     if t == 0:
         return 0.0
     if method == "paper":
-        if i == 3:
-            l03 = bank.base_rates[2]
-            _, _, a3, b3 = _exp_params(bank)
-            return l03 * (1.0 + a3 / b3) * t + l03 * (math.exp(-b3 * t) - 1.0) * a3 / b3**2
-        coef = abc_coefficients(bank, i)
-        _, betas, _, _ = _exp_params(bank)
-        bi, bj = betas[i - 1], betas[2 - i]
-        return (coef.c * t
-                + coef.a * (1.0 - math.exp(-bi * t)) / bi
-                + coef.b * (1.0 - math.exp(-bj * t)) / bj)
+        c, weights, rates = _paper_mean(bank, i)
+        return c * t + sum(w * (1.0 - math.exp(-r * t)) / r for w, r in zip(weights, rates))
     if method == "renewal":
         return float(_renewal_moments(bank, i, t)[1])
     raise ValueError(f"unknown method {method!r}")
@@ -193,13 +196,7 @@ def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, fl
     Lambda, which requires a subcritical branching matrix.
     """
     if method == "paper":
-        _, _, a3, b3 = _exp_params(bank)
-        l3 = bank.base_rates[2] * (1.0 + a3 / b3)
-        if _is_poisson(bank):
-            return (bank.base_rates[0], bank.base_rates[1], l3)
-        c1 = abc_coefficients(bank, 1).c
-        c2 = abc_coefficients(bank, 2).c
-        return (c1, c2, l3)
+        return (_paper_limit(bank, 1), _paper_limit(bank, 2), _paper_limit(bank, 3))
     if method == "renewal":
         k = _branching_matrix(bank)
         if not np.all(np.isfinite(k)):
@@ -216,34 +213,30 @@ def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, fl
 
 
 def critical_fitness(bank: KernelBank, method: str = "paper") -> float:
-    """Critical fitness: limiting ratio of mean death to mean mutant rate."""
-    if method == "renewal":
-        lam = asymptotic_rates(bank, "renewal")
-        if lam[0] <= 0:
-            raise DegenerateParametersError("mutant rate limit must be positive")
-        return lam[2] / lam[0]
-    if method != "paper":
-        raise ValueError(f"unknown method {method!r}")
-    alphas, betas, a3, b3 = _exp_params(bank)
-    l01, l02, l03 = bank.base_rates
-    b1, b2 = betas
-    a11, a12 = alphas[0]
-    a21, a22 = alphas[1]
-    denom = (l01 * b1 * b2 - l01 * (a11 * a22 - a12 * a21) + b2 * (l01 * a11 + l02 * a21)) * b3
-    if denom == 0:
-        raise DegenerateParametersError("zero denominator in the critical-fitness formula")
-    fc = l03 * (a3 + b3) * b1 * b2 / denom
-    subcritical_jumps = a3 <= b3 and all(
-        alphas[j][i] <= betas[i] for j in range(2) for i in range(2)
-    )
-    if subcritical_jumps:
-        lo = l03 / (2 * l01 + l02)
-        hi = 2 * l03 / l01
-        if not (lo <= fc <= hi):
-            warnings.warn(
-                f"critical fitness {fc} violates the bounds [{lo}, {hi}]",
-                RuntimeWarning,
-            )
+    """Critical fitness Lambda3 / Lambda1 from ``asymptotic_rates(bank, method)``.
+
+    The limiting ratio of the mean death rate to the mean mutant rate.
+    On the paper route a value outside [l03 / (2 l01 + l02), 2 l03 / l01]
+    warns when every jump is at most its decay rate.
+    """
+    lam = asymptotic_rates(bank, method)
+    if lam[0] == 0:
+        raise DegenerateParametersError("the mutant rate limit is zero")
+    fc = lam[2] / lam[0]
+    if method == "paper":
+        alphas, betas, a3, b3 = _exp_params(bank)
+        l01, l02, l03 = bank.base_rates
+        subcritical_jumps = a3 <= b3 and all(
+            alphas[j][i] <= betas[i] for j in range(2) for i in range(2)
+        )
+        if subcritical_jumps:
+            lo = l03 / (2 * l01 + l02)
+            hi = 2 * l03 / l01
+            if not (lo <= fc <= hi):
+                warnings.warn(
+                    f"critical fitness {fc} violates the bounds [{lo}, {hi}]",
+                    RuntimeWarning,
+                )
     return fc
 
 
@@ -287,17 +280,15 @@ class RegimeReport:
     """Asymptotic rates, critical fitness and the population regime."""
 
     lambda_asym_paper: tuple[float, float, float]
-    lambda_asym_renewal: Optional[tuple[float, float, float]]
+    lambda_asym_renewal: tuple[float, float, float]
     fc_paper: float
-    fc_renewal: Optional[float]
+    fc_renewal: float
     regime: RegimeKind
 
     def to_dict(self) -> dict:
         return {
             "lambda_asym_paper": list(self.lambda_asym_paper),
-            "lambda_asym_renewal": (
-                None if self.lambda_asym_renewal is None else list(self.lambda_asym_renewal)
-            ),
+            "lambda_asym_renewal": list(self.lambda_asym_renewal),
             "fc_paper": self.fc_paper,
             "fc_renewal": self.fc_renewal,
             "regime": self.regime.value,
@@ -305,47 +296,21 @@ class RegimeReport:
 
 
 def classify_regime(bank: KernelBank) -> RegimeReport:
-    """Trichotomy of the long-run population behaviour.
+    """Trichotomy of the long-run population behaviour, from the renewal rates.
 
     Subcritical when deaths dominate births in the mean; otherwise a
     phase transition at the critical fitness when it lies in (0, 1], and
     concentration of the population near fitness 1 when it exceeds 1.
+    Raises NoStationaryRateError when the renewal rates do not exist:
+    the births then explode, which the paper limits cannot show.
     """
-    lam_paper = asymptotic_rates(bank, "paper")
-    fc_paper = critical_fitness(bank, "paper")
-    try:
-        lam = asymptotic_rates(bank, "renewal")
-        fc = critical_fitness(bank, "renewal")
-        lam_renewal, fc_renewal = lam, fc
-    except NoStationaryRateError:
-        lam, fc = lam_paper, fc_paper
-        lam_renewal = fc_renewal = None
+    lam = asymptotic_rates(bank, "renewal")
+    fc = critical_fitness(bank, "renewal")
     if lam[2] >= lam[0] + lam[1]:
         regime = RegimeKind.SUBCRITICAL
     elif fc <= 1:
         regime = RegimeKind.PHASE_TRANSITION
     else:
         regime = RegimeKind.CONCENTRATION_AT_ONE
-    return RegimeReport(lam_paper, lam_renewal, fc_paper, fc_renewal, regime)
-
-
-@dataclass(frozen=True)
-class ExpectationCurve:
-    """Callable mean intensity / mean count curve for one process index."""
-
-    index: int
-    method: str
-    intensity: Callable[[float], float]
-    count: Callable[[float], float]
-
-
-def expectation_curve(bank: KernelBank, i: int, method: str = "paper") -> ExpectationCurve:
-    """Build the selected expectation curve; both routes are exact at any t >= 0."""
-    if method == "paper":
-        intensity = lambda t: expected_intensity_paper(bank, i, t)
-    elif method == "renewal":
-        intensity = lambda t: float(_renewal_moments(bank, i, t)[0])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ExpectationCurve(i, method, intensity=intensity,
-                            count=lambda t: expected_count(bank, i, t, method))
+    return RegimeReport(asymptotic_rates(bank, "paper"), lam,
+                        critical_fitness(bank, "paper"), fc, regime)

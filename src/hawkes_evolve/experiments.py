@@ -143,7 +143,9 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     Drift moves each intensity toward its baseline (plus the offset floor
     when kernels carry one); jump terms weigh the post-jump change by the
     current rates (a jump is alpha + delta, the kernel at lag zero), with
-    the death term gated by the population size.
+    the death term gated by the population size.  At counts (0, 0, 0) a
+    clone birth jumps as a mutant birth, since the engines open every
+    path with a mutant.
     """
     zeta = _zeta(bank, state)
     betas = (bank.birth_kernels[0][0].beta, bank.birth_kernels[0][1].beta,
@@ -170,6 +172,8 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
         np.array([0, jump[1][0], 1, jump[1][1], 0, 0], dtype=float),
         np.array([0, 0, 0, 0, 1, bank.death_kernel(0.0)], dtype=float),
     ]
+    if state.counts == (0, 0, 0):
+        jumps[1] = jumps[0]
     f0 = f(zeta)
     out += zeta[1] * (f(zeta + jumps[0]) - f0)
     out += zeta[3] * (f(zeta + jumps[1]) - f0)

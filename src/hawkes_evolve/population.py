@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import KernelBank, Mark
 from .expectations import asymptotic_rates
-from .simulate import SimConfig, SimPath, simulate
+from .simulate import SimConfig, SimPath, rng_for, simulate
 
 
 class _Fenwick:
@@ -224,10 +224,6 @@ class PopulationPath:
     f: Optional[float]
 
 
-def _population_rng(seed: int, path_index: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, path_index, tag))))
-
-
 def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] = None,
                         snapshot_grid=None, path_index: int = 0) -> PopulationPath:
     """Simulate events and maintain the fitness partition along the path.
@@ -236,7 +232,7 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     so the same event path can be re-partitioned reproducibly.
     """
     path = simulate(bank, config, path_index)
-    rng = _population_rng(config.seed, path_index, 1)
+    rng = rng_for(config.seed, path_index, 1)
     partition = FitnessPartition()
     grid = None if snapshot_grid is None else np.asarray(snapshot_grid, dtype=float)
     snapshots = []
@@ -280,7 +276,7 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     path = simulate(bank, config, path_index)
-    rng = _population_rng(config.seed, path_index, 2)
+    rng = rng_for(config.seed, path_index, 2)
     rows = [(0.0, 0, 0)]
     left = right = 0
     for ev in path.events:

@@ -24,8 +24,6 @@ from .core import (
     IntensityState,
     KernelBank,
     Mark,
-    apply_jump,
-    propagate,
     require_zero_offsets,
 )
 
@@ -69,13 +67,13 @@ class SimPath:
     intensity_samples: Optional[np.ndarray] = None
 
 
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one replication stream.
+def rng_for(seed: int, *stream: int) -> np.random.Generator:
+    """Counter-based generator for the stream keyed by (seed, *stream).
 
     Streams derived from the same seed are independent under any
     parallel schedule.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *stream))))
 
 
 def sample_mark(lam1: float, lam2: float, lam3_gated: float, u: float) -> Mark:
@@ -198,8 +196,9 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
         nonlocal x1, x2, x3, t_last
         y1, y2, y3 = xi_at(t)
         j1, j2, j3 = jumps[mark]
-        # The clock advances by the elapsed time, as ``propagate`` moves
-        # it, so fixed-seed output stays that of the state recursion.
+        # The clock advances by the elapsed time rather than jumping to
+        # t: the sum can differ from t in the last bit, and the pinned
+        # fixed-seed outputs were produced this way.
         x1, x2, x3, t_last = y1 + j1, y2 + j2, y3 + j3, t_last + (t - t_last)
 
     return _run(bank, config, xi_at, record, state0, rng)
@@ -252,28 +251,35 @@ def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPat
 def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarray:
     """Compensator increments of process i between its own events.
 
-    Integrals are closed form between global events for zero-offset
-    exponential kernels; under a correct simulation the residuals are
-    i.i.d. unit exponential.
+    The path is replayed on the Markov engine's float recursion: only
+    xi_i is kept, it decays in closed form between events and jumps by
+    the mark's alpha onto intensity i, and a running N gates the deaths.
+    Under a correct simulation the residuals are i.i.d. unit exponential.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
     require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
-    beta = bank.birth_kernels[0][i - 1].beta if i < 3 else bank.death_kernel.beta
-    state = IntensityState(counts=path.events.initial_counts)
+    if i < 3:
+        k1, k2 = bank.birth_kernels[0][i - 1], bank.birth_kernels[1][i - 1]
+        beta = k1.beta
+        jump = {Mark.MUTANT: k1.alpha, Mark.CLONE: k2.alpha, Mark.DEATH: 0.0}
+    else:
+        beta = bank.death_kernel.beta
+        jump = {Mark.MUTANT: 0.0, Mark.CLONE: 0.0, Mark.DEATH: bank.death_kernel.alpha}
+    n1, n2, n3 = path.events.initial_counts
+    n = n1 + n2 - n3
     residuals = []
-    acc = 0.0
-    t = state.clock
+    acc = xi = t = 0.0
     for ev in path.events:
         dt = ev.time - t
-        xi = state.xi[i - 1]
-        gate = 1.0 if i < 3 or state.population_size > 0 else 0.0
-        acc += gate * (lam0 * dt + xi * (1.0 - math.exp(-beta * dt)) / beta)
-        state = propagate(state, dt, bank)
+        decay = math.exp(-beta * dt)
+        if i < 3 or n > 0:
+            acc += lam0 * dt + xi * (1.0 - decay) / beta
+        xi = decay * xi + jump[ev.mark]
         if ev.mark == i:
             residuals.append(acc)
             acc = 0.0
-        state = apply_jump(state, ev.mark, bank)
+        n += -1 if ev.mark is Mark.DEATH else 1
         t = ev.time
     return np.asarray(residuals)

@@ -48,6 +48,14 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 2
 
+    def test_regime_of_an_exploding_bank(self, tmp_path):
+        # No stationary renewal rates: the regime is undecided, not subcritical.
+        bank = tmp_path / "explode.json"
+        bank.write_text(bank_to_json(KernelBank.exponential(
+            (1.0, 1.0, 1.2), ((6.0, 0.0), (0.0, 6.0)), (2.0, 2.5), 0.4, 1.0)))
+        assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "regime.json").exists()
+
     def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
         assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
 

@@ -1,10 +1,7 @@
 import json
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hawkes_evolve import (
     Event,
@@ -13,13 +10,11 @@ from hawkes_evolve import (
     IntensityState,
     KernelBank,
     Mark,
-    apply_jump,
+    SimConfig,
     bank_from_json,
     bank_to_json,
-    intensities_at,
     l1_norm,
-    propagate,
-    shot_noise_from_history,
+    simulate_markov,
 )
 
 
@@ -111,68 +106,28 @@ class TestKernelBank:
 
 
 class TestIntensityState:
+    """The gate as the Markov engine reads it from a starting state."""
+
+    @staticmethod
+    def intensities_from(state):
+        config = SimConfig(horizon=1.0, seed=1, record_grid=(0.0,))
+        return tuple(simulate_markov(exp_bank(), config, initial_state=state)
+                     .intensity_samples[0, :3])
+
     def test_gate_closed_when_empty(self):
-        bank = exp_bank()
-        assert intensities_at(bank, IntensityState()) == (1.0, 0.8, 0.0)
+        assert self.intensities_from(IntensityState()) == (1.0, 0.8, 0.0)
 
     def test_gate_open(self):
-        bank = exp_bank()
         state = IntensityState(xi=(0.3, 0.0, 0.5), counts=(1, 0, 0))
-        assert intensities_at(bank, state) == (1.3, 0.8, 1.7)
+        assert self.intensities_from(state) == (1.3, 0.8, 1.7)
 
     def test_gate_closes_on_balance(self):
-        bank = exp_bank()
         state = IntensityState(xi=(0.0, 0.0, 9.0), counts=(2, 1, 3))
-        assert intensities_at(bank, state)[2] == 0.0
+        assert self.intensities_from(state)[2] == 0.0
 
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError):
             IntensityState(counts=(0, 0, 1))
-
-    def test_propagate_identity(self):
-        state = IntensityState(xi=(1.0, 0.5, 0.2), counts=(1, 1, 0), clock=3.0)
-        assert propagate(state, 0.0, exp_bank()) == state
-
-    def test_propagate_decay(self):
-        state = IntensityState(xi=(1.0, 0.0, 0.0))
-        out = propagate(state, math.log(2), exp_bank())
-        assert out.xi[0] == pytest.approx(0.25, abs=1e-15)
-
-    def test_propagate_offset_floor(self):
-        # With offsets the shot noise relaxes to delta_ji * n_j, not zero.
-        bank = exp_bank(deltas=((0.3, 0.0), (0.0, 0.0)))
-        state = IntensityState(counts=(2, 0, 0))
-        out = propagate(state, 50.0, bank)
-        assert out.xi[0] == pytest.approx(0.6, rel=1e-9)
-
-    @given(dt1=st.floats(0, 20), dt2=st.floats(0, 20),
-           xi=st.tuples(*[st.floats(0, 10)] * 3))
-    @settings(max_examples=200, deadline=None)
-    def test_propagate_semigroup(self, dt1, dt2, xi):
-        bank = exp_bank()
-        state = IntensityState(xi=xi, counts=(1, 1, 1))
-        two_steps = propagate(propagate(state, dt1, bank), dt2, bank)
-        one_step = propagate(state, dt1 + dt2, bank)
-        assert two_steps.xi == pytest.approx(one_step.xi, rel=1e-12, abs=1e-12)
-
-    def test_apply_jump_mutant(self):
-        bank = exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)))
-        out = apply_jump(IntensityState(), Mark.MUTANT, bank)
-        assert out.xi == (0.5, 0.2, 0.0)
-        assert out.counts == (1, 0, 0)
-
-    def test_apply_jump_death(self):
-        out = apply_jump(IntensityState(counts=(1, 0, 0)), Mark.DEATH, exp_bank())
-        assert out.xi == (0.0, 0.0, 0.4)
-        assert out.counts == (1, 0, 1)
-
-    def test_apply_jump_clone_leaves_death_noise(self):
-        out = apply_jump(IntensityState(counts=(1, 0, 0)), Mark.CLONE, exp_bank())
-        assert out.xi[2] == 0.0 and out.counts == (1, 1, 0)
-
-    def test_death_on_empty_rejected(self):
-        with pytest.raises(ValueError):
-            apply_jump(IntensityState(), Mark.DEATH, exp_bank())
 
 
 class TestEventLog:
@@ -201,37 +156,3 @@ class TestEventLog:
         assert log.counts(1.0) == (1, 1, 0)
         assert log.population_size() == 1
 
-
-def test_reconstruction_matches_direct_sums():
-    """Replaying propagate/apply_jump reproduces the defining kernel sums.
-
-    The second bank has offsets: each jump adds alpha + delta, the
-    kernel's value at lag zero, and the shot noise then relaxes to the
-    floor delta * n.
-    """
-    rng = np.random.default_rng(7)
-    events = []
-    t, n = 0.0, 0
-    for _ in range(60):
-        t += rng.exponential(0.5)
-        if n == 0:
-            mark = Mark.MUTANT
-        else:
-            mark = Mark(rng.integers(1, 4))
-        if mark is Mark.DEATH:
-            n -= 1
-        else:
-            n += 1
-        events.append(Event(t, mark))
-    log = EventLog(tuple(events))
-    for bank in (exp_bank(), exp_bank(deltas=((0.3, 0.1), (0.2, 0.05)), death_delta=0.2)):
-        state = IntensityState()
-        prev = 0.0
-        for ev in log:
-            state = propagate(state, ev.time - prev, bank)
-            state = apply_jump(state, ev.mark, bank)
-            prev = ev.time
-        horizon = prev + 1.3
-        state = propagate(state, horizon - prev, bank)
-        direct = shot_noise_from_history(bank, log.events, horizon)
-        assert state.xi == pytest.approx(direct, rel=1e-9)

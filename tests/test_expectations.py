@@ -15,7 +15,6 @@ from hawkes_evolve import (
     asymptotic_rates,
     classify_regime,
     critical_fitness,
-    expectation_curve,
     expected_count,
     expected_intensity_paper,
     expected_intensity_renewal,
@@ -154,13 +153,22 @@ class TestRenewal:
     @settings(max_examples=40, deadline=None)
     def test_count_slope_is_intensity(self, bank):
         h = 1e-4
+        grid = [0.0, 0.5, 2.0, 5.0]
         for i in (1, 2, 3):
-            curve = expectation_curve(bank, i, "renewal")
-            assert curve.intensity(0.0) == bank.base_rates[i - 1]
-            assert curve.count(0.0) == 0.0
-            for t in (0.5, 2.0, 5.0):
-                slope = (curve.count(t + h) - curve.count(t - h)) / (2 * h)
-                assert slope == pytest.approx(curve.intensity(t), rel=1e-6)
+            y = expected_intensity_renewal(bank, i, grid)
+            assert y[0] == bank.base_rates[i - 1]
+            assert expected_count(bank, i, 0.0, "renewal") == 0.0
+            for t, y_t in zip(grid[1:], y[1:]):
+                slope = (expected_count(bank, i, t + h, "renewal")
+                         - expected_count(bank, i, t - h, "renewal")) / (2 * h)
+                assert slope == pytest.approx(y_t, rel=1e-6)
+
+    def test_renewal_curve_consistency(self):
+        bank = univariate_bank()
+        assert expected_intensity_renewal(bank, 1, [0.0])[0] == pytest.approx(1.0, abs=1e-9)
+        counts = [expected_count(bank, 1, t, "renewal") for t in np.linspace(0, 10, 11)]
+        assert counts[0] == 0.0
+        assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     # Jumps of at most 0.2 against decay rates of at least 0.5 keep every
     # column of the branching matrix below 0.8: subcritical by construction.
@@ -246,6 +254,37 @@ class TestCriticalFitness:
             (1.5, 1.0, 1.0), ((1.0, 1.0), (1.0, 1.0)), (1.0, 1.0), 1.0, 1.0)
         assert critical_fitness(bank, "paper") == pytest.approx(0.5)
 
+    @given(bank=random_banks(offsets=st.just(0.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_ratio_of_the_asymptotic_rates(self, bank):
+        import warnings
+
+        for method in ("paper", "renewal"):
+            try:
+                lam = asymptotic_rates(bank, method)
+            except NoStationaryRateError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert critical_fitness(bank, method) == lam[2] / lam[0]
+
+    def test_equal_decay_rates(self):
+        # HAWKES_BANK with both birth decay rates at 1: the paper curve is
+        # singular there, but its limit is not, and it is the limit of
+        # nearby distinct rates.
+        bank = KernelBank.exponential(
+            (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.0), 0.4, 1.0)
+        lam = asymptotic_rates(bank, "paper")
+        assert (lam[0], lam[2]) == pytest.approx((1.56, 1.68), rel=1e-12)
+        assert critical_fitness(bank, "paper") == pytest.approx(1.68 / 1.56, rel=1e-12)
+        near = KernelBank.exponential(
+            (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.0 + 1e-7), 0.4, 1.0)
+        assert asymptotic_rates(near, "paper") == pytest.approx(lam, rel=1e-6)
+        with pytest.raises(DegenerateParametersError):
+            abc_coefficients(bank, 1)
+        report = classify_regime(bank)
+        assert report.fc_paper == pytest.approx(1.68 / 1.56, rel=1e-12)
+
     def test_bounds_hold_silently(self):
         bank = KernelBank.exponential(
             (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -272,22 +311,18 @@ class TestRegimes:
         assert classify_regime(KernelBank.poisson((1.0, 2.0, 1.5))).regime \
             is RegimeKind.CONCENTRATION_AT_ONE
 
+    def test_exploding_bank_has_no_regime(self):
+        # The paper limits are negative here and would read subcritical,
+        # but the branching matrix is supercritical: the births explode.
+        bank = KernelBank.exponential(
+            (1.0, 1.0, 1.2), ((6.0, 0.0), (0.0, 6.0)), (2.0, 2.5), 0.4, 1.0)
+        assert stability_check(bank) is Stability.UNSTABLE
+        with pytest.raises(NoStationaryRateError):
+            classify_regime(bank)
+
     def test_report_json_fields(self):
         doc = classify_regime(KernelBank.poisson((2.0, 1.0, 1.0))).to_dict()
         assert set(doc) == {"lambda_asym_paper", "lambda_asym_renewal",
                             "fc_paper", "fc_renewal", "regime"}
         assert doc["regime"] == "phase_transition"
 
-
-class TestExpectationCurve:
-    def test_renewal_curve_consistency(self):
-        curve = expectation_curve(univariate_bank(), 1, "renewal")
-        assert curve.intensity(0.0) == pytest.approx(1.0, abs=1e-9)
-        assert curve.count(0.0) == 0.0
-        counts = [curve.count(t) for t in np.linspace(0, 10, 11)]
-        assert all(b >= a for a, b in zip(counts, counts[1:]))
-
-    def test_paper_curve_dispatch(self):
-        curve = expectation_curve(KernelBank.poisson((2.0, 1.0, 1.0)), 1, "paper")
-        assert curve.intensity(4.2) == pytest.approx(2.0)
-        assert curve.count(3.0) == pytest.approx(6.0)

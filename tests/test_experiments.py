@@ -58,14 +58,23 @@ class TestGeneratorApply:
         assert generator_apply(HAWKES_BANK, IntensityState(), lambda z: 1.0) == 0.0
 
     def test_linear_intensity_function(self):
-        # For F = l1 at the baseline state: relaxation vanishes and the two
-        # birth jumps contribute their l1 increments.
+        # For F = l1 at the empty baseline state: relaxation vanishes, and
+        # both birth rates jump l1 by the mutant's alpha, since a clone
+        # opening the path becomes a mutant.
         bank = HAWKES_BANK
-        state = IntensityState()
-        expected = (bank.base_rates[0] * bank.birth_kernels[0][0].alpha
-                    + bank.base_rates[1] * bank.birth_kernels[1][0].alpha)
-        got = generator_apply(bank, state, lambda z: z[1])
+        expected = (bank.base_rates[0] + bank.base_rates[1]) * bank.birth_kernels[0][0].alpha
+        got = generator_apply(bank, IntensityState(), lambda z: z[1])
         assert got == pytest.approx(expected, rel=1e-6)
+
+    def test_first_clone_counts_as_mutant(self):
+        bank = HAWKES_BANK
+        assert generator_apply(bank, IntensityState(), lambda z: z[0]) == pytest.approx(
+            bank.base_rates[0] + bank.base_rates[1], rel=1e-12)
+        assert generator_apply(bank, IntensityState(), lambda z: z[2]) == 0.0
+        # Off the empty state a clone stays a clone.
+        state = IntensityState(counts=(1, 0, 0))
+        assert generator_apply(bank, state, lambda z: z[0]) == pytest.approx(
+            bank.base_rates[0], rel=1e-12)
 
     def test_death_count_gated_at_empty(self):
         assert generator_apply(HAWKES_BANK, IntensityState(), lambda z: z[4]) == 0.0
@@ -101,6 +110,15 @@ class TestGeneratorDrift:
         # The secant's gap, n3 * xi3 * beta3^2 * h / 2 to first order.
         assert check.mc_mean - check.analytic == pytest.approx(2 * 0.7 * 1e-3 / 2, rel=1e-2)
         assert check.z == np.inf
+
+    def test_first_clone_drift_matches_engine(self):
+        # HAWKES_BANK's clone kernels differ from its mutant kernels, so
+        # the first-clone rule shows in n1 and l1 at the empty state.
+        checks = generator_drift_check(HAWKES_BANK, IntensityState(),
+                                       [lambda z: z[0], lambda z: z[1]],
+                                       n_reps=60_000, seed=5)
+        assert [c.analytic for c in checks] == pytest.approx([1.8, 0.72], rel=1e-6)
+        assert all(abs(c.z) < 4.0 for c in checks)
 
     def test_population_drift_close(self):
         checks = generator_drift_check(HAWKES_BANK, IntensityState(),
