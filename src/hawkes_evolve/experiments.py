@@ -238,10 +238,8 @@ class OccupancySummary:
 
 
 def zero_occupation_fraction(paths: Sequence[SimPath]) -> OccupancySummary:
-    """Fraction of the horizon each path spent at N = 0, with quantiles."""
-    fracs = np.array([
-        p.zero_occupation_time / p.final_state.clock for p in paths
-    ])
+    """Fraction of its elapsed time each path spent at N = 0, with quantiles."""
+    fracs = np.array([p.zero_occupation_time / p.elapsed for p in paths])
     qs = {q: float(np.quantile(fracs, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
     return OccupancySummary(fracs, float(np.median(fracs)), qs)
 
@@ -294,7 +292,7 @@ def _sweep_worker(bank, config, f_grid, f_ref, i):
         cum = np.concatenate([[0.0], np.cumsum(ks)])
         r_over_n = (n - cum[idx]) / n
         r_ref = float((ks[xs > f_ref].sum()) / n) if f_ref is not None else np.nan
-    zero_frac = pop.path.zero_occupation_time / pop.path.final_state.clock
+    zero_frac = pop.path.zero_occupation_time / pop.path.elapsed
     return cdf, r_over_n, r_ref, zero_frac
 
 

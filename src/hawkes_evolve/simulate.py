@@ -57,6 +57,7 @@ class SimPath:
     but not from the path: xi3 jumps only at deaths, and deaths stop
     while N = 0.  Its grid means therefore fall below the analytic
     curves, which ignore the gate, whenever deaths self-excite.
+    ``start`` is the state the path started from.
     """
 
     events: EventLog
@@ -65,6 +66,12 @@ class SimPath:
     capped: bool = False
     grid: Optional[np.ndarray] = None
     intensity_samples: Optional[np.ndarray] = None
+    start: IntensityState = IntensityState()
+
+    @property
+    def elapsed(self) -> float:
+        """Time from the start state's clock to the end of the path."""
+        return self.final_state.clock - self.start.clock
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -127,8 +134,10 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
         while gi < grid.size and grid[gi] <= t:
             samples[gi] = lambdas(t)
             gi += 1
+    # lam holds the intensities at t: a rejected candidate's values are
+    # the next bound, and only an accepted event changes them.
+    lam = lambdas(t)
     while True:
-        lam = lambdas(t)
         bound = lam[0] + lam[1] + lam[2]
         t_cand = t + rng.exponential(1.0 / bound)
         t_next = min(t_cand, horizon)
@@ -158,13 +167,14 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             if len(times) >= config.max_events:
                 capped = True
                 break
+            lam = lambdas(t)
     if grid is not None:
         while gi < grid.size and grid[gi] <= t:
             samples[gi] = lambdas(float(grid[gi]))
             gi += 1
     final = IntensityState(xi_at(t), tuple(counts), t)
     log = EventLog(tuple(map(Event, times, marks)), initial_counts=state0.counts)
-    return SimPath(log, final, zero_time, capped, grid, samples)
+    return SimPath(log, final, zero_time, capped, grid, samples, state0)
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
@@ -204,10 +214,34 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     return _run(bank, config, xi_at, record, state0, rng)
 
 
-def _history_sum(kernel: ExpKernel, dts: np.ndarray) -> float:
-    if kernel.alpha == 0:
-        return 0.0
-    return kernel.alpha * float(np.exp(-kernel.beta * dts).sum())
+class _MarkHistory:
+    """One mark's event times and the kernels it excites, for direct sums.
+
+    The times sit in a float64 buffer that doubles when full.  Only the
+    kernels with alpha > 0 are summed; ``targets`` pairs each with the
+    index of the intensity it excites.
+    """
+
+    __slots__ = ("times", "size", "neg_betas", "targets")
+
+    def __init__(self, kernels: list[tuple[int, ExpKernel]]):
+        self.times = np.empty(64)
+        self.size = 0
+        self.neg_betas = np.array([-k.beta for _, k in kernels])
+        self.targets = tuple((i, k.alpha) for i, k in kernels)
+
+    def append(self, t: float) -> None:
+        if self.size == self.times.size:
+            self.times = np.concatenate((self.times, np.empty(self.size)))
+        self.times[self.size] = t
+        self.size += 1
+
+    def add_sums(self, xi: list[float], t: float) -> None:
+        """Add alpha * sum_k exp(-beta (t - t_k)) to xi[i] for each excited i."""
+        if self.size:
+            decays = np.exp(np.multiply.outer(self.neg_betas, t - self.times[:self.size]))
+            for (i, alpha), s in zip(self.targets, np.add.reduce(decays, axis=1).tolist()):
+                xi[i] += alpha * s
 
 
 def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0,
@@ -215,28 +249,33 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     """Full-history thinning, the reference check on the Markov engine.
 
     Each intensity evaluation sums the kernels over the entire history,
-    O(n) per candidate.
+    O(n) per evaluation: one exp and one row-wise sum per mark covers
+    every kernel that mark excites.
     """
     require_zero_offsets(bank, "simulate_thinning_general")
     if rng is None:
         rng = rng_for(config.seed, path_index)
-
-    times = {Mark.MUTANT: [], Mark.CLONE: [], Mark.DEATH: []}
+    (k11, k12), (k21, k22) = bank.birth_kernels
+    excited = {Mark.MUTANT: [(0, k11), (1, k12)], Mark.CLONE: [(0, k21), (1, k22)],
+               Mark.DEATH: [(2, bank.death_kernel)]}
+    # Insertion order fixes the summation order: mutant terms before
+    # clone terms, as in the fixed-seed outputs the tests pin.
+    histories = {}
+    for mark, kernels in excited.items():
+        live = [(i, k) for i, k in kernels if k.alpha != 0]
+        if live:
+            histories[mark] = _MarkHistory(live)
 
     def xi_at(t: float) -> tuple[float, float, float]:
         xi = [0.0, 0.0, 0.0]
-        for j, mk in enumerate((Mark.MUTANT, Mark.CLONE)):
-            if times[mk]:
-                dts = t - np.asarray(times[mk])
-                xi[0] += _history_sum(bank.birth_kernels[j][0], dts)
-                xi[1] += _history_sum(bank.birth_kernels[j][1], dts)
-        if times[Mark.DEATH]:
-            dts = t - np.asarray(times[Mark.DEATH])
-            xi[2] += _history_sum(bank.death_kernel, dts)
+        for history in histories.values():
+            history.add_sums(xi, t)
         return tuple(xi)
 
     def record(mark: Mark, t: float) -> None:
-        times[mark].append(t)
+        history = histories.get(mark)
+        if history is not None:
+            history.append(t)
 
     return _run(bank, config, xi_at, record, IntensityState(), rng)
 
@@ -251,10 +290,11 @@ def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPat
 def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarray:
     """Compensator increments of process i between its own events.
 
-    The path is replayed on the Markov engine's float recursion: only
-    xi_i is kept, it decays in closed form between events and jumps by
-    the mark's alpha onto intensity i, and a running N gates the deaths.
-    Under a correct simulation the residuals are i.i.d. unit exponential.
+    The path is replayed from its start state on the Markov engine's
+    float recursion: only xi_i is kept, it decays in closed form between
+    events and jumps by the mark's alpha onto intensity i, and a running
+    N gates the deaths.  Under a correct simulation the residuals are
+    i.i.d. unit exponential.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
@@ -267,10 +307,11 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     else:
         beta = bank.death_kernel.beta
         jump = {Mark.MUTANT: 0.0, Mark.CLONE: 0.0, Mark.DEATH: bank.death_kernel.alpha}
-    n1, n2, n3 = path.events.initial_counts
-    n = n1 + n2 - n3
+    n = path.start.population_size
+    xi = path.start.xi[i - 1]
+    t = path.start.clock
     residuals = []
-    acc = xi = t = 0.0
+    acc = 0.0
     for ev in path.events:
         dt = ev.time - t
         decay = math.exp(-beta * dt)

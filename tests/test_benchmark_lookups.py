@@ -2,13 +2,17 @@
 
 ``perfbench/spans.py`` lists them in ``BOUNDARIES`` as (module, attribute)
 pairs, and a traced run fails if a pair no longer resolves.  The file is
-loaded by path and only read: no bytecode is cached next to it.
+loaded by path and only read: no bytecode is cached next to it.  A
+wrapped name must also stay on the call path: a caller that bypasses it
+leaves the span's metrics at zero.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from hawkes_evolve import KernelBank, SimConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -25,3 +29,21 @@ def test_every_boundary_resolves_to_a_callable(monkeypatch):
                                 attr, None))
     ]
     assert missing == []
+
+
+def test_simulate_dispatches_through_the_thinning_name(monkeypatch):
+    # The package exports a function named simulate, which hides the
+    # module of that name from attribute access.
+    simulate_module = importlib.import_module("hawkes_evolve.simulate")
+    calls = []
+    engine = simulate_module.simulate_thinning_general
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "simulate_thinning_general", counting)
+    bank = KernelBank.poisson((2.0, 1.0, 1.0))
+    path = simulate_module.simulate(bank, SimConfig(horizon=1.0, seed=1, engine="thinning"))
+    assert len(calls) == 1
+    assert path.final_state.clock == 1.0

@@ -11,6 +11,7 @@ from hawkes_evolve import (
     mc_mean_intensity,
     rho_convergence_check,
     simulate,
+    simulate_markov,
     zero_occupation_fraction,
 )
 from hawkes_evolve.experiments import _knee_estimate
@@ -134,6 +135,15 @@ class TestSummaries:
         summary = zero_occupation_fraction(paths)
         assert np.all((summary.fractions >= 0) & (summary.fractions <= 1))
         assert summary.quantiles[0.5] == summary.median
+
+    def test_zero_occupation_divides_by_elapsed_time(self):
+        start = IntensityState(counts=(1, 0, 1), clock=100.0)
+        paths = [simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=s),
+                                 initial_state=start) for s in range(200)]
+        summary = zero_occupation_fraction(paths)
+        expected = [p.zero_occupation_time / 3.0 for p in paths]
+        assert summary.fractions.tolist() == expected
+        assert summary.median > 0.1
 
     def test_knee_estimator_on_linear_ramp(self):
         f = np.linspace(0, 1, 51)

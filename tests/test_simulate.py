@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -25,6 +27,8 @@ from hawkes_evolve import (
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
+CROSS_BANK = KernelBank.exponential(
+    (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
 
 
 class TestSimConfig:
@@ -183,6 +187,42 @@ class TestPinnedOutput:
         assert path.final_state == IntensityState(
             (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14), 5.0)
 
+    @pytest.mark.parametrize("engine, pinned, xi", [
+        ("markov",
+         {0: 0.012490539958468513, 1: 0.19831216339363675, 700: 40.04383953131022,
+          1547: 99.49984805635248},
+         (0.6583137929265519, 0.48672446560451704, 0.39709560093379587)),
+        ("thinning",
+         {0: 0.012490539958468513, 1: 0.19831216339363675, 700: 40.0438395313103,
+          1547: 99.49984805635269},
+         (0.6583137929266923, 0.48672446560467264, 0.3970956009338806)),
+    ])
+    def test_long_cross_bank_path(self, engine, pinned, xi):
+        # Long enough that each mark's history outgrows the thinning
+        # engine's initial buffer at least once.
+        path = simulate(CROSS_BANK, SimConfig(horizon=100.0, seed=3, engine=engine))
+        events = path.events.events
+        assert len(events) == 1548
+        marks = {0: Mark.MUTANT, 1: Mark.CLONE, 700: Mark.MUTANT, 1547: Mark.DEATH}
+        for k, t in pinned.items():
+            assert (events[k].time, events[k].mark) == (t, marks[k])
+        assert path.final_state == IntensityState(xi, (677, 680, 191), 100.0)
+        assert path.zero_occupation_time == 0.143178666259572
+        assert not path.capped
+
+
+jumps = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+decays = st.floats(1.0, 3.0)
+
+
+@st.composite
+def zero_offset_banks(draw):
+    rates = st.floats(0.1, 2.0)
+    return KernelBank.exponential(
+        draw(st.tuples(rates, rates, rates)),
+        draw(st.tuples(st.tuples(jumps, jumps), st.tuples(jumps, jumps))),
+        draw(st.tuples(decays, decays)), draw(jumps), draw(decays))
+
 
 class TestThinningEngine:
     def test_matches_markov_distribution_cheaply(self):
@@ -200,6 +240,24 @@ class TestThinningEngine:
         a = simulate(HAWKES_BANK, config)
         b = simulate(HAWKES_BANK, config)
         assert a.events.events == b.events.events
+
+    @settings(max_examples=25, deadline=None)
+    @given(bank=zero_offset_banks(), seed=st.integers(0, 2**16))
+    def test_samples_are_the_direct_kernel_sums(self, bank, seed):
+        # Distinct mutant and clone rows: a swap of a kernel's source and
+        # target would change the sums.
+        assume(bank.birth_kernels[0] != bank.birth_kernels[1])
+        grid = tuple(np.linspace(0.0, 5.0, 11))
+        path = simulate_thinning_general(bank, SimConfig(horizon=5.0, seed=seed, max_events=400,
+                                                         record_grid=grid))
+        events = path.events.events
+        for g, row in zip(grid, path.intensity_samples):
+            if np.isnan(row[0]):
+                break
+            direct = np.add(bank.base_rates, shot_noise_from_history(bank, events, g))
+            assert row[[0, 1, 3]] == pytest.approx(direct, rel=1e-12)
+        direct = shot_noise_from_history(bank, events, path.final_state.clock)
+        assert path.final_state.xi == pytest.approx(direct, rel=1e-12)
 
 
 class TestTimeRescaling:
@@ -243,6 +301,21 @@ class TestTimeRescaling:
             res = time_rescale_residuals(path, HAWKES_BANK, i)
             assert len(expected) > 10
             assert res == pytest.approx(expected, rel=1e-10)
+
+    def test_residuals_start_from_the_start_state(self):
+        # From a late clock and large shot noise, the first residual of
+        # each path covers only the time since the start.
+        start = IntensityState(xi=(8.0, 8.0, 8.0), counts=(5, 5, 0), clock=100.0)
+        first = []
+        for seed in range(400):
+            path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=seed),
+                                   initial_state=start)
+            assert path.start == start
+            res = time_rescale_residuals(path, HAWKES_BANK, 1)
+            if res.size:
+                first.append(res[0])
+        assert len(first) > 300
+        assert stats.kstest(first, "expon").pvalue > 0.01
 
     def test_index_validated(self):
         path = simulate_markov(HAWKES_BANK, SimConfig(horizon=1.0, seed=1))
