@@ -59,12 +59,14 @@ from .population import (
     theoretical_site_cdf,
 )
 from .simulate import (
+    MarkovBatch,
     SimConfig,
     SimPath,
     rng_for,
     sample_mark,
     simulate,
     simulate_markov,
+    simulate_markov_batch,
     simulate_thinning_general,
     time_rescale_residuals,
 )

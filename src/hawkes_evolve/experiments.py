@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -32,16 +32,24 @@ from .population import (
     simulate_population,
     theoretical_site_cdf,
 )
-from .simulate import (SimConfig, SimPath, rng_for, simulate, simulate_markov,
-                       time_rescale_residuals)
+# Nothing here calls simulate_markov; the name stays importable from this
+# module because the benchmark's tracer (perfbench/spans.py) looks it up
+# here with no default.
+from .simulate import (SimConfig, SimPath, batch_blocks, simulate, simulate_markov,
+                       simulate_markov_batch, time_rescale_residuals)
 
 
-def _pmap(fn: Callable, n: int, threads: int) -> list:
-    """Map fn over range(n), optionally in a process pool, order preserved."""
+def _pmap(fn: Callable, n: int, threads: int) -> Iterator:
+    """Map fn over range(n), optionally in a process pool, order preserved.
+
+    Results are yielded as they arrive, so a caller can store each one
+    and drop it before the next.
+    """
     if threads <= 1:
-        return [fn(i) for i in range(n)]
+        yield from map(fn, range(n))
+        return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n), chunksize=max(1, n // (4 * threads))))
+        yield from pool.map(fn, range(n), chunksize=max(1, n // (4 * threads)))
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,9 @@ class MCReport:
 
     The (3, method) comparisons use the ungated death intensity, whose
     path still feels the gate: deaths stop while N = 0, so xi3 gets fewer
-    jumps than the analytic curves assume.  They are not expected to
-    match when deaths self-excite.
+    jumps than the analytic curves assume.  When deaths self-excite
+    (``deaths_self_excite``) they are still scored but not expected to
+    match, and ``matched_method(3)`` says "not applicable".
     """
 
     t_grid: np.ndarray
@@ -76,9 +85,12 @@ class MCReport:
     mean: np.ndarray  # shape (grid, 3), ungated death intensity
     stderr: np.ndarray
     comparisons: dict  # (index, method) -> CurveComparison
+    deaths_self_excite: bool = False
 
     def matched_method(self, i: int) -> Optional[str]:
         """Which analytic curve the MC mean matched, if exactly one did."""
+        if i == 3 and self.deaths_self_excite:
+            return "not applicable"
         ok = [m for m in ("paper", "renewal") if self.comparisons[(i, m)].within_3_sigma]
         return ok[0] if len(ok) == 1 else ("both" if len(ok) == 2 else None)
 
@@ -92,23 +104,42 @@ def _intensity_worker(bank, config, i):
     return simulate(bank, config, path_index=i).intensity_samples
 
 
+def _intensity_block_worker(bank, config, blocks, b):
+    block, start, stop = blocks[b]
+    return simulate_markov_batch(bank, config, stop - start, block=block).intensity_samples
+
+
 def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
                       engine: str = "markov", threads: int = 1) -> MCReport:
     """Unbiased grid means of lambda^i(t) over n_paths replications.
 
-    The death intensity is recorded without its gate; see ``MCReport``
-    for why its comparisons still differ when deaths self-excite.  A
-    grid point whose standard error is at rounding level has zero spread
-    and scores z = 0 when the mean equals the target to the same
-    relative tolerance, and infinite z otherwise.
+    The Markov engine runs the paths in lockstep blocks
+    (``simulate_markov_batch``), one stream per block; the thinning
+    engine runs them one by one on the per-path streams, as the
+    reference.  Blocks or paths map over ``threads`` workers, and the
+    result does not depend on their number.  The death intensity is
+    recorded without its gate; see ``MCReport`` for why its comparisons
+    still differ when deaths self-excite.  A grid point whose standard
+    error is at rounding level has zero spread and scores z = 0 when the
+    mean equals the target to the same relative tolerance, and infinite
+    z otherwise.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     t_grid = np.asarray(t_grid, dtype=float)
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed,
                        engine=engine, record_grid=tuple(t_grid))
-    samples = _pmap(partial(_intensity_worker, bank, config), n_paths, threads)
-    cube = np.stack(samples)  # (paths, grid, 4)
+    cube = np.empty((n_paths, t_grid.size, 4))
+    if engine == "markov":
+        blocks = batch_blocks(n_paths)
+        samples = _pmap(partial(_intensity_block_worker, bank, config, blocks), len(blocks),
+                        threads)
+        for (_, start, stop), block in zip(blocks, samples):
+            cube[start:stop] = block
+    else:
+        for r, row in enumerate(_pmap(partial(_intensity_worker, bank, config), n_paths,
+                                      threads)):
+            cube[r] = row
     lam = cube[:, :, [0, 1, 3]]
     mean = lam.mean(axis=0)
     stderr = lam.std(axis=0, ddof=1) / math.sqrt(n_paths)
@@ -125,7 +156,8 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
             exact = np.where(np.abs(diff) <= tol, 0.0, np.copysign(np.inf, diff))
             z = np.where(flat, exact, diff / se)
             comparisons[(i, method)] = CurveComparison(method, target, z)
-    return MCReport(t_grid, n_paths, mean, stderr, comparisons)
+    return MCReport(t_grid, n_paths, mean, stderr, comparisons,
+                    bank.death_kernel.alpha > 0)
 
 
 def _zeta(bank: KernelBank, state: IntensityState) -> np.ndarray:
@@ -207,20 +239,25 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
                           n_reps: int = 100_000, seed: int = 0) -> list[DriftCheck]:
     """Compare E[F(Z_{t+h}) - F(Z_t)]/h from simulation with the generator.
 
-    The estimate is a secant over [0, h], O(h) from the generator.  Where
-    F only follows the event-free flow (n3 * l3 while deaths are off) it
-    has no spread, and that secant gap of the flow is all that remains.
+    All n_reps paths start from ``state`` and run to h in lockstep blocks
+    of the batched Markov engine.  The estimate is a secant over [0, h],
+    O(h) from the generator.  Where F only follows the event-free flow
+    (n3 * l3 while deaths are off) it has no spread, and that secant gap
+    of the flow is all that remains.
     """
-    rng = rng_for(seed, 0)
     config = SimConfig(horizon=h, seed=seed)
     zeta0 = _zeta(bank, state)
     f0s = [f(zeta0) for f in test_functions]
     d = np.empty((n_reps, len(test_functions)))
-    for r in range(n_reps):
-        path = simulate_markov(bank, config, initial_state=state, rng=rng)
-        zeta1 = _zeta(bank, path.final_state)
+    base = np.array(bank.base_rates)
+    for block, start, stop in batch_blocks(n_reps):
+        batch = simulate_markov_batch(bank, config, stop - start, state, block)
+        # Rows of (n1, l1, n2, l2, n3, l3), as _zeta builds them.
+        zetas = np.empty((stop - start, 6))
+        zetas[:, 0::2] = batch.counts
+        zetas[:, 1::2] = base + batch.xi
         for k, f in enumerate(test_functions):
-            d[r, k] = (f(zeta1) - f0s[k]) / h
+            d[start:stop, k] = [(f(z) - f0s[k]) / h for z in zetas]
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat column.
     means = d.mean(axis=0)
     ses = d.std(axis=0) / math.sqrt(n_reps)
@@ -330,7 +367,8 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
         candidates = [fc for fc in (fc_renewal, fc_paper) if fc is not None and fc < 1]
         f_reference = candidates[0] if candidates else None
     config = SimConfig(horizon=horizon, seed=seed)
-    results = _pmap(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs, threads)
+    results = list(_pmap(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs,
+                         threads))
     cdfs = np.stack([r[0] for r in results])
     gaps = np.stack([r[1] for r in results])
     r_refs = np.array([r[2] for r in results])
@@ -377,7 +415,7 @@ def rho_convergence_check(bank: KernelBank, f: float, epsilon: float, horizon: f
                           n_runs: int, seed: int, threads: int = 1) -> RhoReport:
     """Terminal L/N of the modified chain over runs, plus zero-return counts."""
     config = SimConfig(horizon=horizon, seed=seed)
-    results = _pmap(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads)
+    results = list(_pmap(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads))
     rhos = np.array([r[0] for r in results])
     returns = np.array([r[1] for r in results])
     limits = {}

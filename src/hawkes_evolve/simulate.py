@@ -6,7 +6,9 @@ full-history engine sums the kernels over every past event and so serves
 as an independent reference check on it.  The loop refreshes the
 dominating bound at every event and every rejected candidate; with zero
 offsets the total intensity decays between events, so the value at the
-last refresh is a valid bound.
+last refresh is a valid bound.  The batched Markov engine runs the same
+loop on a block of paths at once, as numpy arrays, for the Monte Carlo
+harness.
 """
 
 from __future__ import annotations
@@ -212,6 +214,166 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
         x1, x2, x3, t_last = y1 + j1, y2 + j2, y3 + j3, t_last + (t - t_last)
 
     return _run(bank, config, xi_at, record, state0, rng)
+
+
+# Paths per lockstep block.  Block b of a run draws from the stream
+# rng_for(seed, b, BATCH_STREAM); the tag keeps these streams apart from
+# the per-path streams (seed, i) and from population's tags 1 and 2.  The
+# block size is fixed, so a run's results do not depend on how its
+# blocks are spread over workers.
+BATCH_BLOCK = 2048
+BATCH_STREAM = 3
+
+
+@dataclass(frozen=True)
+class MarkovBatch:
+    """Lockstep Markov paths as arrays, one row per path.
+
+    ``intensity_samples`` is (paths, grid, 4) with the columns of
+    ``SimPath.intensity_samples``, NaN past a capped path's end, or None
+    without a recording grid.  ``xi`` and ``counts`` are the final shot
+    noise and counts, (paths, 3); ``clock``, ``zero_occupation_time``
+    and ``capped`` are per path.
+    """
+
+    intensity_samples: Optional[np.ndarray]
+    xi: np.ndarray
+    counts: np.ndarray
+    clock: np.ndarray
+    zero_occupation_time: np.ndarray
+    capped: np.ndarray
+
+
+def batch_blocks(n_paths: int) -> list[tuple[int, int, int]]:
+    """(block, first row, end row) of each block of an n_paths run."""
+    return [(b, start, min(start + BATCH_BLOCK, n_paths))
+            for b, start in enumerate(range(0, n_paths, BATCH_BLOCK))]
+
+
+def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
+                          initial_state: Optional[IntensityState] = None,
+                          block: int = 0) -> MarkovBatch:
+    """Block ``block`` of a run: n_paths <= BATCH_BLOCK Markov paths in lockstep.
+
+    Each step follows ``_run`` for every active path at once: one
+    exponential at the path's last refreshed bound, grid samples at
+    every grid point the step crosses, the intensities at the candidate
+    and acceptance by one uniform times the bound (a rejected
+    candidate's total becomes the next bound), and for an accepted
+    candidate one more uniform for the mark.  A clone that would open an
+    empty path is a mutant, deaths are gated at N = 0, and a path stops,
+    capped, at ``config.max_events`` events.  Paths leave the block as
+    they finish.  The streams differ from ``simulate_markov``'s, so the
+    paths agree with it in law, not draw for draw.
+    """
+    require_zero_offsets(bank, "simulate_markov_batch")
+    if not 0 < n_paths <= BATCH_BLOCK:
+        raise ValueError(f"a block holds 1 to {BATCH_BLOCK} paths, got {n_paths}")
+    rng = rng_for(config.seed, block, BATCH_STREAM)
+    state0 = initial_state if initial_state is not None else IntensityState()
+    (k11, k12), (k21, k22) = bank.birth_kernels
+    mu = np.array(bank.base_rates, dtype=float)
+    neg_beta = -np.array([k11.beta, k12.beta, bank.death_kernel.beta])
+    # Row m: the jump of each shot noise at an event of mark m + 1, and
+    # the population change.
+    jumps = np.array([[k11.alpha, k12.alpha, 0.0], [k21.alpha, k22.alpha, 0.0],
+                      [0.0, 0.0, bank.death_kernel.alpha]])
+    n_step = np.array([1, 1, -1])
+    t0 = state0.clock
+    horizon = t0 + config.horizon
+    fresh_start = state0.counts == (0, 0, 0)
+
+    # Per-path output, indexed by row.
+    out_xi = np.empty((n_paths, 3))
+    out_counts = np.empty((n_paths, 3), dtype=np.int64)
+    out_clock = np.empty(n_paths)
+    out_zero = np.empty(n_paths)
+    out_capped = np.zeros(n_paths, dtype=bool)
+
+    def gated_total(lam, n):
+        """lambda1 + lambda2 + gated lambda3 per row of (lambda1, lambda2, lambda3)."""
+        return lam[:, 0] + lam[:, 1] + np.where(n > 0, lam[:, 2], 0.0)
+
+    # State of the active paths, compacted as paths finish.  x is the
+    # shot noise at t_last, the time of the path's last event.
+    rows = np.arange(n_paths)
+    x = np.tile(np.array(state0.xi, dtype=float), (n_paths, 1))
+    t_last = np.full(n_paths, t0)
+    t = np.full(n_paths, t0)
+    n = np.full(n_paths, state0.population_size)
+    counts = np.tile(np.array(state0.counts, dtype=np.int64), (n_paths, 1))
+    n_events = np.zeros(n_paths, dtype=np.int64)
+    zero_time = np.zeros(n_paths)
+    bound = gated_total(mu + x, n)
+
+    samples = gi = None
+    if config.record_grid is not None:
+        grid = np.asarray(config.record_grid, dtype=float)
+        samples = np.full((n_paths, grid.size, 4), np.nan)
+        # Grid points at or before the start read the start state.
+        g0 = int(np.searchsorted(grid, t0, side="right"))
+        lam0 = mu + x[0]
+        samples[:, :g0] = (lam0[0], lam0[1], lam0[2] if n[0] > 0 else 0.0, lam0[2])
+        gi = np.full(n_paths, g0)
+        # A sentinel past the last grid point ends each path's grid.
+        grid_ext = np.append(grid, np.inf)
+
+    while rows.size:
+        k = rows.size
+        t_cand = t + rng.standard_exponential(k) / bound
+        t_next = np.minimum(t_cand, horizon)
+        if gi is not None:
+            while True:
+                due = np.flatnonzero(grid_ext[gi] <= t_next)
+                if not due.size:
+                    break
+                g = gi[due]
+                lam = mu + x[due] * np.exp(neg_beta * (grid[g] - t_last[due])[:, None])
+                gated = np.where(n[due] > 0, lam[:, 2], 0.0)
+                samples[rows[due], g] = np.column_stack((lam[:, :2], gated, lam[:, 2]))
+                gi[due] += 1
+        zero_time += np.where(n == 0, t_next - t, 0.0)
+        # A path whose candidate passes the horizon ends there.
+        t = t_next
+        done = t_cand >= horizon
+        y = x * np.exp(neg_beta * (t - t_last)[:, None])
+        lam = mu + y
+        total = gated_total(lam, n)
+        u = rng.random((2, k))
+        accept = ~done & (u[0] * bound < total)
+        # A rejected candidate's total is the next bound.
+        bound = total
+        a = np.flatnonzero(accept)
+        if a.size:
+            v = u[1, a] * total[a]
+            # Mark index 0, 1 or 2 (mutant, clone, death) as in sample_mark.
+            mark = (v >= lam[a, 0]).astype(np.int64) + ((v >= lam[a, 0] + lam[a, 1]) & (n[a] > 0))
+            if fresh_start:
+                # A clone cannot open an empty path; the first birth is a mutant.
+                mark[(mark == 1) & (n_events[a] == 0)] = 0
+            x[a] = y[a] + jumps[mark]
+            t_last[a] = t[a]
+            counts[a, mark] += 1
+            n[a] += n_step[mark]
+            n_events[a] += 1
+            bound[a] = gated_total(mu + x[a], n[a])
+            # A path that accepts its last allowed event stops there, capped.
+            done[a] = n_events[a] >= config.max_events
+        if done.any():
+            d = np.flatnonzero(done)
+            r = rows[d]
+            out_xi[r] = x[d] * np.exp(neg_beta * (t[d] - t_last[d])[:, None])
+            out_counts[r] = counts[d]
+            out_clock[r] = t[d]
+            out_zero[r] = zero_time[d]
+            out_capped[r] = accept[d]
+            keep = ~done
+            rows, x, t_last, t, n = rows[keep], x[keep], t_last[keep], t[keep], n[keep]
+            counts, n_events = counts[keep], n_events[keep]
+            zero_time, bound = zero_time[keep], bound[keep]
+            if gi is not None:
+                gi = gi[keep]
+    return MarkovBatch(samples, out_xi, out_counts, out_clock, out_zero, out_capped)
 
 
 class _MarkHistory:

@@ -15,9 +15,12 @@ from hawkes_evolve import (
     zero_occupation_fraction,
 )
 from hawkes_evolve.experiments import _knee_estimate
+from hawkes_evolve.simulate import BATCH_BLOCK
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
+CROSS_BANK = KernelBank.exponential(
+    (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
 
 
 class TestMcMeanIntensity:
@@ -36,6 +39,25 @@ class TestMcMeanIntensity:
         for i in (1, 2, 3):
             for method in ("paper", "renewal"):
                 assert report.comparisons[(i, method)].z[0] == 0.0
+
+    def test_self_exciting_deaths_are_not_applicable(self):
+        # The ungated lambda3 rides a path whose deaths stop at N = 0, so
+        # it sits far below both curves; the z-scores stay in the report.
+        report = mc_mean_intensity(CROSS_BANK, np.arange(0.0, 11.0), 2000, seed=7)
+        assert report.matched_method(3) == "not applicable"
+        assert report.comparisons[(3, "renewal")].z[1] < -20.0
+        assert report.matched_method(1) == "renewal"
+        poisson = mc_mean_intensity(KernelBank.poisson((2.0, 1.0, 1.0)),
+                                    np.linspace(0, 5, 6), 200, seed=1)
+        assert poisson.matched_method(3) == "both"
+
+    def test_blocks_do_not_depend_on_threads(self):
+        grid = np.linspace(0.0, 2.0, 5)
+        n = BATCH_BLOCK + 52
+        one = mc_mean_intensity(HAWKES_BANK, grid, n, seed=9, threads=1)
+        two = mc_mean_intensity(HAWKES_BANK, grid, n, seed=9, threads=2)
+        assert np.array_equal(one.mean, two.mean)
+        assert np.array_equal(one.stderr, two.stderr)
 
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,11 @@ from hawkes_evolve import (
     shot_noise_from_history,
     simulate,
     simulate_markov,
+    simulate_markov_batch,
     simulate_thinning_general,
     time_rescale_residuals,
 )
+from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -152,7 +154,8 @@ EMPTY_PATH = SimPath(EventLog(), IntensityState(clock=1.0), 1.0)
     lambda bank: simulate_thinning_general(bank, SimConfig(horizon=1.0, seed=1)),
     lambda bank: time_rescale_residuals(EMPTY_PATH, bank, 1),
     lambda bank: expected_intensity_paper(bank, 1, 1.0),
-], ids=["markov", "thinning", "residuals", "paper"])
+    lambda bank: simulate_markov_batch(bank, SimConfig(horizon=1.0, seed=1), 4),
+], ids=["markov", "thinning", "residuals", "paper", "batch"])
 def test_offset_kernels_rejected(call):
     with pytest.raises(UnsupportedKernelError):
         call(OFFSET_BANK)
@@ -222,6 +225,112 @@ def zero_offset_banks(draw):
         draw(st.tuples(rates, rates, rates)),
         draw(st.tuples(st.tuples(jumps, jumps), st.tuples(jumps, jumps))),
         draw(st.tuples(decays, decays)), draw(jumps), draw(decays))
+
+
+# Deaths excite themselves and the mutant and clone rows differ.
+SELF_EXCITING_DEATHS = KernelBank.exponential(
+    (1.0, 0.8, 1.5), ((0.3, 0.2), (0.1, 0.4)), (1.0, 1.5), 0.8, 1.2)
+
+
+def _batch_run(bank, config, n_paths, state=None):
+    """Every block of an n_paths batched run, stacked."""
+    blocks = [simulate_markov_batch(bank, config, stop - start, state, block)
+              for block, start, stop in batch_blocks(n_paths)]
+    return {name: np.concatenate([getattr(b, name) for b in blocks])
+            for name in ("intensity_samples", "counts", "zero_occupation_time", "capped")}
+
+
+class TestMarkovBatch:
+    @pytest.mark.parametrize("bank, state", [
+        (CROSS_BANK, None),
+        (HAWKES_BANK, None),
+        (SELF_EXCITING_DEATHS, None),
+        (HAWKES_BANK, IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2), clock=3.0)),
+    ], ids=["cross", "hawkes", "self_exciting_deaths", "hawkes_from_a_state"])
+    def test_agrees_in_law_with_simulate_markov(self, bank, state):
+        # Independent streams: the batch on seed 1, the scalar engine on
+        # seed 2.  Two-sample KS on the final counts, and z on the grid
+        # means of lambda1, lambda2, ungated lambda3 and the time at N = 0.
+        n, horizon = 3000, 20.0
+        t0 = 0.0 if state is None else state.clock
+        grid = tuple(np.linspace(t0, t0 + horizon, 11))
+        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=grid), n,
+                           state)
+        config = SimConfig(horizon=horizon, seed=2, record_grid=grid)
+        paths = [simulate_markov(bank, config, path_index=i, initial_state=state)
+                 for i in range(n)]
+        counts = np.array([p.final_state.counts for p in paths])
+        for i in range(3):
+            assert stats.ks_2samp(batch["counts"][:, i], counts[:, i]).pvalue > 0.01
+
+        def z(a, b):
+            se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+            return (a.mean(axis=0) - b.mean(axis=0)) / se
+
+        samples = np.array([p.intensity_samples for p in paths])
+        cols = [0, 1, 3]
+        assert np.max(np.abs(z(batch["intensity_samples"][:, 1:, cols],
+                               samples[:, 1:, cols]))) < 4.0
+        zero = np.array([p.zero_occupation_time for p in paths])
+        assert abs(z(batch["zero_occupation_time"], zero)) < 4.0
+        assert not batch["capped"].any()
+
+    def test_capped_paths_stop_at_max_events(self):
+        grid = tuple(np.linspace(0.0, 100.0, 101))
+        batch = simulate_markov_batch(
+            CROSS_BANK, SimConfig(horizon=100.0, seed=4, max_events=30, record_grid=grid), 500)
+        assert batch.capped.all()
+        assert (batch.counts.sum(axis=1) == 30).all()
+        assert (batch.clock < 100.0).all()
+        reached = np.asarray(grid)[None, :] <= batch.clock[:, None]
+        assert np.isfinite(batch.intensity_samples[reached]).all()
+        assert np.isnan(batch.intensity_samples[~reached]).all()
+
+    def test_first_event_is_a_mutant(self):
+        # One event per path: a clone cannot open an empty path, and a
+        # death cannot happen at N = 0.
+        batch = simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=100.0, seed=5,
+                                                             max_events=1), 1000)
+        assert batch.capped.all()
+        assert (batch.counts == (1, 0, 0)).all()
+        (k11, k12), _ = HAWKES_BANK.birth_kernels
+        assert np.allclose(batch.xi, (k11.alpha, k12.alpha, 0.0))
+
+    def test_final_state_and_grid_of_the_poisson_bank(self):
+        bank = KernelBank.poisson((2.0, 1.0, 1.0))
+        grid = (0.0, 1.0, 5.0, 10.0)
+        batch = simulate_markov_batch(bank, SimConfig(horizon=10.0, seed=2, record_grid=grid),
+                                      200)
+        assert (batch.clock == 10.0).all() and not batch.capped.any()
+        assert (batch.xi == 0.0).all()
+        samples = batch.intensity_samples
+        assert (samples[:, :, 0] == 2.0).all() and (samples[:, :, 3] == 1.0).all()
+        # The gated column starts at 0 on the empty population.
+        assert (samples[:, 0, 2] == 0.0).all()
+        n = batch.counts[:, 0] + batch.counts[:, 1] - batch.counts[:, 2]
+        assert (n >= 0).all()
+        assert (samples[:, -1, 2] == np.where(n > 0, 1.0, 0.0)).all()
+
+    def test_zero_occupation_stops_at_the_horizon(self):
+        bank = KernelBank.poisson((0.01, 0.01, 1.0))
+        batch = simulate_markov_batch(bank, SimConfig(horizon=5.0, seed=6), 300)
+        empty = batch.counts.sum(axis=1) == 0
+        assert empty.sum() > 200
+        assert (batch.zero_occupation_time[empty] == 5.0).all()
+        assert (batch.zero_occupation_time[~empty] < 5.0).all()
+
+    def test_blocks_are_reproducible_and_distinct(self):
+        config = SimConfig(horizon=5.0, seed=3)
+        a, b = (simulate_markov_batch(HAWKES_BANK, config, 50, block=0) for _ in range(2))
+        c = simulate_markov_batch(HAWKES_BANK, config, 50, block=1)
+        assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
+        assert not np.array_equal(a.counts, c.counts)
+
+    def test_block_size_enforced(self):
+        config = SimConfig(horizon=1.0, seed=1)
+        for n in (0, BATCH_BLOCK + 1):
+            with pytest.raises(ValueError):
+                simulate_markov_batch(HAWKES_BANK, config, n)
 
 
 class TestThinningEngine:
