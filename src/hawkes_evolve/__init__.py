@@ -2,7 +2,6 @@
 
 from .core import (
     DegenerateParametersError,
-    Event,
     EventLog,
     ExpKernel,
     IntensityState,
@@ -47,12 +46,6 @@ from .experiments import (
 from .population import (
     FitnessPartition,
     PopulationPath,
-    Provenance,
-    RemovedSite,
-    SiteSample,
-    apply_population_event,
-    empirical_site_cdf,
-    left_right_counts,
     rho_limit,
     simulate_epsilon_chain,
     simulate_population,

@@ -119,9 +119,9 @@ def _cmd_simulate(args) -> int:
     path = simulate(bank, config)
     rows = []
     n = [0, 0, 0]
-    for ev in path.events:
-        n[ev.mark - 1] += 1
-        rows.append((f"{ev.time:.12g}", int(ev.mark), n[0], n[1], n[2], n[0] + n[1] - n[2]))
+    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
+        n[mark - 1] += 1
+        rows.append((f"{t:.12g}", mark, n[0], n[1], n[2], n[0] + n[1] - n[2]))
     _write_csv(os.path.join(args.out, "events.csv"),
                ["time", "mark", "n1", "n2", "n3", "N"], rows)
     if path.intensity_samples is not None:

@@ -16,7 +16,8 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 
 class UnsupportedKernelError(ValueError):
@@ -28,7 +29,7 @@ class DegenerateParametersError(ValueError):
 
 
 class Mark(enum.IntEnum):
-    """Event type: mutant birth, clone birth, or death."""
+    """Type of an event: mutant birth, clone birth, or death."""
 
     MUTANT = 1
     CLONE = 2
@@ -121,61 +122,63 @@ def require_zero_offsets(bank: KernelBank, what: str) -> None:
         raise UnsupportedKernelError(f"{what}: kernels with a constant offset are not supported")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A marked jump time of the merged process."""
-
-    time: float
-    mark: Mark
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """Strictly ordered marked events of one realization.
+    """Strictly ordered marked events of one realization, as read-only arrays.
 
-    The running population size N = N1 + N2 - N3 stays non-negative at
-    every prefix and the first event, if any, is a mutant birth.  A log
-    continuing a path started from a nonempty state carries the starting
-    counts in ``initial_counts``; the first-mark rule then does not apply.
+    ``times`` (float64) are finite, non-negative and strictly increasing;
+    ``marks`` (int8) take the ``Mark`` values 1, 2 and 3.  The running
+    population size N = N1 + N2 - N3 stays non-negative at every prefix
+    and the first event, if any, is a mutant birth.  A log continuing a
+    path started from a nonempty state carries the starting counts in
+    ``initial_counts``; the first-mark rule then does not apply.
     """
 
-    events: tuple[Event, ...] = ()
+    times: np.ndarray = ()
+    marks: np.ndarray = ()
     initial_counts: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        n = self.initial_counts[0] + self.initial_counts[1] - self.initial_counts[2]
-        if n < 0:
+        n0 = self.initial_counts[0] + self.initial_counts[1] - self.initial_counts[2]
+        if n0 < 0:
             raise ValueError(f"initial population negative for counts {self.initial_counts}")
-        started_empty = self.initial_counts == (0, 0, 0)
-        prev = -math.inf
-        for k, ev in enumerate(self.events):
-            if ev.time <= prev:
-                raise ValueError(f"event times must be strictly increasing at index {k}")
-            prev = ev.time
-            if k == 0 and started_empty and ev.mark is not Mark.MUTANT:
+        # Validate the inputs as given and copy them last, so the checks'
+        # temporaries and the copies are never held at once.
+        times = np.asarray(self.times, dtype=np.float64)
+        marks = np.asarray(self.marks)
+        if times.ndim != 1 or marks.shape != times.shape:
+            raise ValueError(f"times and marks must be 1-D of one length, got shapes "
+                             f"{times.shape} and {marks.shape}")
+        if not np.isin(marks, (1, 2, 3)).all():
+            raise ValueError("event marks must be 1, 2 or 3")
+        if not np.isfinite(times).all():
+            raise ValueError("event times must be finite")
+        if times.size:
+            if times[0] < 0:
+                raise ValueError(f"event time must be >= 0, got {times[0]}")
+            bad = np.flatnonzero(times[1:] <= times[:-1])
+            if bad.size:
+                raise ValueError(f"event times must be strictly increasing at index {bad[0] + 1}")
+            if self.initial_counts == (0, 0, 0) and marks[0] != Mark.MUTANT:
                 raise ValueError("first event must be a mutant birth")
-            n += -1 if ev.mark is Mark.DEATH else 1
-            if n < 0:
-                raise ValueError(f"population size goes negative at index {k}")
+            bad = np.flatnonzero(np.cumsum(np.where(marks == Mark.DEATH, -1, 1)) < -n0)
+            if bad.size:
+                raise ValueError(f"population size goes negative at index {bad[0]}")
+        times = times.copy()
+        marks = marks.astype(np.int8)
+        times.flags.writeable = False
+        marks.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "marks", marks)
 
     def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
+        return self.times.size
 
     def counts(self, t: float = math.inf) -> tuple[int, int, int]:
         """(N1, N2, N3) counted over events with time <= t."""
-        n = list(self.initial_counts)
-        for ev in self.events:
-            if ev.time > t:
-                break
-            n[ev.mark - 1] += 1
-        return tuple(n)
+        k = int(np.searchsorted(self.times, t, side="right"))
+        added = np.bincount(self.marks[:k], minlength=4)
+        return tuple(int(c + a) for c, a in zip(self.initial_counts, added[1:]))
 
     def population_size(self, t: float = math.inf) -> int:
         n1, n2, n3 = self.counts(t)
@@ -201,21 +204,21 @@ class IntensityState:
         return self.counts[0] + self.counts[1] - self.counts[2]
 
 
-def shot_noise_from_history(bank: KernelBank, events: Sequence[Event], t: float) -> tuple[float, float, float]:
+def shot_noise_from_history(bank: KernelBank, events: EventLog, t: float) -> tuple[float, float, float]:
     """Shot noise at time t by direct summation over past events.
 
     This is the defining representation and serves as the reference for
     the engines' closed-form recursion.
     """
     xi = [0.0, 0.0, 0.0]
-    for ev in events:
-        if ev.time > t:
+    for time, mark in zip(events.times.tolist(), events.marks.tolist()):
+        if time > t:
             break
-        dt = t - ev.time
-        if ev.mark is Mark.DEATH:
+        dt = t - time
+        if mark == Mark.DEATH:
             xi[2] += bank.death_kernel(dt)
         else:
-            j = ev.mark - 1
+            j = mark - 1
             xi[0] += bank.birth_kernels[j][0](dt)
             xi[1] += bank.birth_kernels[j][1](dt)
     return tuple(xi)

@@ -10,10 +10,9 @@ lowest site.
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -40,14 +39,15 @@ class _Fenwick:
         return i
 
     def _grow(self):
+        """Double the capacity and rebuild the tree in one linear pass."""
         self._cap *= 2
-        self._tree = [0] * (self._cap + 1)
-        old = self.weights
-        self.weights = []
-        self.total = 0
-        for w in old:
-            self.weights.append(0)
-            self.add(len(self.weights) - 1, w)
+        tree = [0] * (self._cap + 1)
+        tree[1:len(self.weights) + 1] = self.weights
+        for i in range(1, self._cap + 1):
+            parent = i + (i & -i)
+            if parent <= self._cap:
+                tree[parent] += tree[i]
+        self._tree = tree
 
     def add(self, i: int, dw: int):
         self.weights[i] += dw
@@ -139,71 +139,6 @@ class FitnessPartition:
         return x, False
 
 
-class Provenance(enum.Enum):
-    FRESH_UNIFORM = "fresh_uniform"
-    CLONE_OF_EXISTING = "clone_of_existing"
-
-
-@dataclass(frozen=True)
-class SiteSample:
-    """Fitness assigned to a newborn and how it was chosen."""
-
-    fitness: float
-    provenance: Provenance
-
-    def __post_init__(self):
-        if not 0 <= self.fitness <= 1:
-            raise ValueError(f"fitness must be in [0, 1], got {self.fitness}")
-
-
-@dataclass(frozen=True)
-class RemovedSite:
-    """Outcome of a death: which site lost an individual."""
-
-    fitness: float
-    site_removed: bool
-
-
-def apply_population_event(partition: FitnessPartition, mark: Mark,
-                           u: Optional[float] = None) -> Union[SiteSample, RemovedSite]:
-    """Apply one event to the partition.
-
-    The uniform variate is the fitness itself for a mutant, the
-    categorical selector for a clone, and unused for a death.  A clone
-    born into an empty population opens a fresh uniform site.
-    """
-    if mark is Mark.DEATH:
-        if partition.total == 0:
-            raise ValueError("death event in an empty population")
-        fitness, removed = partition.remove_min()
-        return RemovedSite(fitness, removed)
-    if u is None:
-        raise ValueError("birth events need a uniform variate")
-    if mark is Mark.CLONE and partition.total > 0:
-        x = partition.sample_site(u)
-        partition.insert(x)
-        return SiteSample(x, Provenance.CLONE_OF_EXISTING)
-    partition.insert(u)
-    return SiteSample(u, Provenance.FRESH_UNIFORM)
-
-
-def left_right_counts(partition: FitnessPartition, f: float) -> tuple[int, int]:
-    """Population sizes at fitness <= f and > f."""
-    if not 0 < f < 1:
-        raise ValueError(f"f must be in (0, 1), got {f}")
-    left = sum(k for x, k in partition._counts.items() if x <= f)
-    return left, partition.total - left
-
-
-def empirical_site_cdf(partition: FitnessPartition, f: float) -> Optional[float]:
-    """Fraction of occupied sites at fitness <= f; None when empty."""
-    if not 0 <= f <= 1:
-        raise ValueError(f"f must be in [0, 1], got {f}")
-    if partition.site_count == 0:
-        return None
-    return sum(1 for x in partition._counts if x <= f) / partition.site_count
-
-
 def theoretical_site_cdf(f: float, f_c: float) -> float:
     """Limiting site distribution max(f - f_c, 0) / (1 - f_c)."""
     if f_c >= 1:
@@ -241,19 +176,25 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     left = 0
     if f is not None:
         lr_rows.append((0.0, 0, 0, 0))
-    for ev in path.events:
+    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
         if grid is not None:
-            while gi < grid.size and grid[gi] < ev.time:
+            while gi < grid.size and grid[gi] < t:
                 snapshots.append((float(grid[gi]), partition.sites()))
                 gi += 1
-        u = rng.random() if ev.mark is not Mark.DEATH else None
-        result = apply_population_event(partition, ev.mark, u)
+        if mark == Mark.DEATH:
+            x, _ = partition.remove_min()
+            step = -1
+        else:
+            # The uniform is the fitness of a mutant, and of a clone born
+            # into an empty population; otherwise it picks the site cloned.
+            u = rng.random()
+            x = partition.sample_site(u) if mark == Mark.CLONE and partition.total else u
+            partition.insert(x)
+            step = 1
         if f is not None:
-            if isinstance(result, SiteSample):
-                left += result.fitness <= f
-            else:
-                left -= result.fitness <= f
-            lr_rows.append((ev.time, left, partition.total - left, partition.total))
+            if x <= f:
+                left += step
+            lr_rows.append((t, left, partition.total - left, partition.total))
     if grid is not None:
         while gi < grid.size:
             snapshots.append((float(grid[gi]), partition.sites()))
@@ -279,14 +220,14 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
     rng = rng_for(config.seed, path_index, 2)
     rows = [(0.0, 0, 0)]
     left = right = 0
-    for ev in path.events:
+    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
         u = rng.random()  # one draw per event keeps coupling across epsilon
-        if ev.mark is Mark.DEATH:
+        if mark == Mark.DEATH:
             if left >= 1:
                 left -= 1
             else:
                 right -= 1
-        elif ev.mark is Mark.MUTANT:
+        elif mark == Mark.MUTANT:
             if u < f:
                 left += 1
             else:
@@ -305,7 +246,7 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
                 left += 1
             else:
                 right += 1
-        rows.append((ev.time, left, right))
+        rows.append((t, left, right))
     return np.asarray(rows, dtype=float)
 
 

@@ -1,4 +1,4 @@
-"""Event generation by thinning.
+"""Generating the events of a path by thinning.
 
 One thinning loop serves two engines, each of which supplies only its
 shot noise: the exact Markov engine keeps it in closed form, while the
@@ -14,13 +14,13 @@ harness.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    Event,
     EventLog,
     ExpKernel,
     IntensityState,
@@ -109,7 +109,8 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
     earlier than its last event; ``record(mark, t)`` adds an accepted
     event to the engine's history.  The loop keeps the counts and the
-    clock itself and builds the final state and the event log once.
+    clock itself, appends each event to a float64 and an int8 buffer, and
+    builds the final state and the event log once.
     """
     mu1, mu2, mu3 = bank.base_rates
     counts = list(state0.counts)
@@ -127,8 +128,8 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     samples = None if grid is None else np.full((grid.size, 4), np.nan)
     gi = 0
     fresh_start = state0.counts == (0, 0, 0)
-    times: list[float] = []
-    marks: list[Mark] = []
+    times = array("d")
+    marks = array("b")
     zero_time = 0.0
     capped = False
     t = t0
@@ -175,7 +176,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             samples[gi] = lambdas(float(grid[gi]))
             gi += 1
     final = IntensityState(xi_at(t), tuple(counts), t)
-    log = EventLog(tuple(map(Event, times, marks)), initial_counts=state0.counts)
+    log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8), state0.counts)
     return SimPath(log, final, zero_time, capped, grid, samples, state0)
 
 
@@ -474,15 +475,15 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     t = path.start.clock
     residuals = []
     acc = 0.0
-    for ev in path.events:
-        dt = ev.time - t
+    for time, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
+        dt = time - t
         decay = math.exp(-beta * dt)
         if i < 3 or n > 0:
             acc += lam0 * dt + xi * (1.0 - decay) / beta
-        xi = decay * xi + jump[ev.mark]
-        if ev.mark == i:
+        xi = decay * xi + jump[mark]
+        if mark == i:
             residuals.append(acc)
             acc = 0.0
-        n += -1 if ev.mark is Mark.DEATH else 1
-        t = ev.time
+        n += -1 if mark == Mark.DEATH else 1
+        t = time
     return np.asarray(residuals)

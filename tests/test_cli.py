@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -129,3 +130,81 @@ class TestSubcommands:
         assert run(["rho", "--bank", bank_file, "--f", "0.75", "--epsilon", "0",
                     "--horizon", "20", "--runs", "2", "--seed", "1",
                     "--out", str(tmp_path)]) == 0
+
+
+# Cross-exciting bank with every jump size at 0.4 of its decay rate.
+CROSS_BANK = KernelBank.exponential(
+    (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
+BANKS = {"poisson": KernelBank.poisson((2.0, 1.0, 1.0)), "cross": CROSS_BANK}
+RUNS = {
+    "simulate-markov": (["simulate", "--engine", "markov", "--horizon", "20", "--seed", "7",
+                         "--grid", "0:20:2"], ("events.csv", "intensity.csv")),
+    "simulate-thinning": (["simulate", "--engine", "thinning", "--horizon", "20",
+                           "--seed", "7", "--grid", "0:20:2"], ("events.csv", "intensity.csv")),
+    "population": (["population", "--horizon", "20", "--seed", "3", "--f", "0.5",
+                    "--snapshot-grid", "0:20:5"], ("partition.csv", "lr.csv")),
+    "sweep": (["sweep", "--f-grid", "0:1:0.25", "--horizon", "50", "--runs", "3",
+               "--seed", "1", "--threads", "1"], ("sweep.json",)),
+    "rho": (["rho", "--f", "0.75", "--epsilon", "0.25", "--horizon", "50", "--runs", "3",
+             "--seed", "1", "--threads", "1"], ("rho.json",)),
+    "gof": (["gof", "--horizon", "200", "--seed", "2"], ("gof.json",)),
+}
+ARTIFACT_SHA256 = {
+    ("cross", "simulate-markov"): {
+        "events.csv": "1396ac24b590b81e26a3996c7d844418c5fba534b68bbdc1656268618f95191c",
+        "intensity.csv": "d282940026e46ac66a6538eb59a0582db8ce3e33a76c0f8de497884b66c0a969",
+    },
+    ("cross", "simulate-thinning"): {
+        "events.csv": "1396ac24b590b81e26a3996c7d844418c5fba534b68bbdc1656268618f95191c",
+        "intensity.csv": "d282940026e46ac66a6538eb59a0582db8ce3e33a76c0f8de497884b66c0a969",
+    },
+    ("cross", "population"): {
+        "partition.csv": "e023028206ff81282c37eb35090e0540c5dd0d12f7a0db82b4048badc56b6acf",
+        "lr.csv": "0085ecfaf5197220ea9db70dfe71f6c804db44a1f62b830526a19bf3f0d8bd17",
+    },
+    ("cross", "sweep"): {
+        "sweep.json": "710e80f39ba3c3834f2c1f31787a8e46fb81fc49842d6902577a03292b44012c",
+    },
+    ("cross", "rho"): {
+        "rho.json": "b7fe29f56fd2dd2e5f40f0fd35084e96b91185c3721ec7c353479b9bdfd069f6",
+    },
+    ("cross", "gof"): {
+        "gof.json": "5facfc3add8d60e3f7db73760cec1c7512bdfb96f8b4e873d319137295a79cb0",
+    },
+    ("poisson", "simulate-markov"): {
+        "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
+        "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
+    },
+    ("poisson", "simulate-thinning"): {
+        "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
+        "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
+    },
+    ("poisson", "population"): {
+        "partition.csv": "0ae587bf8e6b8238399f14f1d5467bb4d04ec9d6295a8a52f273a3c9fefc4cec",
+        "lr.csv": "aac3a680bc1c5088243d38c9cbf822d5e609c26eb6eea3be09f1648a14e6fa9d",
+    },
+    ("poisson", "sweep"): {
+        "sweep.json": "a146b5e5e41793e7877aaab3a1fbe8cb5aa465ed156f5afc6ec99ebe57076903",
+    },
+    ("poisson", "rho"): {
+        "rho.json": "1a09ff1270e70df1395f39a19e887d5a1d6bf9e09871fa0bc7f431e009a64c6d",
+    },
+    ("poisson", "gof"): {
+        "gof.json": "fa8a77fa73f4446e3adbb609ee400e030a13e2ca9b31610181ce53b22b329473",
+    },
+}
+
+
+class TestArtifactBytes:
+    """SHA-256 of each artifact of small fixed-seed runs, to catch any byte change."""
+
+    @pytest.mark.parametrize("bank", sorted(BANKS))
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_digests_pinned(self, bank, command, tmp_path):
+        bank_path = tmp_path / "bank.json"
+        bank_path.write_text(bank_to_json(BANKS[bank]))
+        args, artifacts = RUNS[command]
+        assert run(args + ["--bank", str(bank_path), "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in artifacts}
+        assert digests == ARTIFACT_SHA256[bank, command]

@@ -1,10 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hawkes_evolve import (
-    Event,
     EventLog,
     ExpKernel,
     IntensityState,
@@ -133,26 +133,49 @@ class TestIntensityState:
 class TestEventLog:
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
-            EventLog((Event(1.0, Mark.MUTANT), Event(1.0, Mark.CLONE)))
+            EventLog([1.0, 1.0], [Mark.MUTANT, Mark.CLONE])
 
     def test_first_event_must_be_mutant(self):
         with pytest.raises(ValueError):
-            EventLog((Event(0.5, Mark.CLONE),))
+            EventLog([0.5], [Mark.CLONE])
 
     def test_prefix_population_nonnegative(self):
         with pytest.raises(ValueError):
-            EventLog((Event(0.5, Mark.MUTANT), Event(1.0, Mark.DEATH),
-                      Event(1.5, Mark.DEATH)))
+            EventLog([0.5, 1.0, 1.5], [Mark.MUTANT, Mark.DEATH, Mark.DEATH])
 
     def test_initial_counts_relax_first_mark(self):
-        log = EventLog((Event(0.5, Mark.DEATH),), initial_counts=(2, 0, 0))
+        log = EventLog([0.5], [Mark.DEATH], initial_counts=(2, 0, 0))
         assert log.counts() == (2, 0, 1)
         assert log.population_size() == 1
 
     def test_counts_at_time(self):
-        log = EventLog((Event(0.5, Mark.MUTANT), Event(1.0, Mark.CLONE),
-                        Event(2.0, Mark.DEATH)))
+        log = EventLog([0.5, 1.0, 2.0], [Mark.MUTANT, Mark.CLONE, Mark.DEATH])
         assert log.counts(0.9) == (1, 0, 0)
         assert log.counts(1.0) == (1, 1, 0)
+        assert log.counts(0.1) == (0, 0, 0)
         assert log.population_size() == 1
 
+    def test_marks_outside_one_to_three_rejected(self):
+        for mark in (0, 4, 259):
+            with pytest.raises(ValueError):
+                EventLog([0.5], [mark], initial_counts=(1, 0, 0))
+
+    def test_non_finite_times_rejected(self):
+        for times in ([math.nan, 1.0], [0.5, math.inf]):
+            with pytest.raises(ValueError):
+                EventLog(times, [Mark.MUTANT, Mark.CLONE])
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            EventLog([-0.5], [Mark.MUTANT])
+
+    def test_arrays_are_read_only_copies(self):
+        times = np.array([0.5, 1.0])
+        log = EventLog(times, [1, 2])
+        times[0] = 0.7
+        assert log.times.dtype == np.float64 and log.marks.dtype == np.int8
+        assert log.times.tolist() == [0.5, 1.0] and log.marks.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            log.times[0] = 0.1
+        with pytest.raises(ValueError):
+            log.marks[0] = 2

@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkes_evolve import (
     FitnessPartition,
     KernelBank,
     Mark,
-    Provenance,
-    RemovedSite,
     SimConfig,
-    SiteSample,
-    apply_population_event,
-    empirical_site_cdf,
-    left_right_counts,
+    phase_transition_sweep,
     rho_limit,
+    rng_for,
     simulate_epsilon_chain,
     simulate_population,
     theoretical_site_cdf,
 )
 
 GROWING = KernelBank.poisson((2.0, 1.0, 1.0))
+# Deaths outpace births, so the population keeps emptying.
+DYING = KernelBank.poisson((0.5, 1.0, 3.0))
 
 
 def build(sites):
@@ -29,6 +27,43 @@ def build(sites):
         for _ in range(k):
             p.insert(x)
     return p
+
+
+def cumulative_pick(slots, target):
+    """Fitness of the first [fitness, count] slot whose running count exceeds target."""
+    acc = 0
+    for x, k in slots:
+        acc += k
+        if acc > target:
+            return x
+
+
+def reference_replay(path, rng, f):
+    """Sorted (fitness, count) sites and (t, L, R, N) rows of a brute-force replay.
+
+    Sites are [fitness, count] slots in creation order; a clone picks one
+    by a linear cumulative scan, a death scans for the lowest occupied one.
+    """
+    slots, rows, left = [], [(0.0, 0, 0, 0)], 0
+    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
+        total = sum(k for _, k in slots)
+        if mark == Mark.DEATH:
+            slot = min((s for s in slots if s[1]), key=lambda s: s[0])
+            slot[1] -= 1
+            step = -1
+        else:
+            u = rng.random()
+            x = cumulative_pick(slots, u * total) if mark == Mark.CLONE and total else u
+            slot = next((s for s in slots if s[0] == x and s[1]), None)
+            if slot is None:
+                slot = [x, 0]
+                slots.append(slot)
+            slot[1] += 1
+            step = 1
+        if slot[0] <= f:
+            left += step
+        rows.append((t, left, total + step - left, total + step))
+    return sorted((x, k) for x, k in slots if k), np.asarray(rows, dtype=float)
 
 
 class TestPartition:
@@ -70,75 +105,100 @@ class TestPartition:
     @given(st.lists(st.one_of(
         st.floats(0, 1, allow_nan=False),
         st.just("death"),
-    ), max_size=60))
+    ), max_size=200))
+    @example([i / 100 for i in range(100)] + ["death"] * 30 + [0.5, 0.25, 0.995])
     @settings(max_examples=100, deadline=None)
     def test_counts_stay_consistent(self, ops):
+        # Slots in creation order as [fitness, count]; the tree's pick must
+        # be the cumulative pick over them.  More than 32 sites make the
+        # initial capacity of 8 double three times.
         p = FitnessPartition()
+        slots, live = [], {}
         expected = 0
         for op in ops:
             if op == "death":
                 if p.total == 0:
                     continue
-                p.remove_min()
+                x, emptied = p.remove_min()
+                slots[live[x]][1] -= 1
+                if emptied:
+                    del live[x]
                 expected -= 1
             else:
+                if op not in live:
+                    live[op] = len(slots)
+                    slots.append([op, 0])
+                slots[live[op]][1] += 1
                 p.insert(op)
                 expected += 1
             assert p.total == expected
             assert all(k >= 1 for _, k in p.sites())
             assert sum(k for _, k in p.sites()) == expected
+            assert p.sites() == sorted((x, k) for x, k in slots if k)
+            if expected:
+                for u in (0.0, 0.3, 0.5, 0.7, 0.999999):
+                    assert p.sample_site(u) == cumulative_pick(slots, u * expected)
 
 
 class TestPopulationEvents:
     def test_mutant_uses_uniform_as_fitness(self):
-        p = FitnessPartition()
-        out = apply_population_event(p, Mark.MUTANT, 0.42)
-        assert out == SiteSample(0.42, Provenance.FRESH_UNIFORM)
-        assert p.sites() == [(0.42, 1)]
+        pop = simulate_population(GROWING, SimConfig(horizon=10.0, seed=6, max_events=1))
+        assert pop.partition.sites() == [(rng_for(6, 0, 1).random(), 1)]
 
     def test_clone_reinforces_proportionally(self):
-        p = build([(0.3, 1), (0.6, 3)])
-        out = apply_population_event(p, Mark.CLONE, 0.5)
-        assert out == SiteSample(0.6, Provenance.CLONE_OF_EXISTING)
-        assert p.count_at(0.6) == 4
+        pop = simulate_population(GROWING, SimConfig(horizon=30.0, seed=4), f=0.5)
+        sites, rows = reference_replay(pop.path, rng_for(4, 0, 1), 0.5)
+        assert pop.partition.site_count < pop.partition.total
+        assert pop.partition.sites() == sites
+        assert np.array_equal(pop.lr_trajectory, rows)
 
     def test_clone_into_empty_is_fresh(self):
-        p = FitnessPartition()
-        out = apply_population_event(p, Mark.CLONE, 0.8)
-        assert out == SiteSample(0.8, Provenance.FRESH_UNIFORM)
+        pop = simulate_population(DYING, SimConfig(horizon=40.0, seed=1), f=0.5)
+        marks = pop.path.events.marks
+        steps = np.where(marks == Mark.DEATH, -1, 1)
+        n_before = np.cumsum(steps) - steps
+        assert np.any((marks[1:] == Mark.CLONE) & (n_before[1:] == 0))
+        sites, _ = reference_replay(pop.path, rng_for(1, 0, 1), 0.5)
+        assert pop.partition.sites() == sites
 
     def test_death_outcome(self):
-        p = build([(0.2, 1), (0.7, 3)])
-        assert apply_population_event(p, Mark.DEATH) == RemovedSite(0.2, True)
+        # L drops at a death exactly when the lowest site is at f or below.
+        pop = simulate_population(DYING, SimConfig(horizon=40.0, seed=1), f=0.5)
+        _, rows = reference_replay(pop.path, rng_for(1, 0, 1), 0.5)
+        assert np.array_equal(pop.lr_trajectory, rows)
 
     def test_death_on_empty_rejected(self):
         with pytest.raises(ValueError):
-            apply_population_event(FitnessPartition(), Mark.DEATH)
-
-    def test_birth_needs_uniform(self):
-        with pytest.raises(ValueError):
-            apply_population_event(FitnessPartition(), Mark.MUTANT)
+            FitnessPartition().remove_min()
 
 
 class TestObservables:
     def test_left_right_counts(self):
-        p = build([(0.2, 2), (0.7, 3)])
-        assert left_right_counts(p, 0.5) == (2, 3)
+        pop = simulate_population(GROWING, SimConfig(horizon=100.0, seed=2), f=0.5)
+        t, left, right, n = pop.lr_trajectory[-1]
+        sites = pop.partition.sites()
+        assert left == sum(k for x, k in sites if x <= 0.5)
+        assert right == sum(k for x, k in sites if x > 0.5)
 
     def test_left_right_empty(self):
-        assert left_right_counts(FitnessPartition(), 0.5) == (0, 0)
+        pop = simulate_population(KernelBank.poisson((1e-3, 1e-3, 1e-3)),
+                                  SimConfig(horizon=0.01, seed=1), f=0.5)
+        assert len(pop.path.events) == 0
+        assert pop.lr_trajectory.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_boundary_site_counts_left(self):
-        p = build([(0.5, 2), (0.7, 1)])
-        assert left_right_counts(p, 0.5) == (2, 1)
+        config = SimConfig(horizon=10.0, seed=6, max_events=1)
+        f = rng_for(6, 0, 1).random()
+        pop = simulate_population(GROWING, config, f=f)
+        assert pop.lr_trajectory[-1, 1:].tolist() == [1.0, 0.0, 1.0]
 
     def test_empirical_cdf(self):
-        p = build([(0.2, 2), (0.7, 3)])
-        assert empirical_site_cdf(p, 0.5) == 0.5
-        assert empirical_site_cdf(p, 1.0) == 1.0
-
-    def test_empirical_cdf_empty_is_none(self):
-        assert empirical_site_cdf(FitnessPartition(), 0.5) is None
+        # A one-run sweep's CDF is the fraction of the run's sites at or below f.
+        f_grid = np.linspace(0.0, 1.0, 11)
+        sweep = phase_transition_sweep(GROWING, f_grid, 30.0, 1, seed=5)
+        xs = [x for x, _ in simulate_population(GROWING, SimConfig(horizon=30.0, seed=5))
+              .partition.sites()]
+        assert sweep.avg_cdf.tolist() == [sum(x <= f for x in xs) / len(xs) for f in f_grid]
 
     def test_theoretical_cdf(self):
         assert theoretical_site_cdf(0.3, 0.5) == 0.0
@@ -176,13 +236,13 @@ class TestPopulationSimulation:
 class TestEpsilonChain:
     def test_epsilon_endpoints_decide_clone_side(self):
         config = SimConfig(horizon=40.0, seed=2)
-        marks = [ev.mark for ev in simulate_population(GROWING, config).path.events]
+        marks = simulate_population(GROWING, config).path.events.marks.tolist()
         for eps, col in ((1.0, 1), (0.0, 2)):
             traj = simulate_epsilon_chain(GROWING, 0.5, eps, config)
             saw_case = False
             for k, mark in enumerate(marks):
                 l_prev, r_prev = traj[k, 1], traj[k, 2]
-                if mark is Mark.CLONE and l_prev > 0 and r_prev > 0:
+                if mark == Mark.CLONE and l_prev > 0 and r_prev > 0:
                     saw_case = True
                     assert traj[k + 1, col] == traj[k, col] + 1
             assert saw_case

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,21 +78,22 @@ class TestMarkovEngine:
         config = SimConfig(horizon=30.0, seed=11)
         a = simulate_markov(HAWKES_BANK, config)
         b = simulate_markov(HAWKES_BANK, config)
-        assert a.events.events == b.events.events
+        assert np.array_equal(a.events.times, b.events.times)
+        assert np.array_equal(a.events.marks, b.events.marks)
         assert a.final_state == b.final_state
 
     def test_first_event_is_mutant(self):
         for seed in range(10):
             path = simulate_markov(HAWKES_BANK, SimConfig(horizon=5.0, seed=seed))
             if path.events:
-                assert path.events.events[0].mark is Mark.MUTANT
+                assert path.events.marks[0] == Mark.MUTANT
 
     def test_population_never_negative(self):
         path = simulate_markov(KernelBank.poisson((1.0, 1.0, 3.0)),
                                SimConfig(horizon=200.0, seed=3))
         n = 0
-        for ev in path.events:
-            n += -1 if ev.mark is Mark.DEATH else 1
+        for mark in path.events.marks.tolist():
+            n += -1 if mark == Mark.DEATH else 1
             assert n >= 0
 
     def test_zero_occupation_positive_when_deaths_dominate(self):
@@ -113,12 +115,28 @@ class TestMarkovEngine:
                                                     max_events=500))
         assert path.capped and len(path.events) == 500
 
+    def test_event_log_memory_per_event(self):
+        # Two growable buffers and one array copy of them: the traced peak
+        # of a 20,000-event path stays under 40 bytes per event.
+        bank = KernelBank.poisson((20.0, 10.0, 10.0))
+        config = SimConfig(horizon=10_000.0, seed=1, max_events=20_000)
+        simulate_markov(bank, SimConfig(horizon=1.0, seed=1))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            path = simulate_markov(bank, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.capped and len(path.events) == 20_000
+        assert peak / 20_000 < 40
+
     def test_capped_path_leaves_nan_on_unreached_grid(self):
         grid = tuple(np.linspace(0.0, 100.0, 11))
         path = simulate(KernelBank.poisson((2.0, 1.0, 1.0)),
                         SimConfig(horizon=100.0, seed=1, max_events=20, record_grid=grid))
         assert path.capped
-        stop = path.events.events[-1].time
+        stop = path.events.times[-1]
         reached = np.asarray(grid) <= stop
         assert path.intensity_samples[0, 0] == 2.0
         assert np.all(np.isfinite(path.intensity_samples[reached]))
@@ -128,7 +146,7 @@ class TestMarkovEngine:
     def test_final_state_matches_history(self):
         config = SimConfig(horizon=40.0, seed=21)
         path = simulate_markov(HAWKES_BANK, config)
-        direct = shot_noise_from_history(HAWKES_BANK, path.events.events, 40.0)
+        direct = shot_noise_from_history(HAWKES_BANK, path.events, 40.0)
         assert path.final_state.xi == pytest.approx(direct, rel=1e-9, abs=1e-12)
         assert path.final_state.clock == 40.0
 
@@ -167,12 +185,12 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("engine", ["markov", "thinning"])
     def test_hawkes_bank(self, engine):
         path = simulate(HAWKES_BANK, SimConfig(horizon=10.0, seed=7, engine=engine))
-        events = path.events.events
+        events = path.events
         assert len(events) == 44
         pinned = {0: (1.2863250344709833, Mark.MUTANT), 1: (1.3298179234040737, Mark.CLONE),
                   22: (5.323367534512877, Mark.MUTANT), 43: (9.985127072758697, Mark.DEATH)}
         for k, (t, mark) in pinned.items():
-            assert (events[k].time, events[k].mark) == (t, mark)
+            assert (events.times[k], events.marks[k]) == (t, mark)
         assert path.final_state.counts == (10, 14, 20)
         assert path.final_state.xi == pytest.approx(
             (0.5626297863552189, 0.5613049451511004, 1.264399216898759), rel=1e-14)
@@ -181,12 +199,12 @@ class TestPinnedOutput:
         start = IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))
         path = simulate_markov(HAWKES_BANK, SimConfig(horizon=5.0, seed=3),
                                initial_state=start)
-        events = path.events.events
+        events = path.events
         assert len(events) == 35
-        assert [(ev.time, ev.mark) for ev in events[:3]] == [
+        assert list(zip(events.times[:3].tolist(), events.marks[:3].tolist())) == [
             (0.009367904968851386, Mark.MUTANT), (0.14994442544232342, Mark.CLONE),
             (0.766748411912506, Mark.MUTANT)]
-        assert (events[-1].time, events[-1].mark) == (4.892121947010064, Mark.MUTANT)
+        assert (events.times[-1], events.marks[-1]) == (4.892121947010064, Mark.MUTANT)
         assert path.final_state == IntensityState(
             (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14), 5.0)
 
@@ -204,11 +222,11 @@ class TestPinnedOutput:
         # Long enough that each mark's history outgrows the thinning
         # engine's initial buffer at least once.
         path = simulate(CROSS_BANK, SimConfig(horizon=100.0, seed=3, engine=engine))
-        events = path.events.events
+        events = path.events
         assert len(events) == 1548
         marks = {0: Mark.MUTANT, 1: Mark.CLONE, 700: Mark.MUTANT, 1547: Mark.DEATH}
         for k, t in pinned.items():
-            assert (events[k].time, events[k].mark) == (t, marks[k])
+            assert (events.times[k], events.marks[k]) == (t, marks[k])
         assert path.final_state == IntensityState(xi, (677, 680, 191), 100.0)
         assert path.zero_occupation_time == 0.143178666259572
         assert not path.capped
@@ -348,7 +366,8 @@ class TestThinningEngine:
         config = SimConfig(horizon=15.0, seed=4, engine="thinning")
         a = simulate(HAWKES_BANK, config)
         b = simulate(HAWKES_BANK, config)
-        assert a.events.events == b.events.events
+        assert np.array_equal(a.events.times, b.events.times)
+        assert np.array_equal(a.events.marks, b.events.marks)
 
     @settings(max_examples=25, deadline=None)
     @given(bank=zero_offset_banks(), seed=st.integers(0, 2**16))
@@ -359,7 +378,7 @@ class TestThinningEngine:
         grid = tuple(np.linspace(0.0, 5.0, 11))
         path = simulate_thinning_general(bank, SimConfig(horizon=5.0, seed=seed, max_events=400,
                                                          record_grid=grid))
-        events = path.events.events
+        events = path.events
         for g, row in zip(grid, path.intensity_samples):
             if np.isnan(row[0]):
                 break
@@ -394,19 +413,19 @@ class TestTimeRescaling:
         # process i; here xi_i is the defining kernel sum, integrated by
         # quadrature, and deaths count only while N > 0.
         path = simulate_markov(HAWKES_BANK, SimConfig(horizon=20.0, seed=17))
-        events = path.events.events
+        events = path.events
         for i in (1, 2, 3):
             lam0 = HAWKES_BANK.base_rates[i - 1]
             rate = lambda u: lam0 + shot_noise_from_history(HAWKES_BANK, events, u)[i - 1]
             expected, acc, t, n = [], 0.0, 0.0, 0
-            for ev in events:
+            for time, mark in zip(events.times.tolist(), events.marks.tolist()):
                 if i < 3 or n > 0:
-                    acc += quad(rate, t, ev.time, epsabs=1e-13, epsrel=1e-13)[0]
-                if ev.mark == i:
+                    acc += quad(rate, t, time, epsabs=1e-13, epsrel=1e-13)[0]
+                if mark == i:
                     expected.append(acc)
                     acc = 0.0
-                n += -1 if ev.mark is Mark.DEATH else 1
-                t = ev.time
+                n += -1 if mark == Mark.DEATH else 1
+                t = time
             res = time_rescale_residuals(path, HAWKES_BANK, i)
             assert len(expected) > 10
             assert res == pytest.approx(expected, rel=1e-10)
