@@ -56,7 +56,6 @@ from .simulate import (
     SimConfig,
     SimPath,
     rng_for,
-    sample_mark,
     simulate,
     simulate_markov,
     simulate_markov_batch,

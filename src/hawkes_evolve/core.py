@@ -149,7 +149,7 @@ class EventLog:
         if times.ndim != 1 or marks.shape != times.shape:
             raise ValueError(f"times and marks must be 1-D of one length, got shapes "
                              f"{times.shape} and {marks.shape}")
-        if not np.isin(marks, (1, 2, 3)).all():
+        if marks.size and (marks.dtype.kind not in "iu" or marks.min() < 1 or marks.max() > 3):
             raise ValueError("event marks must be 1, 2 or 3")
         if not np.isfinite(times).all():
             raise ValueError("event times must be finite")
@@ -161,9 +161,17 @@ class EventLog:
                 raise ValueError(f"event times must be strictly increasing at index {bad[0] + 1}")
             if self.initial_counts == (0, 0, 0) and marks[0] != Mark.MUTANT:
                 raise ValueError("first event must be a mutant birth")
-            bad = np.flatnonzero(np.cumsum(np.where(marks == Mark.DEATH, -1, 1)) < -n0)
-            if bad.size:
-                raise ValueError(f"population size goes negative at index {bad[0]}")
+            # Running N - n0 in place: 1 - 2 (m // 3) is +1 for a birth and
+            # -1 for a death, and int32 holds the sum below 2^31 events.
+            run = marks.astype(np.int32 if marks.size < 2**31 else np.int64)
+            run //= 3
+            run *= -2
+            run += 1
+            np.cumsum(run, out=run)
+            if run.min() < -n0:
+                raise ValueError(f"population size goes negative at index "
+                                 f"{np.argmax(run < -n0)}")
+            del run
         times = times.copy()
         marks = marks.astype(np.int8)
         times.flags.writeable = False
@@ -215,7 +223,7 @@ def shot_noise_from_history(bank: KernelBank, events: EventLog, t: float) -> tup
         if time > t:
             break
         dt = t - time
-        if mark == Mark.DEATH:
+        if mark == 3:  # a death
             xi[2] += bank.death_kernel(dt)
         else:
             j = mark - 1

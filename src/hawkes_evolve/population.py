@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import KernelBank, Mark
+from .core import KernelBank
 from .expectations import asymptotic_rates
 from .simulate import SimConfig, SimPath, rng_for, simulate
 
@@ -52,9 +52,10 @@ class _Fenwick:
     def add(self, i: int, dw: int):
         self.weights[i] += dw
         self.total += dw
+        tree, cap = self._tree, self._cap
         i += 1
-        while i <= self._cap:
-            self._tree[i] += dw
+        while i <= cap:
+            tree[i] += dw
             i += i & (-i)
 
     def find(self, target: float) -> int:
@@ -62,13 +63,14 @@ class _Fenwick:
 
         Zero-weight slots are never returned for target in [0, total).
         """
+        tree, cap = self._tree, self._cap
         idx = 0
-        bit = 1 << self._cap.bit_length()
+        bit = 1 << cap.bit_length()
         while bit:
             nxt = idx + bit
-            if nxt <= self._cap and self._tree[nxt] <= target:
+            if nxt <= cap and tree[nxt] <= target:
                 idx = nxt
-                target -= self._tree[nxt]
+                target -= tree[nxt]
             bit >>= 1
         return idx
 
@@ -181,14 +183,14 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
             while gi < grid.size and grid[gi] < t:
                 snapshots.append((float(grid[gi]), partition.sites()))
                 gi += 1
-        if mark == Mark.DEATH:
+        if mark == 3:  # a death
             x, _ = partition.remove_min()
             step = -1
         else:
             # The uniform is the fitness of a mutant, and of a clone born
             # into an empty population; otherwise it picks the site cloned.
             u = rng.random()
-            x = partition.sample_site(u) if mark == Mark.CLONE and partition.total else u
+            x = partition.sample_site(u) if mark == 2 and partition.total else u
             partition.insert(x)
             step = 1
         if f is not None:
@@ -222,12 +224,12 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
     left = right = 0
     for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
         u = rng.random()  # one draw per event keeps coupling across epsilon
-        if mark == Mark.DEATH:
+        if mark == 3:  # a death
             if left >= 1:
                 left -= 1
             else:
                 right -= 1
-        elif mark == Mark.MUTANT:
+        elif mark == 1:  # a mutant
             if u < f:
                 left += 1
             else:

@@ -25,7 +25,6 @@ from .core import (
     ExpKernel,
     IntensityState,
     KernelBank,
-    Mark,
     require_zero_offsets,
 )
 
@@ -85,48 +84,36 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *stream))))
 
 
-def sample_mark(lam1: float, lam2: float, lam3_gated: float, u: float) -> Mark:
-    """Superposition decomposition: pick the component that rings."""
-    if lam1 < 0 or lam2 < 0 or lam3_gated < 0:
-        raise ValueError("rates must be non-negative")
-    total = lam1 + lam2 + lam3_gated
-    if total <= 0:
-        raise ValueError("total rate must be positive")
-    if not 0 <= u < 1:
-        raise ValueError(f"u must be in [0, 1), got {u}")
-    x = u * total
-    if x < lam1:
-        return Mark.MUTANT
-    if x < lam1 + lam2:
-        return Mark.CLONE
-    return Mark.DEATH
-
-
 def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensityState,
          rng: np.random.Generator) -> SimPath:
-    """Ogata's thinning loop over an engine's shot noise.
+    """Ogata's thinning loop over an engine's shot noise, on plain floats and ints.
 
     ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
-    earlier than its last event; ``record(mark, t)`` adds an accepted
-    event to the engine's history.  The loop keeps the counts and the
-    clock itself, appends each event to a float64 and an int8 buffer, and
-    builds the final state and the event log once.
+    earlier than its last event; ``record(mark, t, xi)`` adds an accepted
+    event of mark 1, 2 or 3 to the engine's history, given xi_at(t) from
+    just before it.  The loop keeps the counts and the clock, appends each
+    event to a float64 and an int8 buffer, and builds the log once.
     """
     mu1, mu2, mu3 = bank.base_rates
     counts = list(state0.counts)
     n = state0.population_size
-
-    def lambdas(t: float) -> tuple[float, float, float, float]:
-        """(lambda1, lambda2, gated lambda3, ungated lambda3) at time t."""
-        x1, x2, x3 = xi_at(t)
-        l3 = mu3 + x3
-        return (mu1 + x1, mu2 + x2, l3 if n > 0 else 0.0, l3)
+    exponential, uniform = rng.exponential, rng.random
 
     t0 = state0.clock
     horizon = t0 + config.horizon
     grid = None if config.record_grid is None else np.asarray(config.record_grid, dtype=float)
     samples = None if grid is None else np.full((grid.size, 4), np.nan)
     gi = 0
+
+    def fill(gi: int, upto: float, n: int) -> int:
+        """Sample (l1, l2, gated l3, ungated l3) at grid[gi:] up to upto; next gi."""
+        while gi < grid.size and grid[gi] <= upto:
+            x1, x2, x3 = xi_at(max(float(grid[gi]), t0))  # points before t0 read t0
+            l3 = mu3 + x3
+            samples[gi] = (mu1 + x1, mu2 + x2, l3 if n > 0 else 0.0, l3)
+            gi += 1
+        return gi
+
     fresh_start = state0.counts == (0, 0, 0)
     times = array("d")
     marks = array("b")
@@ -134,47 +121,49 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     capped = False
     t = t0
     if grid is not None:
-        while gi < grid.size and grid[gi] <= t:
-            samples[gi] = lambdas(t)
-            gi += 1
-    # lam holds the intensities at t: a rejected candidate's values are
-    # the next bound, and only an accepted event changes them.
-    lam = lambdas(t)
+        gi = fill(gi, t, n)
+    # l1, l2 and the gated l3 are the intensities at t: a rejected candidate's
+    # values are the next bound, and only an accepted event changes them.
+    xi = xi_at(t)
+    l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
     while True:
-        bound = lam[0] + lam[1] + lam[2]
-        t_cand = t + rng.exponential(1.0 / bound)
+        bound = l1 + l2 + l3
+        t_cand = t + exponential(1.0 / bound)
         t_next = min(t_cand, horizon)
         if grid is not None:
-            while gi < grid.size and grid[gi] <= t_next:
-                samples[gi] = lambdas(float(grid[gi]))
-                gi += 1
+            gi = fill(gi, t_next, n)
         if n == 0:
             zero_time += t_next - t
         if t_cand >= horizon:
             t = horizon
             break
         t = t_cand
-        lam = lambdas(t)
-        total = lam[0] + lam[1] + lam[2]
-        if rng.random() * bound < total:
-            mark = sample_mark(lam[0], lam[1], lam[2], rng.random())
-            if mark is Mark.CLONE and fresh_start and not times:
+        xi = xi_at(t)
+        l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
+        total = l1 + l2 + l3
+        if uniform() * bound < total:
+            # Superposition: a uniform on [0, total) picks the component.
+            v = uniform() * total
+            if v < l1:
+                mark = 1
+            elif v < l1 + l2:
                 # The merged process starts with a mutant birth by
                 # construction; a clone cannot open an empty population.
-                mark = Mark.MUTANT
-            record(mark, t)
+                mark = 1 if fresh_start and not times else 2
+            else:
+                mark = 3
+            record(mark, t, xi)
             counts[mark - 1] += 1
-            n += -1 if mark is Mark.DEATH else 1
+            n += -1 if mark == 3 else 1
             times.append(t)
             marks.append(mark)
             if len(times) >= config.max_events:
                 capped = True
                 break
-            lam = lambdas(t)
+            xi = xi_at(t)
+            l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
     if grid is not None:
-        while gi < grid.size and grid[gi] <= t:
-            samples[gi] = lambdas(float(grid[gi]))
-            gi += 1
+        fill(gi, t, n)
     final = IntensityState(xi_at(t), tuple(counts), t)
     log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8), state0.counts)
     return SimPath(log, final, zero_time, capped, grid, samples, state0)
@@ -195,9 +184,9 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     state0 = initial_state if initial_state is not None else IntensityState()
     (k11, k12), (k21, k22) = bank.birth_kernels
     b1, b2, b3 = k11.beta, k12.beta, bank.death_kernel.beta
-    jumps = {Mark.MUTANT: (k11.alpha, k12.alpha, 0.0),
-             Mark.CLONE: (k21.alpha, k22.alpha, 0.0),
-             Mark.DEATH: (0.0, 0.0, bank.death_kernel.alpha)}
+    # Row m - 1: the jump of each shot noise at an event of mark m.
+    jumps = ((k11.alpha, k12.alpha, 0.0), (k21.alpha, k22.alpha, 0.0),
+             (0.0, 0.0, bank.death_kernel.alpha))
     x1, x2, x3 = state0.xi
     t_last = state0.clock
 
@@ -205,14 +194,13 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
         dt = t - t_last
         return (x1 * math.exp(-b1 * dt), x2 * math.exp(-b2 * dt), x3 * math.exp(-b3 * dt))
 
-    def record(mark: Mark, t: float) -> None:
+    def record(mark: int, t: float, xi: tuple[float, float, float]) -> None:
         nonlocal x1, x2, x3, t_last
-        y1, y2, y3 = xi_at(t)
-        j1, j2, j3 = jumps[mark]
+        j1, j2, j3 = jumps[mark - 1]
         # The clock advances by the elapsed time rather than jumping to
         # t: the sum can differ from t in the last bit, and the pinned
         # fixed-seed outputs were produced this way.
-        x1, x2, x3, t_last = y1 + j1, y2 + j2, y3 + j3, t_last + (t - t_last)
+        x1, x2, x3, t_last = xi[0] + j1, xi[1] + j2, xi[2] + j3, t_last + (t - t_last)
 
     return _run(bank, config, xi_at, record, state0, rng)
 
@@ -347,7 +335,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         a = np.flatnonzero(accept)
         if a.size:
             v = u[1, a] * total[a]
-            # Mark index 0, 1 or 2 (mutant, clone, death) as in sample_mark.
+            # Mark index 0, 1 or 2 (mutant, clone, death) as in _run.
             mark = (v >= lam[a, 0]).astype(np.int64) + ((v >= lam[a, 0] + lam[a, 1]) & (n[a] > 0))
             if fresh_start:
                 # A clone cannot open an empty path; the first birth is a mutant.
@@ -377,34 +365,56 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     return MarkovBatch(samples, out_xi, out_counts, out_clock, out_zero, out_capped)
 
 
-class _MarkHistory:
-    """One mark's event times and the kernels it excites, for direct sums.
+class _History:
+    """Past event times of every kernel with alpha > 0, one row each.
 
-    The times sit in a float64 buffer that doubles when full.  Only the
-    kernels with alpha > 0 are summed; ``targets`` pairs each with the
-    index of the intensity it excites.
+    Rows run in the summation order of the pinned fixed-seed outputs: a
+    mutant's kernels, a clone's, then the death kernel.  A row holds its
+    mark's times as a prefix of a float64 buffer that doubles when full,
+    and ``live`` marks the prefix.  numpy applies a reduction's mask run
+    by run, so each masked row sum equals ``np.add.reduce`` of the prefix.
     """
 
-    __slots__ = ("times", "size", "neg_betas", "targets")
-
-    def __init__(self, kernels: list[tuple[int, ExpKernel]]):
-        self.times = np.empty(64)
-        self.size = 0
-        self.neg_betas = np.array([-k.beta for _, k in kernels])
+    def __init__(self, excited: list[list[tuple[int, ExpKernel]]]):
+        """``excited[m - 1]`` lists the (target index, kernel) pairs of mark m."""
+        self.rows, kernels = [], []
+        for pairs in excited:
+            live = [(i, k) for i, k in pairs if k.alpha != 0]
+            self.rows.append(slice(len(kernels), len(kernels) + len(live)) if live else None)
+            kernels += live
+        self.sizes = [0, 0, 0]
+        self.top = 0
+        self.times = np.zeros((len(kernels), 64))
+        self.live = np.zeros((len(kernels), 64), dtype=bool)
+        self.neg_betas = np.array([-k.beta for _, k in kernels])[:, None]
         self.targets = tuple((i, k.alpha) for i, k in kernels)
 
-    def append(self, t: float) -> None:
-        if self.size == self.times.size:
-            self.times = np.concatenate((self.times, np.empty(self.size)))
-        self.times[self.size] = t
-        self.size += 1
+    def record(self, mark: int, t: float, xi=None) -> None:
+        """Append an event's time to its mark's rows; the sums need no xi."""
+        rows = self.rows[mark - 1]
+        if rows is None:
+            return
+        k = self.sizes[mark - 1]
+        if k == self.times.shape[1]:
+            self.times = np.concatenate((self.times, np.zeros_like(self.times)), axis=1)
+            self.live = np.concatenate((self.live, np.zeros_like(self.live)), axis=1)
+        self.times[rows, k] = t
+        self.live[rows, k] = True
+        self.sizes[mark - 1] = k + 1
+        self.top = max(self.top, k + 1)
 
-    def add_sums(self, xi: list[float], t: float) -> None:
-        """Add alpha * sum_k exp(-beta (t - t_k)) to xi[i] for each excited i."""
-        if self.size:
-            decays = np.exp(np.multiply.outer(self.neg_betas, t - self.times[:self.size]))
-            for (i, alpha), s in zip(self.targets, np.add.reduce(decays, axis=1).tolist()):
+    def xi_at(self, t: float) -> tuple[float, float, float]:
+        """Add alpha * sum_k exp(-beta (t - t_k)) of each row to its target, in row order."""
+        xi = [0.0, 0.0, 0.0]
+        top = self.top
+        if top:
+            z = np.subtract(t, self.times[:, :top])
+            z *= self.neg_betas
+            np.exp(z, out=z)
+            sums = np.add.reduce(z, axis=1, where=self.live[:, :top])
+            for (i, alpha), s in zip(self.targets, sums.tolist()):
                 xi[i] += alpha * s
+        return tuple(xi)
 
 
 def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0,
@@ -412,35 +422,15 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     """Full-history thinning, the reference check on the Markov engine.
 
     Each intensity evaluation sums the kernels over the entire history,
-    O(n) per evaluation: one exp and one row-wise sum per mark covers
-    every kernel that mark excites.
+    O(n) per evaluation: one exp and one masked row-wise sum cover every
+    kernel.
     """
     require_zero_offsets(bank, "simulate_thinning_general")
     if rng is None:
         rng = rng_for(config.seed, path_index)
-    (k11, k12), (k21, k22) = bank.birth_kernels
-    excited = {Mark.MUTANT: [(0, k11), (1, k12)], Mark.CLONE: [(0, k21), (1, k22)],
-               Mark.DEATH: [(2, bank.death_kernel)]}
-    # Insertion order fixes the summation order: mutant terms before
-    # clone terms, as in the fixed-seed outputs the tests pin.
-    histories = {}
-    for mark, kernels in excited.items():
-        live = [(i, k) for i, k in kernels if k.alpha != 0]
-        if live:
-            histories[mark] = _MarkHistory(live)
-
-    def xi_at(t: float) -> tuple[float, float, float]:
-        xi = [0.0, 0.0, 0.0]
-        for history in histories.values():
-            history.add_sums(xi, t)
-        return tuple(xi)
-
-    def record(mark: Mark, t: float) -> None:
-        history = histories.get(mark)
-        if history is not None:
-            history.append(t)
-
-    return _run(bank, config, xi_at, record, IntensityState(), rng)
+    history = _History([list(enumerate(row)) for row in bank.birth_kernels]
+                       + [[(2, bank.death_kernel)]])
+    return _run(bank, config, history.xi_at, history.record, IntensityState(), rng)
 
 
 def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
@@ -463,13 +453,14 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
     require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
+    # jump[m - 1] is xi_i's jump at an event of int mark m; 3 is a death.
     if i < 3:
         k1, k2 = bank.birth_kernels[0][i - 1], bank.birth_kernels[1][i - 1]
         beta = k1.beta
-        jump = {Mark.MUTANT: k1.alpha, Mark.CLONE: k2.alpha, Mark.DEATH: 0.0}
+        jump = (k1.alpha, k2.alpha, 0.0)
     else:
         beta = bank.death_kernel.beta
-        jump = {Mark.MUTANT: 0.0, Mark.CLONE: 0.0, Mark.DEATH: bank.death_kernel.alpha}
+        jump = (0.0, 0.0, bank.death_kernel.alpha)
     n = path.start.population_size
     xi = path.start.xi[i - 1]
     t = path.start.clock
@@ -480,10 +471,10 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
         decay = math.exp(-beta * dt)
         if i < 3 or n > 0:
             acc += lam0 * dt + xi * (1.0 - decay) / beta
-        xi = decay * xi + jump[mark]
+        xi = decay * xi + jump[mark - 1]
         if mark == i:
             residuals.append(acc)
             acc = 0.0
-        n += -1 if mark == Mark.DEATH else 1
+        n += -1 if mark == 3 else 1
         t = time
     return np.asarray(residuals)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestEventLog:
         assert log.population_size() == 1
 
     def test_marks_outside_one_to_three_rejected(self):
-        for mark in (0, 4, 259):
+        for mark in (0, 4, 259, 1.5):
             with pytest.raises(ValueError):
                 EventLog([0.5], [mark], initial_counts=(1, 0, 0))
 
@@ -168,6 +169,22 @@ class TestEventLog:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventLog([-0.5], [Mark.MUTANT])
+
+    def test_build_peak_memory_per_event(self):
+        # The checks' temporaries are freed before the read-only copies
+        # (8 + 1 bytes per event) are made.
+        n = 200_000
+        times = np.arange(1.0, n + 1.0)
+        marks = np.resize(np.array([1, 2, 3], dtype=np.int8), n)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            log = EventLog(times, marks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == n
+        assert peak / n <= 10
 
     def test_arrays_are_read_only_copies(self):
         times = np.array([0.5, 1.0])

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from hawkes_evolve import (
     EventLog,
+    ExpKernel,
     IntensityState,
     KernelBank,
     Mark,
@@ -18,7 +19,6 @@ from hawkes_evolve import (
     UnsupportedKernelError,
     expected_intensity_paper,
     rng_for,
-    sample_mark,
     shot_noise_from_history,
     simulate,
     simulate_markov,
@@ -26,7 +26,7 @@ from hawkes_evolve import (
     simulate_thinning_general,
     time_rescale_residuals,
 )
-from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks
+from hawkes_evolve.simulate import BATCH_BLOCK, _History, batch_blocks
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -42,27 +42,6 @@ class TestSimConfig:
     def test_engine_name_checked(self):
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=1, engine="exact")
-
-
-class TestSampleMark:
-    def test_single_component(self):
-        assert sample_mark(1.0, 0.0, 0.0, 0.99) is Mark.MUTANT
-
-    def test_cumulative_thresholds(self):
-        assert sample_mark(1.0, 1.0, 2.0, 0.75) is Mark.DEATH
-        assert sample_mark(1.0, 1.0, 2.0, 0.3) is Mark.CLONE
-        assert sample_mark(1.0, 1.0, 2.0, 0.1) is Mark.MUTANT
-
-    def test_death_only(self):
-        assert sample_mark(0.0, 0.0, 3.0, 0.1) is Mark.DEATH
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            sample_mark(0.0, 0.0, 0.0, 0.5)
-
-    def test_u_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_mark(1.0, 0.0, 0.0, 1.0)
 
 
 class TestRngStreams:
@@ -362,6 +341,20 @@ class TestThinningEngine:
                      for s in range(40, 80)])
         assert abs(m - t) / m < 0.35
 
+    def test_agrees_in_law_with_markov_on_independent_streams(self):
+        # Criterion 2 runs both engines on the same streams, where they
+        # agree path for path; here the thinning engine takes path
+        # indices 0-299 and the Markov engine 300-599, so the unpaired z
+        # on the mean counts checks the law.
+        n, config = 300, lambda e: SimConfig(horizon=20.0, seed=202, engine=e)
+        thin = np.array([simulate(CROSS_BANK, config("thinning"), i).events.counts()
+                         for i in range(n)])
+        markov = np.array([simulate(CROSS_BANK, config("markov"), i).events.counts()
+                           for i in range(n, 2 * n)])
+        se = np.sqrt(thin.var(axis=0, ddof=1) / n + markov.var(axis=0, ddof=1) / n)
+        z = (thin.mean(axis=0) - markov.mean(axis=0)) / se
+        assert np.all(np.abs(z) < 5.0), z
+
     def test_deterministic_replay(self):
         config = SimConfig(horizon=15.0, seed=4, engine="thinning")
         a = simulate(HAWKES_BANK, config)
@@ -386,6 +379,33 @@ class TestThinningEngine:
             assert row[[0, 1, 3]] == pytest.approx(direct, rel=1e-12)
         direct = shot_noise_from_history(bank, events, path.final_state.clock)
         assert path.final_state.xi == pytest.approx(direct, rel=1e-12)
+
+
+class TestHistory:
+    @pytest.mark.parametrize("n", [7, 8, 129, 8193])
+    def test_masked_row_sums_equal_contiguous_sums(self, n):
+        # One row per mark, alpha = 1, so xi[i] is row i's masked sum.  The
+        # rows are ragged (n, n // 3 and n - 1 times, interleaved), and
+        # 8193 crosses both a buffer doubling and numpy's 8192-element
+        # buffer.  The engine's fixed-seed output relies on each masked
+        # row sum equalling np.add.reduce over that row alone.
+        betas = (0.7, 1.3, 2.1)
+        history = _History([[(i, ExpKernel(1.0, b))] for i, b in enumerate(betas)])
+        sizes = (n, max(n // 3, 1), n - 1)
+        marks = np.repeat([1, 2, 3], sizes)
+        rng = np.random.default_rng(n)
+        rng.shuffle(marks)
+        times = np.cumsum(rng.exponential(0.01, marks.size))
+        rows = [[], [], []]
+        for mark, t in zip(marks.tolist(), times.tolist()):
+            history.record(mark, t)
+            rows[mark - 1].append(t)
+        for t in (times[-1], times[-1] + 0.5):
+            xi = history.xi_at(t)
+            for i, beta in enumerate(betas):
+                z = np.subtract(t, np.array(rows[i]))
+                z *= -beta
+                assert xi[i] == np.add.reduce(np.exp(z)), (i, len(rows[i]))
 
 
 class TestTimeRescaling:
