@@ -234,6 +234,21 @@ class DriftCheck:
         return diff / self.mc_stderr
 
 
+def _block_values(f: Callable, k: int, zetas: np.ndarray, check: bool) -> np.ndarray:
+    """Test function ``k`` on a (6, R) block of states, as shape (R,)."""
+    try:
+        values = np.broadcast_to(f(zetas), zetas.shape[1:])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"test function {k} does not act elementwise on a (6, R) "
+                         f"array of states: {exc}") from exc
+    if check:
+        alone = f(zetas[:, 0])
+        if not abs(values[0] - alone) <= _ROUNDING * abs(alone):
+            raise ValueError(f"test function {k} does not act elementwise: {values[0]!r} "
+                             f"on the first state of a block, {alone!r} on it alone")
+    return values
+
+
 def generator_drift_check(bank: KernelBank, state: IntensityState,
                           test_functions: Sequence[Callable], h: float = 1e-3,
                           n_reps: int = 100_000, seed: int = 0) -> list[DriftCheck]:
@@ -244,20 +259,31 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     O(h) from the generator.  Where F only follows the event-free flow
     (n3 * l3 while deaths are off) it has no spread, and that secant gap
     of the flow is all that remains.
+
+    A test function reads the coordinates as z[0]..z[5] = (n1, l1, n2,
+    l2, n3, l3) and acts elementwise: it gets one state of shape (6,)
+    here at the start and in ``generator_apply``, and a block's end
+    states as one (6, R) array, and returns shape (R,), or a scalar if
+    it is constant.  On the first block, its first entry must equal the
+    function at that state alone to a relative 1e-12.  A function that
+    breaks this (``z.sum()``, or a ``math`` call) raises ValueError
+    naming its position.
     """
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications for standard errors")
     config = SimConfig(horizon=h, seed=seed)
     zeta0 = _zeta(bank, state)
     f0s = [f(zeta0) for f in test_functions]
     d = np.empty((n_reps, len(test_functions)))
-    base = np.array(bank.base_rates)
+    base = np.array(bank.base_rates)[:, None]
     for block, start, stop in batch_blocks(n_reps):
         batch = simulate_markov_batch(bank, config, stop - start, state, block)
-        # Rows of (n1, l1, n2, l2, n3, l3), as _zeta builds them.
-        zetas = np.empty((stop - start, 6))
-        zetas[:, 0::2] = batch.counts
-        zetas[:, 1::2] = base + batch.xi
+        # Rows of (n1, l1, n2, l2, n3, l3), as _zeta orders them.
+        zetas = np.empty((6, stop - start))
+        zetas[0::2] = batch.counts.T
+        zetas[1::2] = base + batch.xi.T
         for k, f in enumerate(test_functions):
-            d[start:stop, k] = [(f(z) - f0s[k]) / h for z in zetas]
+            d[start:stop, k] = (_block_values(f, k, zetas, start == 0) - f0s[k]) / h
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat column.
     means = d.mean(axis=0)
     ses = d.std(axis=0) / math.sqrt(n_reps)

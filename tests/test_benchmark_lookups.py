@@ -4,7 +4,8 @@
 pairs, and a traced run fails if a pair no longer resolves.  The file is
 loaded by path and only read: no bytecode is cached next to it.  A
 wrapped name must also stay on the call path: a caller that bypasses it
-leaves the span's metrics at zero.
+leaves the span's metrics at zero.  The workloads' own calls must also
+meet the package's contracts, such as what a drift test function may be.
 """
 
 import importlib
@@ -12,9 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from hawkes_evolve import KernelBank, SimConfig
+from hawkes_evolve import KernelBank, SimConfig, generator_drift_check
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_boundary_resolves_to_a_callable(monkeypatch):
@@ -47,3 +49,20 @@ def test_simulate_dispatches_through_the_thinning_name(monkeypatch):
     path = simulate_module.simulate(bank, SimConfig(horizon=1.0, seed=1, engine="thinning"))
     assert len(calls) == 1
     assert path.final_state.clock == 1.0
+
+
+def test_drift_workload_functions_meet_the_block_contract(monkeypatch):
+    # workloads.py imports its sibling exact.py as a top-level module, and
+    # its dataclasses need the module itself in sys.modules.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    drift = workloads.DriftCheck
+    for seed, state in enumerate(drift.states):
+        checks = generator_drift_check(workloads.cross_bank(), state, drift.functions,
+                                       h=drift.h, n_reps=64, seed=seed)
+        assert len(checks) == len(drift.functions)

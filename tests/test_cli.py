@@ -57,6 +57,11 @@ class TestExitCodes:
         assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "regime.json").exists()
 
+    def test_generator_check_needs_two_replications(self, bank_file, tmp_path):
+        assert run(["generator-check", "--bank", bank_file, "--reps", "1",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "generator_check.json").exists()
+
     def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
         assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
 
@@ -148,6 +153,9 @@ RUNS = {
     "rho": (["rho", "--f", "0.75", "--epsilon", "0.25", "--horizon", "50", "--runs", "3",
              "--seed", "1", "--threads", "1"], ("rho.json",)),
     "gof": (["gof", "--horizon", "200", "--seed", "2"], ("gof.json",)),
+    # Three blocks of the batched engine: 2048, 2048 and 904 states.
+    "generator-check": (["generator-check", "--reps", "5000", "--seed", "1", "--h", "0.01"],
+                        ("generator_check.json",)),
 }
 ARTIFACT_SHA256 = {
     ("cross", "simulate-markov"): {
@@ -171,6 +179,10 @@ ARTIFACT_SHA256 = {
     ("cross", "gof"): {
         "gof.json": "5facfc3add8d60e3f7db73760cec1c7512bdfb96f8b4e873d319137295a79cb0",
     },
+    ("cross", "generator-check"): {
+        "generator_check.json":
+            "48bd23492acd9b650887eb9aa04ba987672e3a5b8990f64be52528837d8c99d1",
+    },
     ("poisson", "simulate-markov"): {
         "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
         "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
@@ -191,6 +203,10 @@ ARTIFACT_SHA256 = {
     },
     ("poisson", "gof"): {
         "gof.json": "fa8a77fa73f4446e3adbb609ee400e030a13e2ca9b31610181ce53b22b329473",
+    },
+    ("poisson", "generator-check"): {
+        "generator_check.json":
+            "612c88848db9302cc5683facef502b7e198a4aea12e5852f668f80e17a9f2134",
     },
 }
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hawkes_evolve import (
     zero_occupation_fraction,
 )
 from hawkes_evolve.experiments import _knee_estimate
-from hawkes_evolve.simulate import BATCH_BLOCK
+from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks, simulate_markov_batch
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -117,11 +119,45 @@ class TestGeneratorApply:
         assert generator_apply(bank, state, lambda z: z[1]) == pytest.approx(1.87, rel=1e-6)
 
 
+# Criterion 4's test functions and states (tests/test_acceptance.py).
+CRITERION_4_FUNCTIONS = [
+    lambda z: 1.0,
+    lambda z: z[0] + z[2] - z[4],
+    lambda z: z[1],
+    lambda z: z[1] * z[3],
+    lambda z: z[4] * z[5],
+]
+CRITERION_4_STATES = [
+    IntensityState(),
+    IntensityState(xi=(0.3, 0.2, 0.1), counts=(2, 1, 1)),
+    IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2)),
+]
+
+
+def _row_by_row_drift(bank, state, functions, h, n_reps, seed):
+    """Reference: the drift estimate with every function called on one state at a time."""
+    config = SimConfig(horizon=h, seed=seed)
+    zeta0 = np.array([state.counts[0], bank.base_rates[0] + state.xi[0],
+                      state.counts[1], bank.base_rates[1] + state.xi[1],
+                      state.counts[2], bank.base_rates[2] + state.xi[2]])
+    d = np.empty((n_reps, len(functions)))
+    for block, start, stop in batch_blocks(n_reps):
+        batch = simulate_markov_batch(bank, config, stop - start, state, block)
+        zetas = np.empty((stop - start, 6))
+        zetas[:, 0::2] = batch.counts
+        zetas[:, 1::2] = np.array(bank.base_rates) + batch.xi
+        for k, f in enumerate(functions):
+            d[start:stop, k] = [(f(z) - f(zeta0)) / h for z in zetas]
+    return d.mean(axis=0), d.std(axis=0) / math.sqrt(n_reps)
+
+
 class TestGeneratorDrift:
     def test_constant_function_exact(self):
-        checks = generator_drift_check(HAWKES_BANK, IntensityState(),
-                                       [lambda z: 1.0], n_reps=200, seed=1)
-        assert checks[0].mc_mean == 0.0 and checks[0].z == 0.0
+        # A constant returns a scalar, also for a block of states.
+        for n_reps in (200, BATCH_BLOCK + 1):
+            checks = generator_drift_check(HAWKES_BANK, IntensityState(),
+                                           [lambda z: 1.0], n_reps=n_reps, seed=1)
+            assert checks[0].mc_mean == 0.0 and checks[0].z == 0.0
 
     def test_flow_only_function_has_no_spread(self):
         # Deaths are off at N = 0, so n3 * l3 only decays: a rounding-level
@@ -148,6 +184,33 @@ class TestGeneratorDrift:
                                        [lambda z: z[0] + z[2] - z[4]],
                                        n_reps=20_000, seed=2)
         assert abs(checks[0].z) < 4.0
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-2])
+    @pytest.mark.parametrize("bank", [CROSS_BANK, HAWKES_BANK], ids=["cross", "hawkes"])
+    def test_block_evaluation_matches_row_by_row(self, bank, h):
+        # Two full blocks and a last block that holds one state, of shape (6, 1).
+        n_reps = 2 * BATCH_BLOCK + 1
+        assert batch_blocks(n_reps)[-1][1:] == (2 * BATCH_BLOCK, n_reps)
+        for k, state in enumerate(CRITERION_4_STATES):
+            checks = generator_drift_check(bank, state, CRITERION_4_FUNCTIONS, h=h,
+                                           n_reps=n_reps, seed=404 + k)
+            means, ses = _row_by_row_drift(bank, state, CRITERION_4_FUNCTIONS, h, n_reps,
+                                           404 + k)
+            assert [c.mc_mean for c in checks] == means.tolist()
+            assert [c.mc_stderr for c in checks] == ses.tolist()
+
+    @pytest.mark.parametrize("n_reps", [0, 1])
+    def test_needs_two_replications(self, n_reps):
+        with pytest.raises(ValueError, match="at least 2"):
+            generator_drift_check(HAWKES_BANK, IntensityState(), [lambda z: z[0]],
+                                  n_reps=n_reps, seed=1)
+
+    @pytest.mark.parametrize("bad", [lambda z: z.sum(), lambda z: math.exp(z[1])],
+                             ids=["sum", "math"])
+    def test_rejects_a_function_that_is_not_elementwise(self, bad):
+        with pytest.raises(ValueError, match="test function 1 "):
+            generator_drift_check(HAWKES_BANK, IntensityState(), [lambda z: z[0], bad],
+                                  n_reps=BATCH_BLOCK + 1, seed=1)
 
 
 class TestSummaries:
