@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import IntensityState, KernelBank
 from .expectations import (
@@ -286,7 +285,7 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
             d[start:stop, k] = (_block_values(f, k, zetas, start == 0) - f0s[k]) / h
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat column.
     means = d.mean(axis=0)
-    ses = d.std(axis=0) / math.sqrt(n_reps)
+    ses = d.std(axis=0, ddof=1) / math.sqrt(n_reps)
     return [DriftCheck(generator_apply(bank, state, f), float(m), float(se))
             for f, m, se in zip(test_functions, means, ses)]
 
@@ -464,7 +463,12 @@ class GofEntry:
 
 
 def gof_report(path: SimPath, bank: KernelBank, min_events: int = 100) -> dict[int, GofEntry]:
-    """Goodness of fit per process via the compensator residuals."""
+    """Goodness of fit per process via the compensator residuals.
+
+    ``scipy.stats`` is imported here, on the first call, so that importing
+    the package and every command but ``gof`` load numpy alone.
+    """
+    from scipy import stats  # deferred: 0.9 s and 70 MiB at import
     report = {}
     for i in (1, 2, 3):
         res = time_rescale_residuals(path, bank, i)

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it with the package lets
+# the pool workers forked by each sweep or rho call inherit it.
+from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (
     EventLog,
@@ -31,7 +34,13 @@ from .core import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters shared by both engines."""
+    """Run parameters shared by both engines.
+
+    ``record_grid`` holds the times at which the intensities are sampled.
+    Its points must be finite and non-decreasing: the engines sample the
+    grid in one forward pass.  Repeated points and points before the start
+    clock are allowed; the latter read the start state.
+    """
 
     horizon: float
     seed: int
@@ -46,6 +55,10 @@ class SimConfig:
             raise ValueError(f"max_events must be > 0, got {self.max_events}")
         if self.engine not in ("markov", "thinning"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.record_grid is not None:
+            grid = np.asarray(self.record_grid, dtype=float)
+            if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+                raise ValueError("record_grid must hold finite, non-decreasing times")
 
 
 @dataclass(frozen=True)
@@ -75,17 +88,17 @@ class SimPath:
         return self.final_state.clock - self.start.clock
 
 
-def rng_for(seed: int, *stream: int) -> np.random.Generator:
+def rng_for(seed: int, *stream: int) -> Generator:
     """Counter-based generator for the stream keyed by (seed, *stream).
 
     Streams derived from the same seed are independent under any
     parallel schedule.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *stream))))
+    return Generator(Philox(SeedSequence((seed, *stream))))
 
 
 def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensityState,
-         rng: np.random.Generator) -> SimPath:
+         rng: Generator) -> SimPath:
     """Ogata's thinning loop over an engine's shot noise, on plain floats and ints.
 
     ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
@@ -171,7 +184,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
                     initial_state: Optional[IntensityState] = None,
-                    rng: Optional[np.random.Generator] = None) -> SimPath:
+                    rng: Optional[Generator] = None) -> SimPath:
     """Statistically exact sample via the closed-form Markov state.
 
     The shot noise is three floats and the time of the last event: it
@@ -418,7 +431,7 @@ class _History:
 
 
 def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0,
-                              rng: Optional[np.random.Generator] = None) -> SimPath:
+                              rng: Optional[Generator] = None) -> SimPath:
     """Full-history thinning, the reference check on the Markov engine.
 
     Each intensity evaluation sums the kernels over the entire history,

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,7 +184,7 @@ ARTIFACT_SHA256 = {
     },
     ("cross", "generator-check"): {
         "generator_check.json":
-            "48bd23492acd9b650887eb9aa04ba987672e3a5b8990f64be52528837d8c99d1",
+            "8f7c65ce2efd8ec90cfe5c6451e030ce7e36170f109ad7daedaad6963e914deb",
     },
     ("poisson", "simulate-markov"): {
         "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
@@ -206,7 +209,7 @@ ARTIFACT_SHA256 = {
     },
     ("poisson", "generator-check"): {
         "generator_check.json":
-            "612c88848db9302cc5683facef502b7e198a4aea12e5852f668f80e17a9f2134",
+            "3c49fbeab11c823fa3de29e3e897dd31e6232e5e5076d15ed25c497cd2d9a845",
     },
 }
 
@@ -224,3 +227,77 @@ class TestArtifactBytes:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in artifacts}
         assert digests == ARTIFACT_SHA256[bank, command]
+
+
+# Runs each argv list through cli.run in one fresh interpreter (this one
+# has scipy loaded already) and prints, per run, its exit code and the
+# scipy modules loaded so far; the first entry is after the import alone.
+_SCIPY_PROBE = """
+import json, sys
+from hawkes_evolve.cli import run
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [[0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    code = run(argv)
+    seen.append([code, scipy_modules()])
+print(json.dumps(seen))
+"""
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh_python(code, *args):
+    """Last line of standard output of code run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def _scipy_after(runs):
+    return json.loads(_fresh_python(_SCIPY_PROBE, json.dumps(runs)))
+
+
+class TestScipyDeferred:
+    """scipy is imported only by the renewal solve and the KS test."""
+
+    def test_no_scipy_outside_the_renewal_route_and_gof(self, tmp_path):
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(CROSS_BANK))
+        common = ["--bank", str(bank), "--out", str(tmp_path)]
+        runs = [
+            ["regime"] + common,
+            ["simulate", "--horizon", "5", "--grid", "0:5:1"] + common,
+            ["sweep", "--f-grid", "0:1:0.5", "--horizon", "5", "--runs", "2",
+             "--threads", "1"] + common,
+            ["population", "--horizon", "5", "--f", "0.5"] + common,
+            ["rho", "--f", "0.75", "--epsilon", "0", "--horizon", "5", "--runs", "2",
+             "--threads", "1"] + common,
+            ["generator-check", "--reps", "100"] + common,
+            ["expect", "--method", "paper", "--t-max", "2", "--points", "3"] + common,
+        ]
+        seen = _scipy_after(runs)
+        assert len(seen) == len(runs) + 1
+        # generator-check may return 1 on so few replications; 2 would be an error.
+        assert all(code != 2 and modules == [] for code, modules in seen)
+
+    def test_renewal_loads_linalg_and_gof_loads_stats(self, tmp_path):
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(CROSS_BANK))
+        common = ["--bank", str(bank), "--out", str(tmp_path)]
+        (_, start), (code, renewal), (gof_code, gof) = _scipy_after([
+            ["expect", "--method", "renewal", "--t-max", "2", "--points", "3"] + common,
+            ["gof", "--horizon", "5"] + common,
+        ])
+        assert start == [] and code == 0
+        assert "scipy.linalg" in renewal
+        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in renewal)
+        assert gof_code in (0, 1) and "scipy.stats" in gof
+
+    def test_numpy_random_loads_with_the_package(self):
+        # numpy loads it lazily; pool workers forked by sweep and rho
+        # inherit it instead of each importing it on every call.
+        assert _fresh_python("import sys, hawkes_evolve; "
+                             "print('numpy.random' in sys.modules)") == "True"

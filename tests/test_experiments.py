@@ -66,6 +66,12 @@ class TestMcMeanIntensity:
             mc_mean_intensity(KernelBank.poisson((1.0, 1.0, 1.0)),
                               np.linspace(0, 1, 3), 1, seed=1)
 
+    def test_unsorted_grid_rejected_before_any_path(self):
+        # SimConfig rejects the grid; the renewal curve would only have
+        # rejected it after every path was simulated.
+        with pytest.raises(ValueError, match="record_grid"):
+            mc_mean_intensity(HAWKES_BANK, [0.0, 10.0, 5.0], 10**6, seed=1)
+
     def test_standard_error_scaling(self):
         bank = HAWKES_BANK
         grid = np.linspace(0, 3, 4)
@@ -148,7 +154,7 @@ def _row_by_row_drift(bank, state, functions, h, n_reps, seed):
         zetas[:, 1::2] = np.array(bank.base_rates) + batch.xi
         for k, f in enumerate(functions):
             d[start:stop, k] = [(f(z) - f(zeta0)) / h for z in zetas]
-    return d.mean(axis=0), d.std(axis=0) / math.sqrt(n_reps)
+    return d.mean(axis=0), d.std(axis=0, ddof=1) / math.sqrt(n_reps)
 
 
 class TestGeneratorDrift:

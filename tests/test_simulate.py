@@ -43,6 +43,30 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=1, engine="exact")
 
+    @pytest.mark.parametrize("grid", [(5.0, 1.0, 3.0), (0.0, float("nan"), 2.0),
+                                      (0.0, 1.0, float("inf"))],
+                             ids=["unsorted", "nan", "inf"])
+    def test_record_grid_must_be_finite_and_non_decreasing(self, grid):
+        # An unsorted grid once read the shot noise before the path's last
+        # event: lambda1 = 36.2 at t = 1 on CROSS_BANK, seed 1, against 4.38.
+        with pytest.raises(ValueError, match="record_grid"):
+            SimConfig(horizon=10.0, seed=1, record_grid=grid)
+
+    @pytest.mark.parametrize("engine", ["markov", "thinning", "batch"])
+    def test_repeated_and_pre_start_grid_points_accepted(self, engine):
+        # A point before the start clock reads the start state; a repeated
+        # point reads the same intensities twice.
+        config = SimConfig(horizon=5.0, seed=6, engine=engine.replace("batch", "markov"),
+                           record_grid=(-1.0, 0.0, 2.0, 2.0, 4.0))
+        if engine == "batch":
+            samples = simulate_markov_batch(CROSS_BANK, config, 4).intensity_samples[0]
+        else:
+            samples = simulate(CROSS_BANK, config).intensity_samples
+        start = [*CROSS_BANK.base_rates[:2], 0.0, CROSS_BANK.base_rates[2]]
+        assert samples[0].tolist() == samples[1].tolist() == start
+        assert samples[2].tolist() == samples[3].tolist()
+        assert np.isfinite(samples).all()
+
 
 class TestRngStreams:
     def test_deterministic(self):
