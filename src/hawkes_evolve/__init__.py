@@ -11,7 +11,6 @@ from .core import (
     bank_from_json,
     bank_to_json,
     l1_norm,
-    shot_noise_from_history,
 )
 from .expectations import (
     ABCCoefficients,
@@ -41,7 +40,6 @@ from .experiments import (
     mc_mean_intensity,
     phase_transition_sweep,
     rho_convergence_check,
-    zero_occupation_fraction,
 )
 from .population import (
     FitnessPartition,

@@ -4,10 +4,11 @@ Three counting processes drive the population: mutant births (type 1),
 clone births (type 2) and deaths (type 3).  The first two are mutually
 exciting, the third is self exciting and gated by the population size.
 This module holds the static parameters (kernels, baseline rates), the
-event log of a realization, and the shot-noise state record with its
-defining kernel sum.  Every kernel is exponential, which is what makes
-(counts, shot noise) a Markov process; the engines in ``simulate`` run
-that recursion on plain floats.
+event log of a realization, and the shot-noise state record.  Every
+kernel is exponential, which is what makes (counts, shot noise) a
+Markov process: the shot noise decays in closed form between events
+and jumps by ``KernelBank.jumps`` at each one.  The engines in
+``simulate`` run that recursion on plain floats.
 """
 
 from __future__ import annotations
@@ -108,6 +109,13 @@ class KernelBank:
             for j in range(2)
         )
         return cls(tuple(base_rates), bk, ExpKernel(death_alpha, death_beta, death_delta))
+
+    @property
+    def jumps(self) -> tuple[tuple[float, float, float], ...]:
+        """Row m - 1: the jump of (xi1, xi2, xi3) at an event of mark m."""
+        (k11, k12), (k21, k22) = self.birth_kernels
+        return ((k11.alpha, k12.alpha, 0.0), (k21.alpha, k22.alpha, 0.0),
+                (0.0, 0.0, self.death_kernel.alpha))
 
     @classmethod
     def poisson(cls, base_rates) -> "KernelBank":
@@ -210,26 +218,6 @@ class IntensityState:
     @property
     def population_size(self) -> int:
         return self.counts[0] + self.counts[1] - self.counts[2]
-
-
-def shot_noise_from_history(bank: KernelBank, events: EventLog, t: float) -> tuple[float, float, float]:
-    """Shot noise at time t by direct summation over past events.
-
-    This is the defining representation and serves as the reference for
-    the engines' closed-form recursion.
-    """
-    xi = [0.0, 0.0, 0.0]
-    for time, mark in zip(events.times.tolist(), events.marks.tolist()):
-        if time > t:
-            break
-        dt = t - time
-        if mark == 3:  # a death
-            xi[2] += bank.death_kernel(dt)
-        else:
-            j = mark - 1
-            xi[0] += bank.birth_kernels[j][0](dt)
-            xi[1] += bank.birth_kernels[j][1](dt)
-    return tuple(xi)
 
 
 _KERNEL_KEYS = {"alpha", "beta", "delta"}

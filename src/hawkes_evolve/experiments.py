@@ -128,6 +128,9 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
     t_grid = np.asarray(t_grid, dtype=float)
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed,
                        engine=engine, record_grid=tuple(t_grid))
+    # The renewal curve rejects such a grid too, but only after every path has run.
+    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must increase from 0")
     cube = np.empty((n_paths, t_grid.size, 4))
     if engine == "markov":
         blocks = batch_blocks(n_paths)
@@ -288,22 +291,6 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     ses = d.std(axis=0, ddof=1) / math.sqrt(n_reps)
     return [DriftCheck(generator_apply(bank, state, f), float(m), float(se))
             for f, m, se in zip(test_functions, means, ses)]
-
-
-@dataclass(frozen=True)
-class OccupancySummary:
-    """Per-path fractions of time spent with an empty population."""
-
-    fractions: np.ndarray
-    median: float
-    quantiles: dict
-
-
-def zero_occupation_fraction(paths: Sequence[SimPath]) -> OccupancySummary:
-    """Fraction of its elapsed time each path spent at N = 0, with quantiles."""
-    fracs = np.array([p.zero_occupation_time / p.elapsed for p in paths])
-    qs = {q: float(np.quantile(fracs, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
-    return OccupancySummary(fracs, float(np.median(fracs)), qs)
 
 
 @dataclass(frozen=True)

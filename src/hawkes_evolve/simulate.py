@@ -3,12 +3,14 @@
 One thinning loop serves two engines, each of which supplies only its
 shot noise: the exact Markov engine keeps it in closed form, while the
 full-history engine sums the kernels over every past event and so serves
-as an independent reference check on it.  The loop refreshes the
-dominating bound at every event and every rejected candidate; with zero
-offsets the total intensity decays between events, so the value at the
-last refresh is a valid bound.  The batched Markov engine runs the same
-loop on a block of paths at once, as numpy arrays, for the Monte Carlo
-harness.
+as an independent reference check on it.  The loop evaluates the shot
+noise once per candidate: a rejected candidate's intensities are the
+next bound, and at an accepted event the loop adds the mark's jumps
+(``KernelBank.jumps``) to the shot noise it has just evaluated.  With
+zero offsets the total intensity decays between events, so the value
+after the last event or candidate is a valid bound.  The batched Markov
+engine runs the same loop on a block of paths at once, as numpy arrays,
+for the Monte Carlo harness.
 """
 
 from __future__ import annotations
@@ -103,11 +105,16 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
 
     ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
     earlier than its last event; ``record(mark, t, xi)`` adds an accepted
-    event of mark 1, 2 or 3 to the engine's history, given xi_at(t) from
-    just before it.  The loop keeps the counts and the clock, appends each
-    event to a float64 and an int8 buffer, and builds the log once.
+    event of mark 1, 2 or 3 to the engine's history, given ``xi``, the
+    shot noise just after it.  The loop computes that value itself, as
+    xi_at(t) from just before the event plus the mark's row of
+    ``bank.jumps``, so it evaluates xi_at once per candidate, plus once at
+    the start and once at the end.  The loop keeps the counts and the
+    clock, appends each event to a float64 and an int8 buffer, and builds
+    the log once.
     """
     mu1, mu2, mu3 = bank.base_rates
+    jumps = bank.jumps
     counts = list(state0.counts)
     n = state0.population_size
     exponential, uniform = rng.exponential, rng.random
@@ -165,6 +172,8 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
                 mark = 1 if fresh_start and not times else 2
             else:
                 mark = 3
+            j1, j2, j3 = jumps[mark - 1]
+            xi = (xi[0] + j1, xi[1] + j2, xi[2] + j3)
             record(mark, t, xi)
             counts[mark - 1] += 1
             n += -1 if mark == 3 else 1
@@ -173,7 +182,6 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             if len(times) >= config.max_events:
                 capped = True
                 break
-            xi = xi_at(t)
             l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
     if grid is not None:
         fill(gi, t, n)
@@ -188,18 +196,15 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     """Statistically exact sample via the closed-form Markov state.
 
     The shot noise is three floats and the time of the last event: it
-    decays as exp(-beta (t - t_last)) per component and jumps by the
-    alphas of each event's mark.
+    decays as exp(-beta (t - t_last)) per component, and at each event
+    the loop hands it the value after the mark's jumps.
     """
     require_zero_offsets(bank, "simulate_markov")
     if rng is None:
         rng = rng_for(config.seed, path_index)
     state0 = initial_state if initial_state is not None else IntensityState()
-    (k11, k12), (k21, k22) = bank.birth_kernels
+    k11, k12 = bank.birth_kernels[0]
     b1, b2, b3 = k11.beta, k12.beta, bank.death_kernel.beta
-    # Row m - 1: the jump of each shot noise at an event of mark m.
-    jumps = ((k11.alpha, k12.alpha, 0.0), (k21.alpha, k22.alpha, 0.0),
-             (0.0, 0.0, bank.death_kernel.alpha))
     x1, x2, x3 = state0.xi
     t_last = state0.clock
 
@@ -209,11 +214,7 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
 
     def record(mark: int, t: float, xi: tuple[float, float, float]) -> None:
         nonlocal x1, x2, x3, t_last
-        j1, j2, j3 = jumps[mark - 1]
-        # The clock advances by the elapsed time rather than jumping to
-        # t: the sum can differ from t in the last bit, and the pinned
-        # fixed-seed outputs were produced this way.
-        x1, x2, x3, t_last = xi[0] + j1, xi[1] + j2, xi[2] + j3, t_last + (t - t_last)
+        (x1, x2, x3), t_last = xi, t
 
     return _run(bank, config, xi_at, record, state0, rng)
 
@@ -273,13 +274,12 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         raise ValueError(f"a block holds 1 to {BATCH_BLOCK} paths, got {n_paths}")
     rng = rng_for(config.seed, block, BATCH_STREAM)
     state0 = initial_state if initial_state is not None else IntensityState()
-    (k11, k12), (k21, k22) = bank.birth_kernels
+    k11, k12 = bank.birth_kernels[0]
     mu = np.array(bank.base_rates, dtype=float)
     neg_beta = -np.array([k11.beta, k12.beta, bank.death_kernel.beta])
     # Row m: the jump of each shot noise at an event of mark m + 1, and
     # the population change.
-    jumps = np.array([[k11.alpha, k12.alpha, 0.0], [k21.alpha, k22.alpha, 0.0],
-                      [0.0, 0.0, bank.death_kernel.alpha]])
+    jumps = np.array(bank.jumps)
     n_step = np.array([1, 1, -1])
     t0 = state0.clock
     horizon = t0 + config.horizon
@@ -466,14 +466,9 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
     require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
+    beta = bank.birth_kernels[0][i - 1].beta if i < 3 else bank.death_kernel.beta
     # jump[m - 1] is xi_i's jump at an event of int mark m; 3 is a death.
-    if i < 3:
-        k1, k2 = bank.birth_kernels[0][i - 1], bank.birth_kernels[1][i - 1]
-        beta = k1.beta
-        jump = (k1.alpha, k2.alpha, 0.0)
-    else:
-        beta = bank.death_kernel.beta
-        jump = (0.0, 0.0, bank.death_kernel.alpha)
+    jump = tuple(row[i - 1] for row in bank.jumps)
     n = path.start.population_size
     xi = path.start.xi[i - 1]
     t = path.start.clock

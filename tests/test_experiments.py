@@ -13,8 +13,6 @@ from hawkes_evolve import (
     mc_mean_intensity,
     rho_convergence_check,
     simulate,
-    simulate_markov,
-    zero_occupation_fraction,
 )
 from hawkes_evolve.experiments import _knee_estimate
 from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks, simulate_markov_batch
@@ -71,6 +69,14 @@ class TestMcMeanIntensity:
         # rejected it after every path was simulated.
         with pytest.raises(ValueError, match="record_grid"):
             mc_mean_intensity(HAWKES_BANK, [0.0, 10.0, 5.0], 10**6, seed=1)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [1.0, 2.0]],
+                             ids=["repeated", "late_start"])
+    def test_renewal_grid_rejected_before_any_path(self, grid):
+        # SimConfig accepts these grids; the renewal curve does not, and
+        # 10^6 paths would take minutes before it raised.
+        with pytest.raises(ValueError, match="t_grid must increase from 0"):
+            mc_mean_intensity(HAWKES_BANK, grid, 10**6, seed=1)
 
     def test_standard_error_scaling(self):
         bank = HAWKES_BANK
@@ -220,22 +226,6 @@ class TestGeneratorDrift:
 
 
 class TestSummaries:
-    def test_zero_occupation_quantiles(self):
-        bank = KernelBank.poisson((1.0, 1.0, 3.0))
-        paths = [simulate(bank, SimConfig(horizon=100.0, seed=s)) for s in range(8)]
-        summary = zero_occupation_fraction(paths)
-        assert np.all((summary.fractions >= 0) & (summary.fractions <= 1))
-        assert summary.quantiles[0.5] == summary.median
-
-    def test_zero_occupation_divides_by_elapsed_time(self):
-        start = IntensityState(counts=(1, 0, 1), clock=100.0)
-        paths = [simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=s),
-                                 initial_state=start) for s in range(200)]
-        summary = zero_occupation_fraction(paths)
-        expected = [p.zero_occupation_time / 3.0 for p in paths]
-        assert summary.fractions.tolist() == expected
-        assert summary.median > 0.1
-
     def test_knee_estimator_on_linear_ramp(self):
         f = np.linspace(0, 1, 51)
         cdf = np.maximum(f - 0.5, 0.0) / 0.5

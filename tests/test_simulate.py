@@ -19,7 +19,6 @@ from hawkes_evolve import (
     UnsupportedKernelError,
     expected_intensity_paper,
     rng_for,
-    shot_noise_from_history,
     simulate,
     simulate_markov,
     simulate_markov_batch,
@@ -32,6 +31,26 @@ HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
 CROSS_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
+
+
+def shot_noise_from_history(bank, events, t):
+    """Shot noise at time t by direct summation over the events up to t.
+
+    This is the defining representation, a per-event loop, and the
+    oracle for both engines' shot noise.
+    """
+    xi = [0.0, 0.0, 0.0]
+    for time, mark in zip(events.times.tolist(), events.marks.tolist()):
+        if time > t:
+            break
+        dt = t - time
+        if mark == 3:  # a death
+            xi[2] += bank.death_kernel(dt)
+        else:
+            j = mark - 1
+            xi[0] += bank.birth_kernels[j][0](dt)
+            xi[1] += bank.birth_kernels[j][1](dt)
+    return tuple(xi)
 
 
 class TestSimConfig:
@@ -145,6 +164,12 @@ class TestMarkovEngine:
         assert np.all(np.isfinite(path.intensity_samples[reached]))
         assert np.all(np.isnan(path.intensity_samples[~reached]))
         assert (~reached).sum() == 10
+
+    def test_elapsed_counts_from_the_start_clock(self):
+        start = IntensityState(counts=(1, 0, 1), clock=100.0)
+        path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=1), initial_state=start)
+        assert path.elapsed == 3.0
+        assert 0 < path.zero_occupation_time <= path.elapsed
 
     def test_final_state_matches_history(self):
         config = SimConfig(horizon=40.0, seed=21)
@@ -404,6 +429,36 @@ class TestThinningEngine:
         direct = shot_noise_from_history(bank, events, path.final_state.clock)
         assert path.final_state.xi == pytest.approx(direct, rel=1e-12)
 
+    def test_one_kernel_sum_per_candidate(self, monkeypatch):
+        # The loop sums the history once at the start, once per candidate
+        # and once at the end; an accepted event's jump is added, not summed.
+        sums = []
+        xi_at = _History.xi_at
+
+        def counted(history, t):
+            sums.append(t)
+            return xi_at(history, t)
+
+        monkeypatch.setattr(_History, "xi_at", counted)
+
+        class CountingRng:
+            """The two draws _run makes, with a count of candidates."""
+
+            def __init__(self, rng):
+                self.rng, self.candidates = rng, 0
+
+            def exponential(self, scale):
+                self.candidates += 1
+                return self.rng.exponential(scale)
+
+            def random(self):
+                return self.rng.random()
+
+        rng = CountingRng(rng_for(5, 0))
+        path = simulate_thinning_general(CROSS_BANK, SimConfig(horizon=50.0, seed=5), rng=rng)
+        assert len(path.events) > 300
+        assert len(sums) == rng.candidates + 1, (len(sums), rng.candidates, len(path.events))
+
 
 class TestHistory:
     @pytest.mark.parametrize("n", [7, 8, 129, 8193])
@@ -430,6 +485,28 @@ class TestHistory:
                 z = np.subtract(t, np.array(rows[i]))
                 z *= -beta
                 assert xi[i] == np.add.reduce(np.exp(z)), (i, len(rows[i]))
+
+
+class TestJumpTable:
+    @pytest.mark.parametrize("bank", [
+        KernelBank.poisson((1.0, 0.8, 1.2)),
+        KernelBank.exponential((1.0, 0.8, 1.2), ((0.4, 0.0), (0.25, 0.3)), (1.0, 1.5), 0.0, 1.0),
+        HAWKES_BANK,
+    ], ids=["zero_alphas", "some_zero_alphas", "self_exciting_deaths"])
+    def test_jump_is_the_increment_of_the_full_sum(self, bank):
+        # The alphas are asymmetric (alpha12 != alpha21), so a transposed
+        # table fails here.
+        # Built as simulate_thinning_general builds it.
+        history = _History([list(enumerate(row)) for row in bank.birth_kernels]
+                           + [[(2, bank.death_kernel)]])
+        marks = [1, 1, 2, 3, 1, 2, 2, 2, 3, 1, 3, 3, 2, 1, 1, 2, 3, 1]
+        t = 0.0
+        for k, mark in enumerate(marks):
+            t += 0.1 + 0.37 * (k % 4)
+            before = history.xi_at(t)
+            history.record(mark, t)
+            expected = np.add(before, bank.jumps[mark - 1])
+            assert history.xi_at(t) == pytest.approx(expected, rel=1e-12, abs=0), (k, mark)
 
 
 class TestTimeRescaling:
