@@ -167,7 +167,7 @@ def _renewal_moments(bank: KernelBank, i: int, t) -> tuple[np.ndarray, np.ndarra
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
     """Exact first-moment intensity of process i on t_grid."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
+    if t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
     return _renewal_moments(bank, i, t_grid)[0]
 

@@ -126,6 +126,8 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t_grid must not be empty")
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed,
                        engine=engine, record_grid=tuple(t_grid))
     # The renewal curve rejects such a grid too, but only after every path has run.

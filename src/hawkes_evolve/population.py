@@ -3,15 +3,18 @@
 Individuals carry a fitness in [0, 1]; identical values form one site.
 Mutant births open a fresh uniform site, clone births reinforce an
 existing site proportionally to its occupancy, and deaths remove one
-individual from the lowest occupied site.  A Fenwick tree over site
-occupancies gives O(log l) weighted sampling; a lazy min-heap gives the
-lowest site.
+individual from the lowest occupied site.  Sites hold slots in creation
+order, with one count per slot and one per block of ``_BLOCK`` slots,
+so a birth or death updates two counts and a weighted pick bisects the
+block totals and then one block; a lazy min-heap gives the lowest site.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -20,122 +23,86 @@ from .core import KernelBank
 from .expectations import asymptotic_rates
 from .simulate import SimConfig, SimPath, rng_for, simulate
 
-
-class _Fenwick:
-    """Prefix-sum tree over append-only slots with integer weights."""
-
-    def __init__(self, capacity: int = 8):
-        self._cap = capacity
-        self._tree = [0] * (capacity + 1)
-        self.weights: list[int] = []
-        self.total = 0
-
-    def append(self, w: int) -> int:
-        if len(self.weights) == self._cap:
-            self._grow()
-        self.weights.append(0)
-        i = len(self.weights) - 1
-        self.add(i, w)
-        return i
-
-    def _grow(self):
-        """Double the capacity and rebuild the tree in one linear pass."""
-        self._cap *= 2
-        tree = [0] * (self._cap + 1)
-        tree[1:len(self.weights) + 1] = self.weights
-        for i in range(1, self._cap + 1):
-            parent = i + (i & -i)
-            if parent <= self._cap:
-                tree[parent] += tree[i]
-        self._tree = tree
-
-    def add(self, i: int, dw: int):
-        self.weights[i] += dw
-        self.total += dw
-        tree, cap = self._tree, self._cap
-        i += 1
-        while i <= cap:
-            tree[i] += dw
-            i += i & (-i)
-
-    def find(self, target: float) -> int:
-        """Smallest slot index whose inclusive prefix sum exceeds target.
-
-        Zero-weight slots are never returned for target in [0, total).
-        """
-        tree, cap = self._tree, self._cap
-        idx = 0
-        bit = 1 << cap.bit_length()
-        while bit:
-            nxt = idx + bit
-            if nxt <= cap and tree[nxt] <= target:
-                idx = nxt
-                target -= tree[nxt]
-            bit >>= 1
-        return idx
+_BLOCK = 64  # slots per block count
 
 
 class FitnessPartition:
-    """Occupied fitness sites with their occupation counts."""
+    """Occupied fitness sites with their occupation counts.
+
+    Slots are never reused: an emptied site keeps its slot at count 0,
+    and a fitness that returns opens a new one.  ``total`` is the number
+    of individuals.
+    """
 
     def __init__(self):
-        self._counts: dict[float, int] = {}
-        self._slots: dict[float, int] = {}
-        self._tree = _Fenwick()
-        self._slot_fitness: list[float] = []
+        self._slot: dict[float, int] = {}  # live fitness -> slot
+        self._fitness: list[float] = []
+        self._count: list[int] = []
+        self._block: list[int] = []
         self._heap: list[float] = []
-
-    @property
-    def total(self) -> int:
-        """Number of individuals."""
-        return self._tree.total
+        self.total = 0
 
     @property
     def site_count(self) -> int:
-        return len(self._counts)
+        return len(self._slot)
 
     def count_at(self, x: float) -> int:
-        return self._counts.get(x, 0)
+        slot = self._slot.get(x)
+        return 0 if slot is None else self._count[slot]
 
     def sites(self) -> list[tuple[float, int]]:
         """(fitness, count) pairs sorted by fitness."""
-        return sorted(self._counts.items())
+        count = self._count
+        return sorted((x, count[slot]) for x, slot in self._slot.items())
 
     def insert(self, x: float):
         """Add one individual at fitness x, creating the site if needed."""
         if not 0 <= x <= 1:
             raise ValueError(f"fitness must be in [0, 1], got {x}")
-        if x in self._counts:
-            self._counts[x] += 1
-            self._tree.add(self._slots[x], 1)
-        else:
-            self._counts[x] = 1
-            self._slots[x] = self._tree.append(1)
-            self._slot_fitness.append(x)
+        slot = self._slot.get(x)
+        if slot is None:
+            slot = self._slot[x] = len(self._count)
+            self._fitness.append(x)
+            self._count.append(0)
+            if slot % _BLOCK == 0:
+                self._block.append(0)
             heapq.heappush(self._heap, x)
+        self._count[slot] += 1
+        self._block[slot // _BLOCK] += 1
+        self.total += 1
 
     def sample_site(self, u: float) -> float:
-        """Fitness of a site drawn with probability count / total."""
+        """Fitness of a site drawn with probability count / total.
+
+        Individual ``int(u * total)``, counted in slot order, is picked:
+        the first slot whose inclusive running count exceeds it.
+        """
         if self.total == 0:
             raise ValueError("cannot sample from an empty partition")
-        slot = self._tree.find(u * self.total)
-        return self._slot_fitness[slot]
+        k = int(u * self.total)
+        ends = list(accumulate(self._block))
+        b = bisect_right(ends, k)
+        start = b * _BLOCK
+        k -= ends[b - 1] if b else 0
+        slot = start + bisect_right(list(accumulate(self._count[start:start + _BLOCK])), k)
+        return self._fitness[slot]
 
     def min_fitness(self) -> float:
-        if not self._counts:
+        if not self._slot:
             raise ValueError("empty partition has no minimum site")
-        while self._heap[0] not in self._counts:
+        while self._heap[0] not in self._slot:
             heapq.heappop(self._heap)
         return self._heap[0]
 
     def remove_min(self) -> tuple[float, bool]:
         """Remove one individual from the lowest site; True if the site emptied."""
         x = self.min_fitness()
-        self._counts[x] -= 1
-        self._tree.add(self._slots[x], -1)
-        if self._counts[x] == 0:
-            del self._counts[x]
-            del self._slots[x]
+        slot = self._slot[x]
+        self._count[slot] -= 1
+        self._block[slot // _BLOCK] -= 1
+        self.total -= 1
+        if self._count[slot] == 0:
+            del self._slot[x]
             heapq.heappop(self._heap)
             return x, True
         return x, False
@@ -169,8 +136,12 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     so the same event path can be re-partitioned reproducibly.
     """
     path = simulate(bank, config, path_index)
-    rng = rng_for(config.seed, path_index, 1)
+    marks = path.events.marks
+    # One uniform per birth in event order, the values scalar draws would give.
+    births = rng_for(config.seed, path_index, 1).random(int(np.count_nonzero(marks != 3)))
+    births = iter(births.tolist())
     partition = FitnessPartition()
+    insert, sample_site, remove_min = partition.insert, partition.sample_site, partition.remove_min
     grid = None if snapshot_grid is None else np.asarray(snapshot_grid, dtype=float)
     snapshots = []
     gi = 0
@@ -178,20 +149,20 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     left = 0
     if f is not None:
         lr_rows.append((0.0, 0, 0, 0))
-    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
+    for t, mark in zip(path.events.times.tolist(), marks.tolist()):
         if grid is not None:
             while gi < grid.size and grid[gi] < t:
                 snapshots.append((float(grid[gi]), partition.sites()))
                 gi += 1
         if mark == 3:  # a death
-            x, _ = partition.remove_min()
+            x, _ = remove_min()
             step = -1
         else:
             # The uniform is the fitness of a mutant, and of a clone born
             # into an empty population; otherwise it picks the site cloned.
-            u = rng.random()
-            x = partition.sample_site(u) if mark == 2 and partition.total else u
-            partition.insert(x)
+            u = next(births)
+            x = sample_site(u) if mark == 2 and partition.total else u
+            insert(x)
             step = 1
         if f is not None:
             if x <= f:
@@ -219,11 +190,11 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     path = simulate(bank, config, path_index)
-    rng = rng_for(config.seed, path_index, 2)
+    # One draw per event keeps coupling across epsilon.
+    uniforms = rng_for(config.seed, path_index, 2).random(len(path.events)).tolist()
     rows = [(0.0, 0, 0)]
     left = right = 0
-    for t, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):
-        u = rng.random()  # one draw per event keeps coupling across epsilon
+    for t, mark, u in zip(path.events.times.tolist(), path.events.marks.tolist(), uniforms):
         if mark == 3:  # a death
             if left >= 1:
                 left -= 1

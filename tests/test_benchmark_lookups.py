@@ -6,24 +6,32 @@ loaded by path and only read: no bytecode is cached next to it.  A
 wrapped name must also stay on the call path: a caller that bypasses it
 leaves the span's metrics at zero.  The workloads' own calls must also
 meet the package's contracts, such as what a drift test function may be.
+A traced run's counters read the package's results, and must agree with
+the package's own account of them.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-from hawkes_evolve import KernelBank, SimConfig, generator_drift_check
+from hawkes_evolve import KernelBank, SimConfig, generator_drift_check, simulate_population
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def test_every_boundary_resolves_to_a_callable(monkeypatch):
+def load_spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_boundary_resolves_to_a_callable(monkeypatch):
+    spans = load_spans(monkeypatch)
     assert spans.BOUNDARIES
     missing = [
         (module_name, attr) for module_name, attr, _, _ in spans.BOUNDARIES
@@ -66,3 +74,16 @@ def test_drift_workload_functions_meet_the_block_contract(monkeypatch):
         checks = generator_drift_check(workloads.cross_bank(), state, drift.functions,
                                        h=drift.h, n_reps=64, seed=seed)
         assert len(checks) == len(drift.functions)
+
+
+def test_population_counters_read_the_partition(monkeypatch):
+    spans = load_spans(monkeypatch)
+    pop = simulate_population(KernelBank.poisson((2.0, 1.0, 1.0)),
+                              SimConfig(horizon=200.0, seed=3))
+    counts = defaultdict(float)
+    spans._count_population(counts, "population.simulate_population", pop)
+    sites = pop.partition.sites()
+    assert counts["population.events_applied"] == len(pop.path.events) > 0
+    assert counts["population.final_sites"] == len(sites) > 0
+    assert (counts["population.final_individuals"] == sum(k for _, k in sites)
+            == pop.path.events.population_size())

@@ -184,6 +184,10 @@ class TestRenewal:
         with pytest.raises(ValueError):
             expected_intensity_renewal(univariate_bank(), 1, np.array([1.0, 2.0]))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="t_grid"):
+            expected_intensity_renewal(univariate_bank(), 1, [])
+
 
 class TestExpectedCount:
     def test_zero_horizon(self):

@@ -78,6 +78,10 @@ class TestMcMeanIntensity:
         with pytest.raises(ValueError, match="t_grid must increase from 0"):
             mc_mean_intensity(HAWKES_BANK, grid, 10**6, seed=1)
 
+    def test_empty_grid_rejected_before_any_path(self):
+        with pytest.raises(ValueError, match="t_grid"):
+            mc_mean_intensity(HAWKES_BANK, [], 10**6, seed=1)
+
     def test_standard_error_scaling(self):
         bank = HAWKES_BANK
         grid = np.linspace(0, 3, 4)

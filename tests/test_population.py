@@ -107,11 +107,13 @@ class TestPartition:
         st.just("death"),
     ), max_size=200))
     @example([i / 100 for i in range(100)] + ["death"] * 30 + [0.5, 0.25, 0.995])
+    @example([i / 200 for i in range(200)] + ["death"] * 70 + [0.5, 0.25, 0.995])
     @settings(max_examples=100, deadline=None)
     def test_counts_stay_consistent(self, ops):
-        # Slots in creation order as [fitness, count]; the tree's pick must
-        # be the cumulative pick over them.  More than 32 sites make the
-        # initial capacity of 8 double three times.
+        # Slots in creation order as [fitness, count]; the partition's pick
+        # must be the cumulative pick over them.  200 sites fill three
+        # blocks of 64 slots and part of a fourth, and 70 deaths empty the
+        # first block and the start of the second.
         p = FitnessPartition()
         slots, live = [], {}
         expected = 0
@@ -138,6 +140,59 @@ class TestPartition:
             if expected:
                 for u in (0.0, 0.3, 0.5, 0.7, 0.999999):
                     assert p.sample_site(u) == cumulative_pick(slots, u * expected)
+
+
+def assert_picks(p, slots):
+    """sample_site agrees with the cumulative pick at every individual's rank."""
+    total = sum(k for _, k in slots)
+    assert p.total == total
+    us = [0.0, 1 - 2**-53] + [j / total for j in range(total)] + [(j + 0.5) / total
+                                                                 for j in range(total)]
+    for u in us:
+        assert p.sample_site(u) == cumulative_pick(slots, u * total)
+
+
+class TestPartitionBlocks:
+    """Weighted picks across the partition's blocks of 64 slots."""
+
+    def test_more_than_two_blocks(self):
+        slots = [[(i + 1) / 400, 1 + i % 5] for i in range(300)]
+        assert_picks(build(slots), slots)
+
+    def test_emptied_slots_at_block_edges(self):
+        # Low fitness marks the slots the deaths empty: both sides of the
+        # edges at 64 and 128, and the last slot of the fourth block.
+        emptied = {0, 63, 64, 127, 128, 255}
+        slots = [[(i + 1) / 1000 if i in emptied else 0.5 + i / 1000, 2] for i in range(260)]
+        p = build(slots)
+        for _ in range(2 * len(emptied)):
+            x, _ = p.remove_min()
+            next(s for s in slots if s[0] == x)[1] -= 1
+        assert p.site_count == 260 - len(emptied)
+        assert_picks(p, slots)
+
+    def test_fully_emptied_block(self):
+        slots = [[(i + 1) / 1000 if 64 <= i < 128 else 0.5 + i / 1000, 1] for i in range(200)]
+        p = build(slots)
+        for _ in range(64):
+            x, emptied = p.remove_min()
+            assert emptied
+            next(s for s in slots if s[0] == x)[1] = 0
+        assert [k for _, k in slots[64:128]] == [0] * 64
+        assert_picks(p, slots)
+
+    @pytest.mark.parametrize("total", [63, 64, 65, 127, 128, 129, 191, 192, 193])
+    def test_totals_around_block_multiples(self, total):
+        # One individual per site puts each block's count at 64 exactly.
+        slots = [[(i + 1) / 256, 1] for i in range(total)]
+        p = build(slots)
+        assert p.sample_site(0.0) == slots[0][0]
+        assert p.sample_site(1 - 2**-53) == slots[-1][0]
+        assert_picks(p, slots)
+        # A second individual on the last site moves the total past it.
+        p.insert(slots[-1][0])
+        slots[-1][1] += 1
+        assert_picks(p, slots)
 
 
 class TestPopulationEvents:
