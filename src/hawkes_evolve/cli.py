@@ -98,8 +98,7 @@ def _cmd_expect(args) -> int:
     for i in (1, 2, 3):
         for method in methods:
             if method == "paper":
-                vals = np.broadcast_to(
-                    np.asarray(expected_intensity_paper(bank, i, grid)), grid.shape)
+                vals = expected_intensity_paper(bank, i, grid)
             else:
                 vals = expected_intensity_renewal(bank, i, grid)
             rows.extend((f"{t:.10g}", f"{v:.10g}", method, i) for t, v in zip(grid, vals))

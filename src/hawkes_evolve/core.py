@@ -46,12 +46,12 @@ class ExpKernel:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -81,8 +81,8 @@ class KernelBank:
     death_kernel: ExpKernel
 
     def __post_init__(self):
-        if len(self.base_rates) != 3 or any(r <= 0 for r in self.base_rates):
-            raise ValueError(f"base rates must be three positive numbers, got {self.base_rates}")
+        if len(self.base_rates) != 3 or not all(0 < r < math.inf for r in self.base_rates):
+            raise ValueError(f"base_rates must be three finite numbers > 0, got {self.base_rates}")
         kernels = [k for row in self.birth_kernels for k in row] + [self.death_kernel]
         if not all(isinstance(k, ExpKernel) for k in kernels):
             raise ValueError("every kernel of a bank must be an ExpKernel")
@@ -109,6 +109,12 @@ class KernelBank:
             for j in range(2)
         )
         return cls(tuple(base_rates), bk, ExpKernel(death_alpha, death_beta, death_delta))
+
+    @property
+    def betas(self) -> tuple[float, float, float]:
+        """The decay rates of (xi1, xi2, xi3)."""
+        (k11, k12), _ = self.birth_kernels
+        return (k11.beta, k12.beta, self.death_kernel.beta)
 
     @property
     def jumps(self) -> tuple[tuple[float, float, float], ...]:

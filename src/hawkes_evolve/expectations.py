@@ -34,8 +34,8 @@ def _exp_params(bank: KernelBank):
     """(alpha[j][i], beta[i], alpha3, beta3) of a zero-offset bank."""
     require_zero_offsets(bank, "the closed forms")
     alphas = tuple(tuple(bank.birth_kernels[j][i].alpha for i in range(2)) for j in range(2))
-    betas = (bank.birth_kernels[0][0].beta, bank.birth_kernels[0][1].beta)
-    return alphas, betas, bank.death_kernel.alpha, bank.death_kernel.beta
+    b1, b2, b3 = bank.betas
+    return alphas, (b1, b2), bank.death_kernel.alpha, b3
 
 
 def _paper_limit(bank: KernelBank, i: int) -> float:

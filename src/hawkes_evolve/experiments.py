@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,21 +34,16 @@ from .population import (
 # Nothing here calls simulate_markov; the name stays importable from this
 # module because the benchmark's tracer (perfbench/spans.py) looks it up
 # here with no default.
-from .simulate import (SimConfig, SimPath, batch_blocks, simulate, simulate_markov,
+from .simulate import (SimConfig, SimPath, batch_blocks, simulate_markov,
                        simulate_markov_batch, time_rescale_residuals)
 
 
-def _pmap(fn: Callable, n: int, threads: int) -> Iterator:
-    """Map fn over range(n), optionally in a process pool, order preserved.
-
-    Results are yielded as they arrive, so a caller can store each one
-    and drop it before the next.
-    """
+def _pmap(fn: Callable, n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n - 1)], in a process pool when threads > 1."""
     if threads <= 1:
-        yield from map(fn, range(n))
-        return
+        return list(map(fn, range(n)))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, range(n), chunksize=max(1, n // (4 * threads)))
+        return list(pool.map(fn, range(n), chunksize=max(1, n // (4 * threads))))
 
 
 @dataclass(frozen=True)
@@ -99,29 +94,28 @@ class MCReport:
 _ROUNDING = 1e-12
 
 
-def _intensity_worker(bank, config, i):
-    return simulate(bank, config, path_index=i).intensity_samples
+def _z(mean, stderr, target):
+    """(mean - target) / stderr, elementwise, with zero spread scored exactly.
+
+    A standard error at rounding level (relative to the mean) is zero
+    spread: z is 0 when the mean equals the target to the same relative
+    tolerance, and infinite with the sign of the difference otherwise.
+    """
+    diff = mean - target
+    tol = _ROUNDING * np.abs(mean)
+    flat = stderr <= tol
+    exact = np.where(np.abs(diff) <= tol, 0.0, np.copysign(np.inf, diff))
+    return np.where(flat, exact, diff / np.where(flat, 1.0, stderr))
 
 
-def _intensity_block_worker(bank, config, blocks, b):
-    block, start, stop = blocks[b]
-    return simulate_markov_batch(bank, config, stop - start, block=block).intensity_samples
-
-
-def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
-                      engine: str = "markov", threads: int = 1) -> MCReport:
+def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCReport:
     """Unbiased grid means of lambda^i(t) over n_paths replications.
 
-    The Markov engine runs the paths in lockstep blocks
-    (``simulate_markov_batch``), one stream per block; the thinning
-    engine runs them one by one on the per-path streams, as the
-    reference.  Blocks or paths map over ``threads`` workers, and the
-    result does not depend on their number.  The death intensity is
-    recorded without its gate; see ``MCReport`` for why its comparisons
-    still differ when deaths self-excite.  A grid point whose standard
-    error is at rounding level has zero spread and scores z = 0 when the
-    mean equals the target to the same relative tolerance, and infinite
-    z otherwise.
+    The paths run in lockstep blocks of the batched Markov engine
+    (``simulate_markov_batch``), one stream per block.  The death
+    intensity is recorded without its gate; see ``MCReport`` for why its
+    comparisons still differ when deaths self-excite.  Each grid point
+    is scored against both curves by ``_z``.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
@@ -129,37 +123,23 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int,
     if t_grid.size == 0:
         raise ValueError("t_grid must not be empty")
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed,
-                       engine=engine, record_grid=tuple(t_grid))
+                       record_grid=tuple(t_grid))
     # The renewal curve rejects such a grid too, but only after every path has run.
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
     cube = np.empty((n_paths, t_grid.size, 4))
-    if engine == "markov":
-        blocks = batch_blocks(n_paths)
-        samples = _pmap(partial(_intensity_block_worker, bank, config, blocks), len(blocks),
-                        threads)
-        for (_, start, stop), block in zip(blocks, samples):
-            cube[start:stop] = block
-    else:
-        for r, row in enumerate(_pmap(partial(_intensity_worker, bank, config), n_paths,
-                                      threads)):
-            cube[r] = row
+    for block, start, stop in batch_blocks(n_paths):
+        batch = simulate_markov_batch(bank, config, stop - start, block=block)
+        cube[start:stop] = batch.intensity_samples
     lam = cube[:, :, [0, 1, 3]]
     mean = lam.mean(axis=0)
     stderr = lam.std(axis=0, ddof=1) / math.sqrt(n_paths)
     comparisons = {}
     for i in (1, 2, 3):
-        paper = np.asarray(expected_intensity_paper(bank, i, t_grid), dtype=float)
-        paper = np.broadcast_to(paper, t_grid.shape).copy()
-        renewal = expected_intensity_renewal(bank, i, t_grid)
-        tol = _ROUNDING * np.abs(mean[:, i - 1])
-        flat = stderr[:, i - 1] <= tol
-        se = np.where(flat, 1.0, stderr[:, i - 1])
-        for method, target in (("paper", paper), ("renewal", renewal)):
-            diff = mean[:, i - 1] - target
-            exact = np.where(np.abs(diff) <= tol, 0.0, np.copysign(np.inf, diff))
-            z = np.where(flat, exact, diff / se)
-            comparisons[(i, method)] = CurveComparison(method, target, z)
+        m, se = mean[:, i - 1], stderr[:, i - 1]
+        for method, target in (("paper", expected_intensity_paper(bank, i, t_grid)),
+                               ("renewal", expected_intensity_renewal(bank, i, t_grid))):
+            comparisons[(i, method)] = CurveComparison(method, target, _z(m, se, target))
     return MCReport(t_grid, n_paths, mean, stderr, comparisons,
                     bank.death_kernel.alpha > 0)
 
@@ -184,8 +164,7 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     path with a mutant.
     """
     zeta = _zeta(bank, state)
-    betas = (bank.birth_kernels[0][0].beta, bank.birth_kernels[0][1].beta,
-             bank.death_kernel.beta)
+    betas = bank.betas
     deltas = [[bank.birth_kernels[j][i].delta for i in range(2)] for j in range(2)]
     jump = [[bank.birth_kernels[j][i](0.0) for i in range(2)] for j in range(2)]
     out = 0.0
@@ -222,7 +201,7 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
 class DriftCheck:
     """MC drift estimate against the analytic generator for one function.
 
-    A rounding-level stderr is zero spread, scored as in ``mc_mean_intensity``.
+    ``z`` scores a rounding-level stderr as zero spread (``_z``).
     """
 
     analytic: float
@@ -231,11 +210,7 @@ class DriftCheck:
 
     @property
     def z(self) -> float:
-        diff = self.mc_mean - self.analytic
-        tol = _ROUNDING * abs(self.mc_mean)
-        if self.mc_stderr <= tol:
-            return 0.0 if abs(diff) <= tol else math.copysign(math.inf, diff)
-        return diff / self.mc_stderr
+        return float(_z(self.mc_mean, self.mc_stderr, self.analytic))
 
 
 def _block_values(f: Callable, k: int, zetas: np.ndarray, check: bool) -> np.ndarray:
@@ -371,6 +346,8 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
                            seed: int, f_reference: Optional[float] = None,
                            threads: int = 1) -> SweepResult:
     """Averaged terminal site distribution and its distance to the limits."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     f_grid = np.asarray(f_grid, dtype=float)
     fc_paper = critical_fitness(bank, "paper")
     try:
@@ -381,8 +358,7 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
         candidates = [fc for fc in (fc_renewal, fc_paper) if fc is not None and fc < 1]
         f_reference = candidates[0] if candidates else None
     config = SimConfig(horizon=horizon, seed=seed)
-    results = list(_pmap(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs,
-                         threads))
+    results = _pmap(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs, threads)
     cdfs = np.stack([r[0] for r in results])
     gaps = np.stack([r[1] for r in results])
     r_refs = np.array([r[2] for r in results])
@@ -428,8 +404,10 @@ class RhoReport:
 def rho_convergence_check(bank: KernelBank, f: float, epsilon: float, horizon: float,
                           n_runs: int, seed: int, threads: int = 1) -> RhoReport:
     """Terminal L/N of the modified chain over runs, plus zero-return counts."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     config = SimConfig(horizon=horizon, seed=seed)
-    results = list(_pmap(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads))
+    results = _pmap(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads)
     rhos = np.array([r[0] for r in results])
     returns = np.array([r[1] for r in results])
     limits = {}
@@ -451,17 +429,22 @@ class GofEntry:
     insufficient: bool
 
 
-def gof_report(path: SimPath, bank: KernelBank, min_events: int = 100) -> dict[int, GofEntry]:
+_GOF_MIN_EVENTS = 100
+
+
+def gof_report(path: SimPath, bank: KernelBank) -> dict[int, GofEntry]:
     """Goodness of fit per process via the compensator residuals.
 
-    ``scipy.stats`` is imported here, on the first call, so that importing
-    the package and every command but ``gof`` load numpy alone.
+    A process with fewer than ``_GOF_MIN_EVENTS`` residuals is marked
+    insufficient instead of tested.  ``scipy.stats`` is imported here,
+    on the first call, so that importing the package and every command
+    but ``gof`` load numpy alone.
     """
     from scipy import stats  # deferred: 0.9 s and 70 MiB at import
     report = {}
     for i in (1, 2, 3):
         res = time_rescale_residuals(path, bank, i)
-        if res.size < min_events:
+        if res.size < _GOF_MIN_EVENTS:
             report[i] = GofEntry(res.size, None, None, True)
             continue
         stat, p = stats.kstest(res, "expon")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import KernelBank
 from .expectations import asymptotic_rates
-from .simulate import SimConfig, SimPath, rng_for, simulate
+from .simulate import SimConfig, SimPath, check_grid, rng_for, simulate
 
 _BLOCK = 64  # slots per block count
 
@@ -134,7 +134,10 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
 
     Fitness draws come from a stream independent of the event engine's,
     so the same event path can be re-partitioned reproducibly.
+    ``snapshot_grid`` must be finite and non-decreasing, as a recording
+    grid must (``check_grid``).
     """
+    grid = None if snapshot_grid is None else check_grid(snapshot_grid, "snapshot_grid")
     path = simulate(bank, config, path_index)
     marks = path.events.marks
     # One uniform per birth in event order, the values scalar draws would give.
@@ -142,7 +145,6 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     births = iter(births.tolist())
     partition = FitnessPartition()
     insert, sample_site, remove_min = partition.insert, partition.sample_site, partition.remove_min
-    grid = None if snapshot_grid is None else np.asarray(snapshot_grid, dtype=float)
     snapshots = []
     gi = 0
     lr_rows = [] if f is not None else None

@@ -39,9 +39,10 @@ class SimConfig:
     """Run parameters shared by both engines.
 
     ``record_grid`` holds the times at which the intensities are sampled.
-    Its points must be finite and non-decreasing: the engines sample the
-    grid in one forward pass.  Repeated points and points before the start
-    clock are allowed; the latter read the start state.
+    Its points must be finite and non-decreasing (``check_grid``): the
+    engines sample the grid in one forward pass.  Repeated points and
+    points before the start clock are allowed; the latter read the start
+    state.  ``horizon`` must be finite and positive.
     """
 
     horizon: float
@@ -51,16 +52,22 @@ class SimConfig:
     record_grid: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.max_events <= 0:
             raise ValueError(f"max_events must be > 0, got {self.max_events}")
         if self.engine not in ("markov", "thinning"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.record_grid is not None:
-            grid = np.asarray(self.record_grid, dtype=float)
-            if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
-                raise ValueError("record_grid must hold finite, non-decreasing times")
+            check_grid(self.record_grid, "record_grid")
+
+
+def check_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as a float array; ValueError, naming it, unless finite and non-decreasing."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        raise ValueError(f"{name} must hold finite, non-decreasing times")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -191,20 +198,17 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
-                    initial_state: Optional[IntensityState] = None,
-                    rng: Optional[Generator] = None) -> SimPath:
+                    initial_state: Optional[IntensityState] = None) -> SimPath:
     """Statistically exact sample via the closed-form Markov state.
 
+    The path draws from the stream ``rng_for(config.seed, path_index)``.
     The shot noise is three floats and the time of the last event: it
     decays as exp(-beta (t - t_last)) per component, and at each event
     the loop hands it the value after the mark's jumps.
     """
     require_zero_offsets(bank, "simulate_markov")
-    if rng is None:
-        rng = rng_for(config.seed, path_index)
     state0 = initial_state if initial_state is not None else IntensityState()
-    k11, k12 = bank.birth_kernels[0]
-    b1, b2, b3 = k11.beta, k12.beta, bank.death_kernel.beta
+    b1, b2, b3 = bank.betas
     x1, x2, x3 = state0.xi
     t_last = state0.clock
 
@@ -216,7 +220,7 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
         nonlocal x1, x2, x3, t_last
         (x1, x2, x3), t_last = xi, t
 
-    return _run(bank, config, xi_at, record, state0, rng)
+    return _run(bank, config, xi_at, record, state0, rng_for(config.seed, path_index))
 
 
 # Paths per lockstep block.  Block b of a run draws from the stream
@@ -274,9 +278,8 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         raise ValueError(f"a block holds 1 to {BATCH_BLOCK} paths, got {n_paths}")
     rng = rng_for(config.seed, block, BATCH_STREAM)
     state0 = initial_state if initial_state is not None else IntensityState()
-    k11, k12 = bank.birth_kernels[0]
     mu = np.array(bank.base_rates, dtype=float)
-    neg_beta = -np.array([k11.beta, k12.beta, bank.death_kernel.beta])
+    neg_beta = -np.array(bank.betas)
     # Row m: the jump of each shot noise at an event of mark m + 1, and
     # the population change.
     jumps = np.array(bank.jumps)
@@ -430,20 +433,19 @@ class _History:
         return tuple(xi)
 
 
-def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0,
-                              rng: Optional[Generator] = None) -> SimPath:
+def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
     """Full-history thinning, the reference check on the Markov engine.
 
-    Each intensity evaluation sums the kernels over the entire history,
-    O(n) per evaluation: one exp and one masked row-wise sum cover every
+    The path draws from the same stream as ``simulate_markov``'s.  Each
+    intensity evaluation sums the kernels over the entire history, O(n)
+    per evaluation: one exp and one masked row-wise sum cover every
     kernel.
     """
     require_zero_offsets(bank, "simulate_thinning_general")
-    if rng is None:
-        rng = rng_for(config.seed, path_index)
     history = _History([list(enumerate(row)) for row in bank.birth_kernels]
                        + [[(2, bank.death_kernel)]])
-    return _run(bank, config, history.xi_at, history.record, IntensityState(), rng)
+    return _run(bank, config, history.xi_at, history.record, IntensityState(),
+                rng_for(config.seed, path_index))
 
 
 def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
@@ -466,7 +468,7 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
     require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
-    beta = bank.birth_kernels[0][i - 1].beta if i < 3 else bank.death_kernel.beta
+    beta = bank.betas[i - 1]
     # jump[m - 1] is xi_i's jump at an event of int mark m; 3 is a death.
     jump = tuple(row[i - 1] for row in bank.jumps)
     n = path.start.population_size

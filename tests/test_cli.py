@@ -65,6 +65,24 @@ class TestExitCodes:
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "generator_check.json").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "rho"])
+    def test_zero_runs_rejected(self, command, bank_file, tmp_path, capsys):
+        extra = (["--f-grid", "0:1:0.5"] if command == "sweep"
+                 else ["--f", "0.75", "--epsilon", "0"])
+        assert run([command, "--bank", bank_file, "--horizon", "10", "--runs", "0",
+                    "--threads", "1", "--out", str(tmp_path)] + extra) == 2
+        assert "n_runs" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
+    def test_non_finite_base_rate_rejected(self, tmp_path):
+        # Such a bank once made simulate loop until it was killed.
+        bad = tmp_path / "nan.json"
+        bad.write_text(bank_to_json(KernelBank.poisson((2.0, 1.0, 1.0)))
+                       .replace("2.0", "NaN", 1))
+        assert run(["simulate", "--bank", str(bad), "--horizon", "1",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "events.csv").exists()
+
     def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
         assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
 

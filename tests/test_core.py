@@ -46,6 +46,13 @@ class TestKernels:
         with pytest.raises(ValueError):
             ExpKernel(1.0, 2.0, -0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "delta"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = {"alpha": 1.0, "beta": 2.0, "delta": 0.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            ExpKernel(**params)
+
     def test_l1_exponential(self):
         assert l1_norm(ExpKernel(1.0, 2.0)) == 0.5
 
@@ -77,6 +84,15 @@ class TestKernelBank:
         with pytest.raises(ValueError):
             KernelBank.poisson((1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_base_rates_rejected(self, rate):
+        with pytest.raises(ValueError, match="base_rates"):
+            KernelBank.poisson((1.0, rate, 1.0))
+
+    def test_betas_are_the_decay_rates_of_xi(self):
+        bank = exp_bank(betas=(2.0, 3.0), b3=1.5)
+        assert bank.betas == (2.0, 3.0, 1.5)
+
     def test_poisson_constructor(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
         assert all(
@@ -98,6 +114,23 @@ class TestKernelBank:
         doc = json.loads(bank_to_json(exp_bank()))
         doc["death_kernel"]["gamma"] = 1
         with pytest.raises(ValueError):
+            bank_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, field", [
+        (("base_rates", 1), "base_rates"),
+        (("birth_kernels", 0, 1, "alpha"), "alpha"),
+        (("death_kernel", "beta"), "beta"),
+    ], ids=["base_rate", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_json_non_finite_values_rejected(self, where, field, value):
+        # json.loads reads NaN and Infinity.  A NaN base rate once made the
+        # engine reject every candidate, so a path never ended.
+        doc = json.loads(bank_to_json(exp_bank()))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ValueError, match=field):
             bank_from_json(json.dumps(doc))
 
     def test_json_default_delta(self):

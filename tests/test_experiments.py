@@ -51,14 +51,6 @@ class TestMcMeanIntensity:
                                     np.linspace(0, 5, 6), 200, seed=1)
         assert poisson.matched_method(3) == "both"
 
-    def test_blocks_do_not_depend_on_threads(self):
-        grid = np.linspace(0.0, 2.0, 5)
-        n = BATCH_BLOCK + 52
-        one = mc_mean_intensity(HAWKES_BANK, grid, n, seed=9, threads=1)
-        two = mc_mean_intensity(HAWKES_BANK, grid, n, seed=9, threads=2)
-        assert np.array_equal(one.mean, two.mean)
-        assert np.array_equal(one.stderr, two.stderr)
-
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
             mc_mean_intensity(KernelBank.poisson((1.0, 1.0, 1.0)),
@@ -249,6 +241,12 @@ class TestRhoCheck:
         assert report.limit_paper == pytest.approx(0.25)
         assert report.limit_renewal == pytest.approx(0.25)
         assert 0.0 <= report.mean_rho <= 1.0
+
+    def test_needs_one_run(self):
+        # Zero runs once reported a NaN mean_rho as a result.
+        with pytest.raises(ValueError, match="n_runs"):
+            rho_convergence_check(KernelBank.poisson((2.0, 1.0, 1.0)), f=0.75,
+                                  epsilon=0.0, horizon=10.0, n_runs=0, seed=3)
 
 
 class TestGof:

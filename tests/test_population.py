@@ -255,6 +255,10 @@ class TestObservables:
               .partition.sites()]
         assert sweep.avg_cdf.tolist() == [sum(x <= f for x in xs) / len(xs) for f in f_grid]
 
+    def test_sweep_needs_one_run(self):
+        with pytest.raises(ValueError, match="n_runs"):
+            phase_transition_sweep(GROWING, np.linspace(0.0, 1.0, 11), 30.0, 0, seed=5)
+
     def test_theoretical_cdf(self):
         assert theoretical_site_cdf(0.3, 0.5) == 0.0
         assert theoretical_site_cdf(1.0, 0.5) == 1.0
@@ -286,6 +290,14 @@ class TestPopulationSimulation:
         assert [t for t, _ in pop.snapshots] == [0.0, 5.0, 10.0]
         assert pop.snapshots[0][1] == []
         assert sum(k for _, k in pop.snapshots[-1][1]) <= pop.partition.total
+
+    @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")]],
+                             ids=["unsorted", "nan"])
+    def test_snapshot_grid_must_be_finite_and_non_decreasing(self, grid):
+        # The snapshots are taken in one forward pass: an unsorted grid once
+        # labelled the t = 1 snapshot with the partition at t = 5.
+        with pytest.raises(ValueError, match="snapshot_grid"):
+            simulate_population(GROWING, SimConfig(horizon=10.0, seed=5), snapshot_grid=grid)
 
 
 class TestEpsilonChain:

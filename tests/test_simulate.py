@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -57,6 +58,12 @@ class TestSimConfig:
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
             SimConfig(horizon=0.0, seed=1)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_horizon_finite(self, horizon):
+        # A NaN horizon once ran every path to max_events.
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(horizon=horizon, seed=1)
 
     def test_engine_name_checked(self):
         with pytest.raises(ValueError):
@@ -432,6 +439,7 @@ class TestThinningEngine:
     def test_one_kernel_sum_per_candidate(self, monkeypatch):
         # The loop sums the history once at the start, once per candidate
         # and once at the end; an accepted event's jump is added, not summed.
+        # The engine's generator is wrapped to count the candidates.
         sums = []
         xi_at = _History.xi_at
 
@@ -454,8 +462,17 @@ class TestThinningEngine:
             def random(self):
                 return self.rng.random()
 
-        rng = CountingRng(rng_for(5, 0))
-        path = simulate_thinning_general(CROSS_BANK, SimConfig(horizon=50.0, seed=5), rng=rng)
+        rngs = []
+
+        def counting_rng_for(seed, *stream):
+            rngs.append(CountingRng(rng_for(seed, *stream)))
+            return rngs[-1]
+
+        # The package's ``simulate`` attribute is the dispatch function.
+        module = importlib.import_module("hawkes_evolve.simulate")
+        monkeypatch.setattr(module, "rng_for", counting_rng_for)
+        path = simulate_thinning_general(CROSS_BANK, SimConfig(horizon=50.0, seed=5))
+        (rng,) = rngs
         assert len(path.events) > 300
         assert len(sums) == rng.candidates + 1, (len(sums), rng.candidates, len(path.events))
 
