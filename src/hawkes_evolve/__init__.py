@@ -10,7 +10,6 @@ from .core import (
     UnsupportedKernelError,
     bank_from_json,
     bank_to_json,
-    l1_norm,
 )
 from .expectations import (
     ABCCoefficients,

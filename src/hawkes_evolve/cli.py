@@ -42,6 +42,8 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not np.all(np.isfinite((start, stop, step))):
+        raise ValueError(f"grid parts must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
     n = int(round((stop - start) / step))

@@ -59,13 +59,6 @@ class ExpKernel:
         return self.delta + self.alpha * math.exp(-self.beta * t)
 
 
-def l1_norm(kernel: ExpKernel) -> float:
-    """Integral of the kernel over [0, inf); +inf for a constant offset."""
-    if kernel.delta > 0:
-        return math.inf
-    return kernel.alpha / kernel.beta
-
-
 @dataclass(frozen=True)
 class KernelBank:
     """Baseline rates and excitation kernels of the three processes.
@@ -123,6 +116,13 @@ class KernelBank:
         return ((k11.alpha, k12.alpha, 0.0), (k21.alpha, k22.alpha, 0.0),
                 (0.0, 0.0, self.death_kernel.alpha))
 
+    @property
+    def offsets(self) -> tuple[tuple[float, float, float], ...]:
+        """Row m - 1: the offset delta of mark m's kernels on (lambda1, lambda2, lambda3)."""
+        (k11, k12), (k21, k22) = self.birth_kernels
+        return ((k11.delta, k12.delta, 0.0), (k21.delta, k22.delta, 0.0),
+                (0.0, 0.0, self.death_kernel.delta))
+
     @classmethod
     def poisson(cls, base_rates) -> "KernelBank":
         """Bank with all excitation switched off (three Poisson processes)."""
@@ -131,8 +131,7 @@ class KernelBank:
 
 def require_zero_offsets(bank: KernelBank, what: str) -> None:
     """Raise UnsupportedKernelError, naming ``what``, if any kernel has an offset delta."""
-    kernels = [k for row in bank.birth_kernels for k in row] + [bank.death_kernel]
-    if any(k.delta != 0 for k in kernels):
+    if np.any(bank.offsets):
         raise UnsupportedKernelError(f"{what}: kernels with a constant offset are not supported")
 
 

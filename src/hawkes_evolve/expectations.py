@@ -18,24 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateParametersError,
-    KernelBank,
-    l1_norm,
-    require_zero_offsets,
-)
+from .core import DegenerateParametersError, KernelBank, require_zero_offsets
 
 
 class NoStationaryRateError(ValueError):
     """The branching structure admits no finite stationary mean rate."""
 
 
-def _exp_params(bank: KernelBank):
-    """(alpha[j][i], beta[i], alpha3, beta3) of a zero-offset bank."""
-    require_zero_offsets(bank, "the closed forms")
-    alphas = tuple(tuple(bank.birth_kernels[j][i].alpha for i in range(2)) for j in range(2))
-    b1, b2, b3 = bank.betas
-    return alphas, (b1, b2), bank.death_kernel.alpha, b3
+def _check_index(i: int) -> None:
+    if i not in (1, 2, 3):
+        raise ValueError(f"index must be 1, 2 or 3, got {i}")
 
 
 def _paper_limit(bank: KernelBank, i: int) -> float:
@@ -45,14 +37,15 @@ def _paper_limit(bank: KernelBank, i: int) -> float:
     l0j a_ji) / b_i - (a_ii a_jj - a_ij a_ji) l0i / (b_i b_j), which stays
     finite at equal decay rates.
     """
-    alphas, betas, a3, b3 = _exp_params(bank)
+    require_zero_offsets(bank, "the closed forms")
+    # a[j][i] is alpha_{ji}: effect of a type-j event on intensity i.
+    a, betas = bank.jumps, bank.betas
     if i == 3:
-        return bank.base_rates[2] * (1.0 + a3 / b3)
+        return bank.base_rates[2] * (1.0 + a[2][2] / betas[2])
     ii, jj = i - 1, 2 - i
     bi, bj = betas[ii], betas[jj]
     l0i, l0j = bank.base_rates[ii], bank.base_rates[jj]
-    # alphas[j][i] is alpha_{ji}: effect of a type-j event on intensity i.
-    a_ii, a_ij, a_ji, a_jj = alphas[ii][ii], alphas[ii][jj], alphas[jj][ii], alphas[jj][jj]
+    a_ii, a_ij, a_ji, a_jj = a[ii][ii], a[ii][jj], a[jj][ii], a[jj][jj]
     return l0i + (l0i * a_ii + l0j * a_ji) / bi - (a_ii * a_jj - a_ij * a_ji) * l0i / (bi * bj)
 
 
@@ -73,12 +66,12 @@ def abc_coefficients(bank: KernelBank, i: int) -> ABCCoefficients:
     """
     if i not in (1, 2):
         raise ValueError(f"index must be 1 or 2, got {i}")
-    alphas, betas, _, _ = _exp_params(bank)
+    c = _paper_limit(bank, i)
+    a, betas = bank.jumps, bank.betas
     ii, jj = i - 1, 2 - i
     bi, bj = betas[ii], betas[jj]
     l0i = bank.base_rates[ii]
-    c = _paper_limit(bank, i)
-    a_ii, a_ij, a_ji, a_jj = alphas[ii][ii], alphas[ii][jj], alphas[jj][ii], alphas[jj][jj]
+    a_ii, a_ij, a_ji, a_jj = a[ii][ii], a[ii][jj], a[jj][ii], a[jj][jj]
     if bi == bj:
         if a_ii == a_ij == a_ji == a_jj == 0:
             return ABCCoefficients(0.0, 0.0, c)
@@ -91,18 +84,19 @@ def abc_coefficients(bank: KernelBank, i: int) -> ABCCoefficients:
 
 def _paper_mean(bank: KernelBank, i: int) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """(c, weights, rates) of the paper mean lambda_i(t) = c + sum w exp(-r t)."""
+    betas = bank.betas
     if i == 3:
-        _, _, a3, b3 = _exp_params(bank)
-        return _paper_limit(bank, 3), (-bank.base_rates[2] * a3 / b3,), (b3,)
+        c = _paper_limit(bank, 3)
+        return c, (-bank.base_rates[2] * bank.jumps[2][2] / betas[2],), (betas[2],)
     coef = abc_coefficients(bank, i)
-    _, betas, _, _ = _exp_params(bank)
     return coef.c, (coef.a, coef.b), (betas[i - 1], betas[2 - i])
 
 
 def expected_intensity_paper(bank: KernelBank, i: int, t) -> float:
     """Closed-form mean intensity of process i at time t (ungated for i=3)."""
+    _check_index(i)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be >= 0")
     out, weights, rates = _paper_mean(bank, i)
     for w, r in zip(weights, rates):
@@ -124,71 +118,60 @@ def univariate_remark_intensity(lam0: float, alpha: float, beta: float, t) -> np
     return beta * lam0 / g * (np.exp(g * t) - 1.0) + lam0 * np.exp(g * t)
 
 
-def _renewal_moments(bank: KernelBank, i: int, t) -> tuple[np.ndarray, np.ndarray]:
-    """Exact renewal mean intensity and mean count of process i at times t.
+def _renewal_moments(bank: KernelBank, t) -> tuple[np.ndarray, np.ndarray]:
+    """Exact renewal mean intensities and mean counts of the three processes at t.
 
-    With phi_ji(t) = delta_ji + alpha_ji exp(-beta_i t) the first-moment
-    equation y = lambda0 + Phi^T * y is a linear ODE in the mean shot
-    noise x and the mean counts c: x' = -diag(beta) x + A^T y, c' = y,
-    with y = lambda0 + x + Delta^T c.  The state (x, c, 1) starts at
-    (0, 0, 1), so its value at t is the last column of expm(M t).  M is
-    defective (the counts grow linearly), which rules out diagonalizing it.
-    ``scipy.linalg`` is imported here, on the first solve, so that
-    importing the package and every command off the renewal route load
-    numpy alone.
+    With A = ``bank.jumps``, Delta = ``bank.offsets`` and phi_ji(t) =
+    Delta_ji + A_ji exp(-beta_i t), the first-moment equation y =
+    lambda0 + Phi^T * y is a linear ODE in the mean shot noise x and the
+    mean counts c: x' = -diag(beta) x + A^T y, c' = y, with y = lambda0
+    + x + Delta^T c.  The state (x, c, 1) starts at (0, 0, 1), so its
+    value at a finite t is the last column of expm(M t).  M is defective
+    (the counts grow linearly), which rules out diagonalizing it.
+    Returns (y, c), each with a last axis of 3.  ``scipy.linalg`` is
+    imported here, on the first solve, so that importing the package and
+    every command off the renewal route load numpy alone.
     """
     from scipy.linalg import expm  # deferred: 0.3 s and 28 MiB at import
-    if i in (1, 2):
-        kernels, lam0, comp = bank.birth_kernels, np.array(bank.base_rates[:2]), i - 1
-    elif i == 3:
-        kernels, lam0, comp = ((bank.death_kernel,),), np.array(bank.base_rates[2:]), 0
-    else:
-        raise ValueError(f"index must be 1, 2 or 3, got {i}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    d = lam0.size
-    a = np.array([[k.alpha for k in row] for row in kernels])
-    delta = np.array([[k.delta for k in row] for row in kernels])
-    beta = np.array([k.beta for k in kernels[0]])
-    m = np.zeros((2 * d + 1, 2 * d + 1))
-    m[:d, :d] = a.T - np.diag(beta)
-    m[:d, d:2 * d] = a.T @ delta.T
-    m[:d, -1] = a.T @ lam0
-    m[d:2 * d, :d] = np.eye(d)
-    m[d:2 * d, d:2 * d] = delta.T
-    m[d:2 * d, -1] = lam0
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError("t must be finite and >= 0")
+    lam0 = np.array(bank.base_rates)
+    a, delta = np.array(bank.jumps), np.array(bank.offsets)
+    m = np.zeros((7, 7))
+    m[:3, :3] = a.T - np.diag(bank.betas)
+    m[:3, 3:6] = a.T @ delta.T
+    m[:3, -1] = a.T @ lam0
+    m[3:6, :3] = np.eye(3)
+    m[3:6, 3:6] = delta.T
+    m[3:6, -1] = lam0
     z = expm(t[..., None, None] * m)[..., -1]
-    x, c = z[..., :d], z[..., d:2 * d]
-    y = lam0 + x + c @ delta
-    return y[..., comp], c[..., comp]
+    x, c = z[..., :3], z[..., 3:6]
+    return lam0 + x + c @ delta, c
 
 
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
     """Exact first-moment intensity of process i on t_grid."""
+    _check_index(i)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
-    return _renewal_moments(bank, i, t_grid)[0]
+    return _renewal_moments(bank, t_grid)[0][..., i - 1]
 
 
 def expected_count(bank: KernelBank, i: int, t: float, method: str = "paper") -> float:
     """Mean event count of process i on [0, t] for the selected curve."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_index(i)
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return 0.0
     if method == "paper":
         c, weights, rates = _paper_mean(bank, i)
         return c * t + sum(w * (1.0 - math.exp(-r * t)) / r for w, r in zip(weights, rates))
     if method == "renewal":
-        return float(_renewal_moments(bank, i, t)[1])
+        return float(_renewal_moments(bank, t)[1][i - 1])
     raise ValueError(f"unknown method {method!r}")
-
-
-def _branching_matrix(bank: KernelBank) -> np.ndarray:
-    """K[j, i] = L1 norm of the kernel from type j onto intensity i."""
-    return np.array([[l1_norm(bank.birth_kernels[j][i]) for i in range(2)] for j in range(2)])
 
 
 def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, float, float]:
@@ -196,22 +179,20 @@ def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, fl
 
     The paper route takes the t -> inf limits of the closed forms; the
     renewal route solves the stationary balance Lambda = lambda0 + K^T
-    Lambda, which requires a subcritical branching matrix.
+    Lambda of the three processes at once, with K[j, i] = alpha_ji /
+    beta_i the kernels' L1 norms.  That needs zero offsets (an offset
+    makes a norm infinite) and a subcritical K.
     """
     if method == "paper":
         return (_paper_limit(bank, 1), _paper_limit(bank, 2), _paper_limit(bank, 3))
     if method == "renewal":
-        k = _branching_matrix(bank)
-        if not np.all(np.isfinite(k)):
-            raise NoStationaryRateError("a birth kernel has infinite L1 norm")
+        if np.any(bank.offsets):
+            raise NoStationaryRateError("a kernel with a constant offset has infinite L1 norm")
+        k = np.array(bank.jumps) / np.array(bank.betas)
         if np.max(np.abs(np.linalg.eigvals(k))) >= 1:
             raise NoStationaryRateError("branching matrix is not subcritical")
-        lam12 = np.linalg.solve(np.eye(2) - k.T, np.array(bank.base_rates[:2]))
-        psi_norm = l1_norm(bank.death_kernel)
-        if psi_norm >= 1:
-            raise NoStationaryRateError("death kernel L1 norm must be < 1")
-        l3 = bank.base_rates[2] / (1.0 - psi_norm)
-        return (float(lam12[0]), float(lam12[1]), l3)
+        lam = np.linalg.solve(np.eye(3) - k.T, np.array(bank.base_rates))
+        return tuple(lam.tolist())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -227,12 +208,8 @@ def critical_fitness(bank: KernelBank, method: str = "paper") -> float:
         raise DegenerateParametersError("the mutant rate limit is zero")
     fc = lam[2] / lam[0]
     if method == "paper":
-        alphas, betas, a3, b3 = _exp_params(bank)
         l01, l02, l03 = bank.base_rates
-        subcritical_jumps = a3 <= b3 and all(
-            alphas[j][i] <= betas[i] for j in range(2) for i in range(2)
-        )
-        if subcritical_jumps:
+        if all(a <= b for row in bank.jumps for a, b in zip(row, bank.betas)):
             lo = l03 / (2 * l01 + l02)
             hi = 2 * l03 / l01
             if not (lo <= fc <= hi):

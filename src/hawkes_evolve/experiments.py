@@ -140,8 +140,7 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
         for method, target in (("paper", expected_intensity_paper(bank, i, t_grid)),
                                ("renewal", expected_intensity_renewal(bank, i, t_grid))):
             comparisons[(i, method)] = CurveComparison(method, target, _z(m, se, target))
-    return MCReport(t_grid, n_paths, mean, stderr, comparisons,
-                    bank.death_kernel.alpha > 0)
+    return MCReport(t_grid, n_paths, mean, stderr, comparisons, bank.jumps[2][2] > 0)
 
 
 def _zeta(bank: KernelBank, state: IntensityState) -> np.ndarray:
@@ -165,28 +164,21 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     """
     zeta = _zeta(bank, state)
     betas = bank.betas
-    deltas = [[bank.birth_kernels[j][i].delta for i in range(2)] for j in range(2)]
-    jump = [[bank.birth_kernels[j][i](0.0) for i in range(2)] for j in range(2)]
+    floor = np.array(state.counts) @ np.array(bank.offsets)
     out = 0.0
     # Drift part: central differences in the intensity coordinates.
     for i in range(3):
         li = zeta[2 * i + 1]
-        if i < 2:
-            floor = sum(deltas[j][i] * state.counts[j] for j in range(2))
-        else:
-            floor = bank.death_kernel.delta * state.counts[2]
-        coeff = betas[i] * (floor - li + bank.base_rates[i])
+        coeff = betas[i] * (floor[i] - li + bank.base_rates[i])
         h = 1e-6 * max(1.0, abs(li))
         up, dn = zeta.copy(), zeta.copy()
         up[2 * i + 1] += h
         dn[2 * i + 1] -= h
         out += coeff * (f(up) - f(dn)) / (2 * h)
-    # Jump parts.
-    jumps = [
-        np.array([1, jump[0][0], 0, jump[0][1], 0, 0], dtype=float),
-        np.array([0, jump[1][0], 1, jump[1][1], 0, 0], dtype=float),
-        np.array([0, 0, 0, 0, 1, bank.death_kernel(0.0)], dtype=float),
-    ]
+    # Jump parts: row m - 1 adds one mark-m event and the mark's kernels at lag zero.
+    jumps = np.zeros((3, 6))
+    jumps[:, 0::2] = np.eye(3)
+    jumps[:, 1::2] = np.add(bank.jumps, bank.offsets)
     if state.counts == (0, 0, 0):
         jumps[1] = jumps[0]
     f0 = f(zeta)
@@ -349,6 +341,11 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     f_grid = np.asarray(f_grid, dtype=float)
+    bad = f_grid[~((f_grid >= 0) & (f_grid <= 1))]
+    if bad.size:
+        raise ValueError(f"f_grid points must be in [0, 1], got {bad[0]}")
+    if f_reference is not None and not 0 <= f_reference <= 1:
+        raise ValueError(f"f_reference must be in [0, 1], got {f_reference}")
     fc_paper = critical_fitness(bank, "paper")
     try:
         fc_renewal = critical_fitness(bank, "renewal")

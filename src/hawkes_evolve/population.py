@@ -133,10 +133,12 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     """Simulate events and maintain the fitness partition along the path.
 
     Fitness draws come from a stream independent of the event engine's,
-    so the same event path can be re-partitioned reproducibly.
-    ``snapshot_grid`` must be finite and non-decreasing, as a recording
-    grid must (``check_grid``).
+    so the same event path can be re-partitioned reproducibly.  ``f``,
+    when given, must be in [0, 1].  ``snapshot_grid`` must be finite and
+    non-decreasing, as a recording grid must (``check_grid``).
     """
+    if f is not None and not 0 <= f <= 1:
+        raise ValueError(f"f must be in [0, 1], got {f}")
     grid = None if snapshot_grid is None else check_grid(snapshot_grid, "snapshot_grid")
     path = simulate(bank, config, path_index)
     marks = path.events.marks

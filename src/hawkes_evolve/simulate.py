@@ -25,13 +25,7 @@ import numpy as np
 # the pool workers forked by each sweep or rho call inherit it.
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import (
-    EventLog,
-    ExpKernel,
-    IntensityState,
-    KernelBank,
-    require_zero_offsets,
-)
+from .core import EventLog, IntensityState, KernelBank, require_zero_offsets
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
 
 
 class _History:
-    """Past event times of every kernel with alpha > 0, one row each.
+    """Past event times of every nonzero entry of ``KernelBank.jumps``, one row each.
 
     Rows run in the summation order of the pinned fixed-seed outputs: a
     mutant's kernels, a clone's, then the death kernel.  A row holds its
@@ -391,19 +385,18 @@ class _History:
     by run, so each masked row sum equals ``np.add.reduce`` of the prefix.
     """
 
-    def __init__(self, excited: list[list[tuple[int, ExpKernel]]]):
-        """``excited[m - 1]`` lists the (target index, kernel) pairs of mark m."""
-        self.rows, kernels = [], []
-        for pairs in excited:
-            live = [(i, k) for i, k in pairs if k.alpha != 0]
-            self.rows.append(slice(len(kernels), len(kernels) + len(live)) if live else None)
-            kernels += live
+    def __init__(self, bank: KernelBank):
+        self.rows, self.targets = [], []
+        for row in bank.jumps:
+            live = [(i, a) for i, a in enumerate(row) if a != 0]
+            n = len(self.targets)
+            self.rows.append(slice(n, n + len(live)) if live else None)
+            self.targets += live
         self.sizes = [0, 0, 0]
         self.top = 0
-        self.times = np.zeros((len(kernels), 64))
-        self.live = np.zeros((len(kernels), 64), dtype=bool)
-        self.neg_betas = np.array([-k.beta for _, k in kernels])[:, None]
-        self.targets = tuple((i, k.alpha) for i, k in kernels)
+        self.times = np.zeros((len(self.targets), 64))
+        self.live = np.zeros((len(self.targets), 64), dtype=bool)
+        self.neg_betas = np.array([-bank.betas[i] for i, _ in self.targets])[:, None]
 
     def record(self, mark: int, t: float, xi=None) -> None:
         """Append an event's time to its mark's rows; the sums need no xi."""
@@ -442,8 +435,7 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     kernel.
     """
     require_zero_offsets(bank, "simulate_thinning_general")
-    history = _History([list(enumerate(row)) for row in bank.birth_kernels]
-                       + [[(2, bank.death_kernel)]])
+    history = _History(bank)
     return _run(bank, config, history.xi_at, history.record, IntensityState(),
                 rng_for(config.seed, path_index))
 

@@ -33,6 +33,14 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:1:0")
 
+    @pytest.mark.parametrize("text", ["0:inf:1", "0:1:inf", "-inf:0:1", "nan:1:0.5",
+                                      "0:nan:0.5", "0:1:nan"])
+    def test_non_finite_parts_rejected(self, text):
+        # inf once overflowed in int(), or gave an empty grid; nan failed
+        # with a message that did not name the grid.
+        with pytest.raises(ValueError, match="grid parts must be finite"):
+            parse_grid(text)
+
 
 class TestExitCodes:
     def test_missing_bank_file(self, tmp_path):
@@ -82,6 +90,27 @@ class TestExitCodes:
         assert run(["simulate", "--bank", str(bad), "--horizon", "1",
                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "events.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:inf", "0:1:nan"])
+    def test_non_finite_grid_rejected(self, grid, bank_file, tmp_path, capsys):
+        # 0:inf:1 once died with an OverflowError traceback and exit code 1,
+        # which means a negative statistical verdict.
+        assert run(["simulate", "--bank", bank_file, "--horizon", "1", "--grid", grid,
+                    "--out", str(tmp_path)]) == 2
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / "intensity.csv").exists()
+
+    def test_nan_time_rejected(self, bank_file, tmp_path):
+        # Once wrote NaN rows and exited 0.
+        assert run(["expect", "--bank", bank_file, "--t-max", "nan", "--method", "paper",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "expectations.csv").exists()
+
+    def test_population_fitness_out_of_range_rejected(self, bank_file, tmp_path):
+        # f = nan once exited 0 with L = 0 throughout lr.csv.
+        assert run(["population", "--bank", bank_file, "--horizon", "5", "--f", "nan",
+                    "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "lr.csv").exists()
 
     def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
         assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
@@ -177,6 +206,7 @@ RUNS = {
     # Three blocks of the batched engine: 2048, 2048 and 904 states.
     "generator-check": (["generator-check", "--reps", "5000", "--seed", "1", "--h", "0.01"],
                         ("generator_check.json",)),
+    "expect": (["expect", "--method", "both"], ("expectations.csv",)),
 }
 ARTIFACT_SHA256 = {
     ("cross", "simulate-markov"): {
@@ -204,6 +234,9 @@ ARTIFACT_SHA256 = {
         "generator_check.json":
             "8f7c65ce2efd8ec90cfe5c6451e030ce7e36170f109ad7daedaad6963e914deb",
     },
+    ("cross", "expect"): {
+        "expectations.csv": "0b6cefdea408e23bc0a033b88f850c44dc61912e31e32bf4ed8c9a7afeb42730",
+    },
     ("poisson", "simulate-markov"): {
         "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
         "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
@@ -228,6 +261,9 @@ ARTIFACT_SHA256 = {
     ("poisson", "generator-check"): {
         "generator_check.json":
             "3c49fbeab11c823fa3de29e3e897dd31e6232e5e5076d15ed25c497cd2d9a845",
+    },
+    ("poisson", "expect"): {
+        "expectations.csv": "de54a80c3090f2e620c35205f651acf4884e5c4d81060b8cd3601e20d25bb847",
     },
 }
 

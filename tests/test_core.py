@@ -14,7 +14,6 @@ from hawkes_evolve import (
     SimConfig,
     bank_from_json,
     bank_to_json,
-    l1_norm,
     simulate_markov,
 )
 
@@ -53,15 +52,6 @@ class TestKernels:
         with pytest.raises(ValueError, match=field):
             ExpKernel(**params)
 
-    def test_l1_exponential(self):
-        assert l1_norm(ExpKernel(1.0, 2.0)) == 0.5
-
-    def test_l1_zero(self):
-        assert l1_norm(ExpKernel(0.0, 1.0)) == 0.0
-
-    def test_l1_offset_is_infinite(self):
-        assert l1_norm(ExpKernel(1.0, 2.0, 0.1)) == math.inf
-
 
 class TestKernelBank:
     def test_shared_beta_enforced(self):
@@ -92,6 +82,13 @@ class TestKernelBank:
     def test_betas_are_the_decay_rates_of_xi(self):
         bank = exp_bank(betas=(2.0, 3.0), b3=1.5)
         assert bank.betas == (2.0, 3.0, 1.5)
+
+    def test_offsets_are_the_deltas_by_mark_and_target(self):
+        # Row m - 1, column i - 1: the offset of mark m's kernel on lambda_i.
+        # The deltas are asymmetric, so a transposed table fails here.
+        bank = exp_bank(deltas=((0.1, 0.2), (0.3, 0.4)), death_delta=0.5)
+        assert bank.offsets == ((0.1, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.5))
+        assert exp_bank().offsets == ((0.0,) * 3,) * 3
 
     def test_poisson_constructor(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))

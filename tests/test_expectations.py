@@ -100,6 +100,12 @@ class TestClosedFormIntensity:
         t = np.linspace(0, 30, 7)
         assert expected_intensity_paper(bank, 1, t) == pytest.approx([2.0] * 7)
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_index_checked(self, i):
+        # The message once read "index must be 1 or 2", from abc_coefficients.
+        with pytest.raises(ValueError, match="index must be 1, 2 or 3"):
+            expected_intensity_paper(KernelBank.poisson((2.0, 1.0, 1.0)), i, 1.0)
+
 
 class TestRenewal:
     def test_poisson_matches_paper_exactly(self):
@@ -222,6 +228,41 @@ class TestExpectedCount:
                     expected_intensity_paper(bank, i, t), rel=1e-4)
 
 
+class TestTimeChecks:
+    """NaN passes a ``t < 0`` check; every mean curve must refuse it.
+
+    At t = inf the paper curves read their limit; the renewal route,
+    whose expm(inf * M) is NaN, refuses it.
+    """
+
+    BANK = KernelBank.exponential(
+        (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
+    def test_paper_intensity(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            expected_intensity_paper(self.BANK, 1, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_renewal_intensity(self, t):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            expected_intensity_renewal(self.BANK, 2, [0.0, t])
+
+    @pytest.mark.parametrize("method", ["paper", "renewal"])
+    def test_count(self, method):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            expected_count(self.BANK, 1, math.nan, method)
+
+    def test_renewal_count_at_infinity(self):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            expected_count(self.BANK, 1, math.inf, "renewal")
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_paper_intensity_at_infinity_is_the_limit(self, i):
+        limit = asymptotic_rates(self.BANK, "paper")[i - 1]
+        assert expected_intensity_paper(self.BANK, i, math.inf) == limit
+
+
 class TestAsymptoticRates:
     def test_poisson_both_methods(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
@@ -241,6 +282,25 @@ class TestAsymptoticRates:
     def test_supercritical_branching_refused(self):
         bank = KernelBank.exponential(
             (1.0, 1.0, 1.0), ((3.0, 0.0), (0.0, 0.0)), (2.0, 3.0), 0.0, 1.0)
+        with pytest.raises(NoStationaryRateError):
+            asymptotic_rates(bank, "renewal")
+
+    @pytest.mark.parametrize("a3", [1.0, 1.5], ids=["critical", "supercritical"])
+    def test_supercritical_deaths_refused(self, a3):
+        # The births alone are subcritical; the death kernel's norm a3 / b3 is not.
+        bank = KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((0.4, 0.2), (0.1, 0.3)), (2.0, 3.0), a3, 1.0)
+        with pytest.raises(NoStationaryRateError):
+            asymptotic_rates(bank, "renewal")
+
+    @pytest.mark.parametrize("offsets", [
+        {"deltas": ((0.0, 0.1), (0.0, 0.0))},
+        {"death_delta": 0.1},
+    ], ids=["birth", "death"])
+    def test_offsets_refused(self, offsets):
+        # An offset makes its kernel's L1 norm infinite.
+        bank = KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((0.4, 0.2), (0.1, 0.3)), (2.0, 3.0), 0.4, 1.0, **offsets)
         with pytest.raises(NoStationaryRateError):
             asymptotic_rates(bank, "renewal")
 

@@ -259,6 +259,20 @@ class TestObservables:
         with pytest.raises(ValueError, match="n_runs"):
             phase_transition_sweep(GROWING, np.linspace(0.0, 1.0, 11), 30.0, 0, seed=5)
 
+    @pytest.mark.parametrize("kw", [
+        {"f_grid": [0.0, 0.5, 1.5]},
+        {"f_grid": [0.0, float("nan")]},
+        {"f_grid": [0.0, 0.5], "f_reference": -0.25},
+    ], ids=["grid_above_one", "grid_nan", "reference_below_zero"])
+    def test_sweep_fitness_rejected_before_any_run(self, kw):
+        # Every run was once simulated before theoretical_site_cdf refused
+        # the point, and no point was refused when both critical fitnesses
+        # were >= 1; 10^6 runs would take minutes before a late check.
+        name = "f_reference" if "f_reference" in kw else "f_grid"
+        with pytest.raises(ValueError, match=name):
+            phase_transition_sweep(GROWING, kw["f_grid"], 30.0, 10**6, seed=5,
+                                   f_reference=kw.get("f_reference"))
+
     def test_theoretical_cdf(self):
         assert theoretical_site_cdf(0.3, 0.5) == 0.0
         assert theoretical_site_cdf(1.0, 0.5) == 1.0
@@ -298,6 +312,17 @@ class TestPopulationSimulation:
         # labelled the t = 1 snapshot with the partition at t = 5.
         with pytest.raises(ValueError, match="snapshot_grid"):
             simulate_population(GROWING, SimConfig(horizon=10.0, seed=5), snapshot_grid=grid)
+
+
+    @pytest.mark.parametrize("f", [-0.1, 1.5, float("nan")])
+    def test_fitness_out_of_range_rejected_before_the_path(self, f, monkeypatch):
+        # f = nan once gave L = 0 throughout the L/R trajectory.
+        def no_path(*args):
+            raise AssertionError("the path ran before f was checked")
+
+        monkeypatch.setattr("hawkes_evolve.population.simulate", no_path)
+        with pytest.raises(ValueError, match="f must be in"):
+            simulate_population(GROWING, SimConfig(horizon=10.0, seed=5), f=f)
 
 
 class TestEpsilonChain:

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from hawkes_evolve import (
     EventLog,
-    ExpKernel,
     IntensityState,
     KernelBank,
     Mark,
@@ -486,7 +485,8 @@ class TestHistory:
         # buffer.  The engine's fixed-seed output relies on each masked
         # row sum equalling np.add.reduce over that row alone.
         betas = (0.7, 1.3, 2.1)
-        history = _History([[(i, ExpKernel(1.0, b))] for i, b in enumerate(betas)])
+        history = _History(KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), betas[:2], 1.0, betas[2]))
         sizes = (n, max(n // 3, 1), n - 1)
         marks = np.repeat([1, 2, 3], sizes)
         rng = np.random.default_rng(n)
@@ -514,8 +514,7 @@ class TestJumpTable:
         # The alphas are asymmetric (alpha12 != alpha21), so a transposed
         # table fails here.
         # Built as simulate_thinning_general builds it.
-        history = _History([list(enumerate(row)) for row in bank.birth_kernels]
-                           + [[(2, bank.death_kernel)]])
+        history = _History(bank)
         marks = [1, 1, 2, 3, 1, 2, 2, 2, 3, 1, 3, 3, 2, 1, 1, 2, 3, 1]
         t = 0.0
         for k, mark in enumerate(marks):
