@@ -46,7 +46,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid parts must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
-    n = int(round((stop - start) / step))
+    count = (stop - start) / step
+    if not np.isfinite(count):
+        raise ValueError(f"grid has more points than a float can count, got {text!r}")
+    n = int(round(count))
     grid = start + step * np.arange(n + 1)
     # Half-step tolerance keeps the endpoint despite rounding.
     return grid[grid <= stop + 0.5 * step]

@@ -201,10 +201,6 @@ class EventLog:
         added = np.bincount(self.marks[:k], minlength=4)
         return tuple(int(c + a) for c, a in zip(self.initial_counts, added[1:]))
 
-    def population_size(self, t: float = math.inf) -> int:
-        n1, n2, n3 = self.counts(t)
-        return n1 + n2 - n3
-
 
 @dataclass(frozen=True)
 class IntensityState:

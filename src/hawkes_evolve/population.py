@@ -46,10 +46,6 @@ class FitnessPartition:
     def site_count(self) -> int:
         return len(self._slot)
 
-    def count_at(self, x: float) -> int:
-        slot = self._slot.get(x)
-        return 0 if slot is None else self._count[slot]
-
     def sites(self) -> list[tuple[float, int]]:
         """(fitness, count) pairs sorted by fitness."""
         count = self._count

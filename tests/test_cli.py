@@ -41,6 +41,15 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="grid parts must be finite"):
             parse_grid(text)
 
+    def test_overflowing_point_count_rejected(self):
+        # Finite parts whose point count overflows once raised an uncaught
+        # OverflowError.
+        with pytest.raises(ValueError, match="0:1e300:1e-300"):
+            parse_grid("0:1e300:1e-300")
+
+    def test_sweep_grid_unchanged(self):
+        assert parse_grid("0:1:0.02").tolist() == (0.02 * np.arange(51)).tolist()
+
 
 class TestExitCodes:
     def test_missing_bank_file(self, tmp_path):
@@ -99,6 +108,15 @@ class TestExitCodes:
                     "--out", str(tmp_path)]) == 2
         assert "grid" in capsys.readouterr().err
         assert not (tmp_path / "intensity.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_overflowing_grid_rejected(self, command, bank_file, tmp_path, capsys):
+        # Once an OverflowError traceback and exit code 1, which means a
+        # negative statistical verdict.
+        flag = "--grid" if command == "simulate" else "--f-grid"
+        assert run([command, "--bank", bank_file, "--horizon", "1", flag, "0:1e300:1e-300",
+                    "--out", str(tmp_path)]) == 2
+        assert "0:1e300:1e-300" in capsys.readouterr().err
 
     def test_nan_time_rejected(self, bank_file, tmp_path):
         # Once wrote NaN rows and exited 0.

@@ -177,14 +177,13 @@ class TestEventLog:
     def test_initial_counts_relax_first_mark(self):
         log = EventLog([0.5], [Mark.DEATH], initial_counts=(2, 0, 0))
         assert log.counts() == (2, 0, 1)
-        assert log.population_size() == 1
 
     def test_counts_at_time(self):
         log = EventLog([0.5, 1.0, 2.0], [Mark.MUTANT, Mark.CLONE, Mark.DEATH])
         assert log.counts(0.9) == (1, 0, 0)
         assert log.counts(1.0) == (1, 1, 0)
         assert log.counts(0.1) == (0, 0, 0)
-        assert log.population_size() == 1
+        assert log.counts() == (1, 1, 1)
 
     def test_marks_outside_one_to_three_rejected(self):
         for mark in (0, 4, 259, 1.5):

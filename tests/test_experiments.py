@@ -40,6 +40,16 @@ class TestMcMeanIntensity:
             for method in ("paper", "renewal"):
                 assert report.comparisons[(i, method)].z[0] == 0.0
 
+    def test_constant_grid_point_is_exact_at_large_n(self):
+        # A row-by-row sum over 100,000 paths drifts about n * eps off the
+        # base rate 0.8, which _z reads as z = inf; a pairwise sum stays
+        # within a few eps.
+        report = mc_mean_intensity(CROSS_BANK, [0.0, 1.0], 100_000, seed=11)
+        assert report.mean[0] == pytest.approx([1.0, 0.8, 1.2], rel=1e-15, abs=0.0)
+        for i in (1, 2, 3):
+            for method in ("paper", "renewal"):
+                assert report.comparisons[(i, method)].z[0] == 0.0
+
     def test_self_exciting_deaths_are_not_applicable(self):
         # The ungated lambda3 rides a path whose deaths stop at N = 0, so
         # it sits far below both curves; the z-scores stay in the report.

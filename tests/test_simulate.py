@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -377,6 +378,50 @@ class TestMarkovBatch:
         c = simulate_markov_batch(HAWKES_BANK, config, 50, block=1)
         assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
         assert not np.array_equal(a.counts, c.counts)
+
+    # Fixed-seed runs of the batch engine, each hashed over all six
+    # MarkovBatch arrays: a change to any draw, formula or step order
+    # changes the digest.
+    PINNED_RUNS = {
+        # Empty starts; the grid repeats a point and has one past the horizon.
+        "cross": (CROSS_BANK, dict(horizon=10.0, seed=21, record_grid=(
+            0.0, 0.5, 2.0, 2.0, 5.0, 9.5, 12.0)), 400, None, 0),
+        "poisson": (KernelBank.poisson((2.0, 1.0, 1.0)), dict(horizon=10.0, seed=22, record_grid=(
+            0.0, 0.5, 2.0, 2.0, 5.0, 9.5, 12.0)), 400, None, 0),
+        # A non-empty start at clock 3, with grid points before the clock.
+        "from_a_state": (HAWKES_BANK, dict(horizon=6.0, seed=23, record_grid=(
+            1.0, 2.5, 3.0, 4.0, 4.0, 7.5, 9.0)), 400,
+            IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2), clock=3.0), 0),
+        # About half of the paths stop capped.
+        "capped": (CROSS_BANK, dict(horizon=5.0, seed=24, max_events=30, record_grid=tuple(
+            np.linspace(0.0, 5.0, 21))), 400, None, 0),
+        "block_1": (SELF_EXCITING_DEATHS, dict(horizon=8.0, seed=25, record_grid=(
+            0.0, 1.0, 4.0, 8.0)), 300, None, 1),
+    }
+    PINNED_SHA256 = {
+        "cross": "86c57bb2413a197476aecb20f950c000cd63bd486f783d0ce35f2d0d8484ded3",
+        "poisson": "3d93955a66f1edfc20823785d8429472349367f92484dd8fe6620d79297b0b61",
+        "from_a_state": "9f330970729549b896d52736c83de5002288f6a86fa9c69e4b0792b94c472bca",
+        "capped": "f19ec71d152dd266701b535afe0cd79689e9de623c558fdc8647510e5423ccd5",
+        "block_1": "f904a21246163cd0be023f60a1a40af6cdd81d8180c2c90887fd3162023f15e2",
+    }
+
+    @staticmethod
+    def batch_digest(batch):
+        """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array."""
+        h = hashlib.sha256()
+        for name in ("intensity_samples", "xi", "counts", "clock", "zero_occupation_time",
+                     "capped"):
+            a = np.ascontiguousarray(getattr(batch, name))
+            h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+    def test_pinned_bytes(self, run):
+        bank, config, n_paths, state, block = self.PINNED_RUNS[run]
+        batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state, block)
+        assert self.batch_digest(batch) == self.PINNED_SHA256[run]
 
     def test_block_size_enforced(self):
         config = SimConfig(horizon=1.0, seed=1)
