@@ -16,7 +16,6 @@ from .expectations import (
     NoStationaryRateError,
     RegimeKind,
     RegimeReport,
-    Stability,
     abc_coefficients,
     asymptotic_rates,
     classify_regime,
@@ -24,7 +23,6 @@ from .expectations import (
     expected_count,
     expected_intensity_paper,
     expected_intensity_renewal,
-    stability_check,
     univariate_remark_intensity,
 )
 from .experiments import (

@@ -36,6 +36,11 @@ from .population import simulate_population
 from .simulate import SimConfig, simulate
 
 
+# The most points a grid may have; every grid this package needs has a
+# few hundred at most, and a count near 10^8 would allocate gigabytes.
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive uniform grid."""
     parts = text.split(":")
@@ -47,8 +52,8 @@ def parse_grid(text: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
     count = (stop - start) / step
-    if not np.isfinite(count):
-        raise ValueError(f"grid has more points than a float can count, got {text!r}")
+    if not count < MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
     n = int(round(count))
     grid = start + step * np.arange(n + 1)
     # Half-step tolerance keeps the endpoint despite rounding.

@@ -141,10 +141,9 @@ class EventLog:
 
     ``times`` (float64) are finite, non-negative and strictly increasing;
     ``marks`` (int8) take the ``Mark`` values 1, 2 and 3.  The running
-    population size N = N1 + N2 - N3 stays non-negative at every prefix
-    and the first event, if any, is a mutant birth.  A log continuing a
-    path started from a nonempty state carries the starting counts in
-    ``initial_counts``; the first-mark rule then does not apply.
+    population size N = N1 + N2 - N3, counted from ``initial_counts``,
+    stays non-negative at every prefix.  A log continuing a path started
+    from a nonempty state carries the starting counts there.
     """
 
     times: np.ndarray = ()
@@ -172,8 +171,6 @@ class EventLog:
             bad = np.flatnonzero(times[1:] <= times[:-1])
             if bad.size:
                 raise ValueError(f"event times must be strictly increasing at index {bad[0] + 1}")
-            if self.initial_counts == (0, 0, 0) and marks[0] != Mark.MUTANT:
-                raise ValueError("first event must be a mutant birth")
             # Running N - n0 in place: 1 - 2 (m // 3) is +1 for a birth and
             # -1 for a death, and int32 holds the sum below 2^31 events.
             run = marks.astype(np.int32 if marks.size < 2**31 else np.int64)

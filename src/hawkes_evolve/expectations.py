@@ -1,4 +1,4 @@
-"""Analytic layer: mean intensities, stability and the critical fitness.
+"""Analytic layer: mean intensities, the critical fitness and the regime.
 
 Two parallel routes to the first moments are kept side by side.  The
 "paper" route evaluates the closed forms stated for the exponential
@@ -218,35 +218,6 @@ def critical_fitness(bank: KernelBank, method: str = "paper") -> float:
                     RuntimeWarning,
                 )
     return fc
-
-
-class Stability(enum.Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    CRITICAL = "critical"
-
-
-_CRITICAL_WINDOW = 1e-12
-
-
-def _classify(lam: tuple[float, float, float]) -> Stability:
-    births, deaths = lam[0] + lam[1], lam[2]
-    if abs(births - deaths) < _CRITICAL_WINDOW * deaths:
-        return Stability.CRITICAL
-    return Stability.STABLE if deaths > births else Stability.UNSTABLE
-
-
-def stability_check(bank: KernelBank) -> Stability:
-    """Compare long-run birth and death rates.
-
-    Uses the renewal rates when they exist; a supercritical branching
-    matrix means the births explode, which is unstable outright.
-    """
-    try:
-        lam = asymptotic_rates(bank, "renewal")
-    except NoStationaryRateError:
-        return Stability.UNSTABLE
-    return _classify(lam)
 
 
 class RegimeKind(enum.Enum):

@@ -160,9 +160,7 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     Drift moves each intensity toward its baseline (plus the offset floor
     when kernels carry one); jump terms weigh the post-jump change by the
     current rates (a jump is alpha + delta, the kernel at lag zero), with
-    the death term gated by the population size.  At counts (0, 0, 0) a
-    clone birth jumps as a mutant birth, since the engines open every
-    path with a mutant.
+    the death term gated by the population size.
     """
     zeta = _zeta(bank, state)
     betas = bank.betas
@@ -181,8 +179,6 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     jumps = np.zeros((3, 6))
     jumps[:, 0::2] = np.eye(3)
     jumps[:, 1::2] = np.add(bank.jumps, bank.offsets)
-    if state.counts == (0, 0, 0):
-        jumps[1] = jumps[0]
     f0 = f(zeta)
     out += zeta[1] * (f(zeta + jumps[0]) - f0)
     out += zeta[3] * (f(zeta + jumps[1]) - f0)

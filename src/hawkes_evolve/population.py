@@ -2,8 +2,9 @@
 
 Individuals carry a fitness in [0, 1]; identical values form one site.
 Mutant births open a fresh uniform site, clone births reinforce an
-existing site proportionally to its occupancy, and deaths remove one
-individual from the lowest occupied site.  Sites hold slots in creation
+existing site proportionally to its occupancy (a clone born into an
+empty population opens a fresh uniform site, as a mutant does), and
+deaths remove one individual from the lowest occupied site.  Sites hold slots in creation
 order, with one count per slot and one per block of ``_BLOCK`` slots,
 so a birth or death updates two counts and a weighted pick bisects the
 block totals and then one block; a lazy min-heap gives the lowest site.

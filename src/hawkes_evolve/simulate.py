@@ -135,7 +135,6 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             gi += 1
         return gi
 
-    fresh_start = state0.counts == (0, 0, 0)
     times = array("d")
     marks = array("b")
     zero_time = 0.0
@@ -168,9 +167,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             if v < l1:
                 mark = 1
             elif v < l1 + l2:
-                # The merged process starts with a mutant birth by
-                # construction; a clone cannot open an empty population.
-                mark = 1 if fresh_start and not times else 2
+                mark = 2
             else:
                 mark = 3
             j1, j2, j3 = jumps[mark - 1]
@@ -263,9 +260,8 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     leave the block, so the rest of the step runs on the survivors: the
     intensities at the candidate, acceptance by the first uniform times
     the bound (a rejected candidate's total becomes the next bound), and
-    for an accepted candidate the mark by the second.  A clone that
-    would open an empty path is a mutant, deaths are gated at N = 0, and
-    a path stops, capped, at ``config.max_events`` events.  The streams
+    for an accepted candidate the mark by the second.  Deaths are gated
+    at N = 0, and a path stops, capped, at ``config.max_events`` events.  The streams
     differ from ``simulate_markov``'s, so the paths agree with it in
     law, not draw for draw.
 
@@ -292,7 +288,6 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     t0 = state0.clock
     horizon = t0 + config.horizon
     max_events = config.max_events
-    fresh_start = state0.counts == (0, 0, 0)
 
     # Per-path output, indexed by row.
     out_xi = np.empty((n_paths, 3))
@@ -381,11 +376,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         accept = u[0] * bound < total
         # Mark index 0, 1 or 2 (mutant, clone, death) as in _run.
         v = u[1] * total
-        clone_or_death = v >= lam[0]
-        if fresh_start:
-            # A clone cannot open an empty path; the first birth is a mutant.
-            clone_or_death &= n_events > 0
-        mark = np.add(clone_or_death, (v >= lam[0] + lam[1]) & (n > 0), dtype=np.intp)
+        mark = np.add(v >= lam[0], (v >= lam[0] + lam[1]) & (n > 0), dtype=np.intp)
         x = np.where(accept, y + jumps.take(mark, axis=1), x)
         t_last = np.where(accept, t, t_last)
         counts += (mark == component) & accept

@@ -47,6 +47,13 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="0:1e300:1e-300"):
             parse_grid("0:1e300:1e-300")
 
+    @pytest.mark.parametrize("text", ["0:1e9:1e-9", "0:1:1e-7"])
+    def test_huge_point_count_rejected(self, text):
+        # 10^18 points once raised an uncaught MemoryError, and 10^7 points
+        # allocated 76 MiB; the count is now checked before any allocation.
+        with pytest.raises(ValueError, match=text):
+            parse_grid(text)
+
     def test_sweep_grid_unchanged(self):
         assert parse_grid("0:1:0.02").tolist() == (0.02 * np.arange(51)).tolist()
 
@@ -111,12 +118,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_overflowing_grid_rejected(self, command, bank_file, tmp_path, capsys):
-        # Once an OverflowError traceback and exit code 1, which means a
-        # negative statistical verdict.
+        # Once an OverflowError or a MemoryError traceback and exit code 1,
+        # which means a negative statistical verdict.
         flag = "--grid" if command == "simulate" else "--f-grid"
-        assert run([command, "--bank", bank_file, "--horizon", "1", flag, "0:1e300:1e-300",
-                    "--out", str(tmp_path)]) == 2
-        assert "0:1e300:1e-300" in capsys.readouterr().err
+        for grid in ("0:1e300:1e-300", "0:1e9:1e-9"):
+            assert run([command, "--bank", bank_file, "--horizon", "1", flag, grid,
+                        "--out", str(tmp_path)]) == 2
+            assert grid in capsys.readouterr().err
 
     def test_nan_time_rejected(self, bank_file, tmp_path):
         # Once wrote NaN rows and exited 0.
@@ -246,7 +254,7 @@ ARTIFACT_SHA256 = {
         "rho.json": "b7fe29f56fd2dd2e5f40f0fd35084e96b91185c3721ec7c353479b9bdfd069f6",
     },
     ("cross", "gof"): {
-        "gof.json": "5facfc3add8d60e3f7db73760cec1c7512bdfb96f8b4e873d319137295a79cb0",
+        "gof.json": "e0bbda32956a51b1db8b78f52d0014c179178a577e9d4db3746a8bc275dadc60",
     },
     ("cross", "generator-check"): {
         "generator_check.json":
@@ -274,7 +282,7 @@ ARTIFACT_SHA256 = {
         "rho.json": "1a09ff1270e70df1395f39a19e887d5a1d6bf9e09871fa0bc7f431e009a64c6d",
     },
     ("poisson", "gof"): {
-        "gof.json": "fa8a77fa73f4446e3adbb609ee400e030a13e2ca9b31610181ce53b22b329473",
+        "gof.json": "93b7b91887d175a964c5dd0cd2e0b651587e82f7b3bc576f1cf01839f5d77079",
     },
     ("poisson", "generator-check"): {
         "generator_check.json":

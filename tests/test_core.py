@@ -166,15 +166,14 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog([1.0, 1.0], [Mark.MUTANT, Mark.CLONE])
 
-    def test_first_event_must_be_mutant(self):
-        with pytest.raises(ValueError):
-            EventLog([0.5], [Mark.CLONE])
+    def test_first_event_may_be_a_clone(self):
+        assert EventLog([0.5], [Mark.CLONE]).counts() == (0, 1, 0)
 
     def test_prefix_population_nonnegative(self):
         with pytest.raises(ValueError):
             EventLog([0.5, 1.0, 1.5], [Mark.MUTANT, Mark.DEATH, Mark.DEATH])
 
-    def test_initial_counts_relax_first_mark(self):
+    def test_initial_counts_allow_a_first_death(self):
         log = EventLog([0.5], [Mark.DEATH], initial_counts=(2, 0, 0))
         assert log.counts() == (2, 0, 1)
 

@@ -10,7 +10,6 @@ from hawkes_evolve import (
     KernelBank,
     NoStationaryRateError,
     RegimeKind,
-    Stability,
     abc_coefficients,
     asymptotic_rates,
     classify_regime,
@@ -18,7 +17,6 @@ from hawkes_evolve import (
     expected_count,
     expected_intensity_paper,
     expected_intensity_renewal,
-    stability_check,
     univariate_remark_intensity,
 )
 
@@ -361,13 +359,11 @@ class TestCriticalFitness:
 
 
 class TestRegimes:
-    def test_stability_examples(self):
-        assert stability_check(KernelBank.poisson((1.0, 1.0, 3.0))) is Stability.STABLE
-        assert stability_check(KernelBank.poisson((2.0, 1.0, 1.0))) is Stability.UNSTABLE
-        assert stability_check(KernelBank.poisson((1.0, 1.0, 2.0))) is Stability.CRITICAL
-
     def test_regime_trichotomy(self):
         assert classify_regime(KernelBank.poisson((1.0, 1.0, 3.0))).regime \
+            is RegimeKind.SUBCRITICAL
+        # The critical case, deaths equal to births in the mean, is subcritical.
+        assert classify_regime(KernelBank.poisson((1.0, 1.0, 2.0))).regime \
             is RegimeKind.SUBCRITICAL
         report = classify_regime(KernelBank.poisson((2.0, 1.0, 1.0)))
         assert report.regime is RegimeKind.PHASE_TRANSITION
@@ -380,7 +376,6 @@ class TestRegimes:
         # but the branching matrix is supercritical: the births explode.
         bank = KernelBank.exponential(
             (1.0, 1.0, 1.2), ((6.0, 0.0), (0.0, 6.0)), (2.0, 2.5), 0.4, 1.0)
-        assert stability_check(bank) is Stability.UNSTABLE
         with pytest.raises(NoStationaryRateError):
             classify_regime(bank)
 

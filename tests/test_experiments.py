@@ -61,6 +61,13 @@ class TestMcMeanIntensity:
                                     np.linspace(0, 5, 6), 200, seed=1)
         assert poisson.matched_method(3) == "both"
 
+    def test_hawkes_bank_matches_the_renewal_curve(self):
+        # Mutant and clone kernels differ here, so a first clone birth
+        # turned into a mutant would pull both curves off the renewal route.
+        report = mc_mean_intensity(HAWKES_BANK, np.linspace(0, 5, 11), 20_000, seed=11)
+        assert report.matched_method(1) == "renewal"
+        assert report.matched_method(2) == "renewal"
+
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
             mc_mean_intensity(KernelBank.poisson((1.0, 1.0, 1.0)),
@@ -102,22 +109,20 @@ class TestGeneratorApply:
 
     def test_linear_intensity_function(self):
         # For F = l1 at the empty baseline state: relaxation vanishes, and
-        # both birth rates jump l1 by the mutant's alpha, since a clone
-        # opening the path becomes a mutant.
-        bank = HAWKES_BANK
-        expected = (bank.base_rates[0] + bank.base_rates[1]) * bank.birth_kernels[0][0].alpha
-        got = generator_apply(bank, IntensityState(), lambda z: z[1])
-        assert got == pytest.approx(expected, rel=1e-6)
+        # each birth rate jumps l1 by its own mark's alpha,
+        # mu1 * alpha11 + mu2 * alpha21 = 1.0 * 0.4 + 0.8 * 0.2.
+        got = generator_apply(HAWKES_BANK, IntensityState(), lambda z: z[1])
+        assert got == pytest.approx(0.56, rel=1e-6)
 
-    def test_first_clone_counts_as_mutant(self):
-        bank = HAWKES_BANK
-        assert generator_apply(bank, IntensityState(), lambda z: z[0]) == pytest.approx(
-            bank.base_rates[0] + bank.base_rates[1], rel=1e-12)
-        assert generator_apply(bank, IntensityState(), lambda z: z[2]) == 0.0
-        # Off the empty state a clone stays a clone.
-        state = IntensityState(counts=(1, 0, 0))
-        assert generator_apply(bank, state, lambda z: z[0]) == pytest.approx(
-            bank.base_rates[0], rel=1e-12)
+    def test_first_clone_counts_as_clone(self):
+        # At the empty state as elsewhere, F = n1 counts mutants and F = n2
+        # counts clones.
+        mu1, mu2, _ = HAWKES_BANK.base_rates
+        for state in (IntensityState(), IntensityState(counts=(1, 0, 0))):
+            assert generator_apply(HAWKES_BANK, state, lambda z: z[0]) == pytest.approx(
+                mu1, rel=1e-12)
+            assert generator_apply(HAWKES_BANK, state, lambda z: z[2]) == pytest.approx(
+                mu2, rel=1e-12)
 
     def test_death_count_gated_at_empty(self):
         assert generator_apply(HAWKES_BANK, IntensityState(), lambda z: z[4]) == 0.0
@@ -189,12 +194,12 @@ class TestGeneratorDrift:
         assert check.z == np.inf
 
     def test_first_clone_drift_matches_engine(self):
-        # HAWKES_BANK's clone kernels differ from its mutant kernels, so
-        # the first-clone rule shows in n1 and l1 at the empty state.
+        # HAWKES_BANK's clone kernels differ from its mutant kernels, so a
+        # first clone's own jump shows in n1 and l1 at the empty state.
         checks = generator_drift_check(HAWKES_BANK, IntensityState(),
                                        [lambda z: z[0], lambda z: z[1]],
                                        n_reps=60_000, seed=5)
-        assert [c.analytic for c in checks] == pytest.approx([1.8, 0.72], rel=1e-6)
+        assert [c.analytic for c in checks] == pytest.approx([1.0, 0.56], rel=1e-6)
         assert all(abs(c.z) < 4.0 for c in checks)
 
     def test_population_drift_close(self):

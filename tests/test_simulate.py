@@ -111,11 +111,20 @@ class TestMarkovEngine:
         assert np.array_equal(a.events.marks, b.events.marks)
         assert a.final_state == b.final_state
 
-    def test_first_event_is_mutant(self):
-        for seed in range(10):
-            path = simulate_markov(HAWKES_BANK, SimConfig(horizon=5.0, seed=seed))
-            if path.events:
-                assert path.events.marks[0] == Mark.MUTANT
+    def test_first_event_is_a_birth_in_the_base_rate_ratio(self):
+        # On an empty start the first event is a mutant or a clone birth
+        # with odds mu1 : mu2, never a death, and it jumps xi by its row.
+        mu1, mu2, _ = HAWKES_BANK.base_rates
+        mutants = 0
+        for seed in range(2000):
+            path = simulate_markov(HAWKES_BANK, SimConfig(horizon=100.0, seed=seed,
+                                                          max_events=1))
+            assert path.capped
+            mark = int(path.events.marks[0])
+            assert mark in (Mark.MUTANT, Mark.CLONE)
+            assert path.final_state.xi == HAWKES_BANK.jumps[mark - 1]
+            mutants += mark == Mark.MUTANT
+        assert stats.binomtest(mutants, 2000, mu1 / (mu1 + mu2)).pvalue > 1e-4
 
     def test_population_never_negative(self):
         path = simulate_markov(KernelBank.poisson((1.0, 1.0, 3.0)),
@@ -339,15 +348,19 @@ class TestMarkovBatch:
         assert np.isfinite(batch.intensity_samples[reached]).all()
         assert np.isnan(batch.intensity_samples[~reached]).all()
 
-    def test_first_event_is_a_mutant(self):
-        # One event per path: a clone cannot open an empty path, and a
-        # death cannot happen at N = 0.
+    def test_first_event_is_a_birth_in_the_base_rate_ratio(self):
+        # One event per path: a mutant or a clone birth with odds
+        # mu1 : mu2, never a death at N = 0, and xi is its mark's row.
+        mu1, mu2, _ = HAWKES_BANK.base_rates
         batch = simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=100.0, seed=5,
-                                                             max_events=1), 1000)
+                                                             max_events=1), 2000)
         assert batch.capped.all()
-        assert (batch.counts == (1, 0, 0)).all()
-        (k11, k12), _ = HAWKES_BANK.birth_kernels
-        assert np.allclose(batch.xi, (k11.alpha, k12.alpha, 0.0))
+        mutant = batch.counts[:, 0] == 1
+        assert (batch.counts[mutant] == (1, 0, 0)).all()
+        assert (batch.counts[~mutant] == (0, 1, 0)).all()
+        jumps = np.array(HAWKES_BANK.jumps)
+        assert np.array_equal(batch.xi, np.where(mutant[:, None], jumps[0], jumps[1]))
+        assert stats.binomtest(int(mutant.sum()), 2000, mu1 / (mu1 + mu2)).pvalue > 1e-4
 
     def test_final_state_and_grid_of_the_poisson_bank(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
@@ -399,11 +412,11 @@ class TestMarkovBatch:
             0.0, 1.0, 4.0, 8.0)), 300, None, 1),
     }
     PINNED_SHA256 = {
-        "cross": "86c57bb2413a197476aecb20f950c000cd63bd486f783d0ce35f2d0d8484ded3",
-        "poisson": "3d93955a66f1edfc20823785d8429472349367f92484dd8fe6620d79297b0b61",
+        "cross": "c8fa01c8e9a744a70f3fc2083f4582642e41f4992a5567eab857118f68becb7d",
+        "poisson": "0fccf967612e1e89f6a552bd2ac01004cd5efb6c59c4cdaa1d12a82c20571325",
         "from_a_state": "9f330970729549b896d52736c83de5002288f6a86fa9c69e4b0792b94c472bca",
-        "capped": "f19ec71d152dd266701b535afe0cd79689e9de623c558fdc8647510e5423ccd5",
-        "block_1": "f904a21246163cd0be023f60a1a40af6cdd81d8180c2c90887fd3162023f15e2",
+        "capped": "c77ac606d5955b5b7ef41cc55362c14ebffe8d8f32d07373a39751173bfad75c",
+        "block_1": "6851dc663dae74d802018c4d1f3fd3a9aae490ab644428693b62195bda1de4fa",
     }
 
     @staticmethod
