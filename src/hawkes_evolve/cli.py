@@ -66,12 +66,24 @@ def _load_bank(path: str) -> KernelBank:
 
 
 def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HAWKES_EVOLVE_THREADS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
+    """The pool size: --threads, else HAWKES_EVOLVE_THREADS, else the CPU count.
+
+    A size below 1, or a variable that is not an integer, raises a
+    ValueError naming where it came from.
+    """
+    source = "--threads"
+    if value is None:
+        env = os.environ.get("HAWKES_EVOLVE_THREADS")
+        if env is None:
+            return os.cpu_count() or 1
+        source = "HAWKES_EVOLVE_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer >= 1, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -243,7 +243,9 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     config = SimConfig(horizon=h, seed=seed)
     zeta0 = _zeta(bank, state)
     f0s = [f(zeta0) for f in test_functions]
-    d = np.empty((n_reps, len(test_functions)))
+    # One row of increments per function, so each reduction runs along a
+    # contiguous row.
+    d = np.empty((len(test_functions), n_reps))
     base = np.array(bank.base_rates)[:, None]
     for block, start, stop in batch_blocks(n_reps):
         batch = simulate_markov_batch(bank, config, stop - start, state, block)
@@ -252,10 +254,10 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
         zetas[0::2] = batch.counts.T
         zetas[1::2] = base + batch.xi.T
         for k, f in enumerate(test_functions):
-            d[start:stop, k] = (_block_values(f, k, zetas, start == 0) - f0s[k]) / h
-    # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat column.
-    means = d.mean(axis=0)
-    ses = d.std(axis=0, ddof=1) / math.sqrt(n_reps)
+            d[k, start:stop] = (_block_values(f, k, zetas, start == 0) - f0s[k]) / h
+    # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat row.
+    means = d.mean(axis=1)
+    ses = d.std(axis=1, ddof=1) / math.sqrt(n_reps)
     return [DriftCheck(generator_apply(bank, state, f), float(m), float(se))
             for f, m, se in zip(test_functions, means, ses)]
 

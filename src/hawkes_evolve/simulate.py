@@ -265,13 +265,22 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     differ from ``simulate_markov``'s, so the paths agree with it in
     law, not draw for draw.
 
-    The state is held component-major, one row per component and one
-    column per path, so each ufunc runs one inner loop over the paths.
-    Accepted events update it by whole-array masked arithmetic rather
-    than index lists.  With the same draws and the same bits, this runs
-    1.5x as many 1500-path blocks of ``CROSS_BANK`` to horizon 10, with
-    11 grid points, per second as a row-per-path layout did (2 vCPUs,
-    Python 3.11.7, numpy 2.4.6).
+    A step costs mostly the fixed overhead of its numpy calls, so the
+    state is packed into two component-major arrays, one column per
+    path: a float array (x1, x2, x3, t_last, t, time at N = 0, bound,
+    next grid time) and an int64 array (N1, N2, N3, N, output row, next
+    grid index).  Finishing paths leave by one ``compress`` of each;
+    accepted events update the state in place under the accept mask,
+    the counts and N by one ``take`` from a step table.  With the same
+    draws and the same bits, the benchmark's ``mc_cross`` (1500-path
+    blocks of ``CROSS_BANK`` to horizon 10, 11 grid points) runs 46.1k
+    replications/s, up from 36.8k with one array per state variable
+    (``BENCH_19.json``; 2 vCPUs, Python 3.11.7, numpy 2.4.6).  Two
+    routes were ruled out: a scalar loop for the last few paths of a
+    block changes bits, since ``math.exp`` and numpy's SIMD ``exp``
+    differ in the last bit on 4.7% of inputs on an AVX512 host; one
+    lockstep pass over all blocks of a run keeps the bits but raised
+    the ``drift_check`` benchmark's peak memory by 9%.
     """
     require_zero_offsets(bank, "simulate_markov_batch")
     if not 0 < n_paths <= BATCH_BLOCK:
@@ -280,14 +289,16 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     state0 = initial_state if initial_state is not None else IntensityState()
     mu = np.array(bank.base_rates, dtype=float)[:, None]
     neg_beta = -np.array(bank.betas)[:, None]
-    # Column m: the jump of each shot noise at an event of mark m + 1.
-    jumps = np.ascontiguousarray(np.array(bank.jumps).T)
-    # The population change at each mark, and each count's row.
-    n_step = np.array([1, 1, -1])
-    component = np.arange(3)[:, None]
+    # Column m: the jump of each shot noise, and the change of (N1, N2,
+    # N3, N), at an event of mark m + 1.  Column 3, all zeros, serves a
+    # rejected candidate.
+    jumps = np.zeros((3, 4))
+    jumps[:, :3] = np.array(bank.jumps).T
+    step = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, -1, 0]])
     t0 = state0.clock
     horizon = t0 + config.horizon
     max_events = config.max_events
+    events0 = sum(state0.counts)
 
     # Per-path output, indexed by row.
     out_xi = np.empty((n_paths, 3))
@@ -300,97 +311,131 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         """lambda1 + lambda2 + gated lambda3 per column of (lambda1, lambda2, lambda3)."""
         return lam[0] + lam[1] + np.where(n > 0, lam[2], 0.0)
 
-    # State of the active paths, (3, k) or (k,), compacted as paths
-    # finish.  x is the shot noise at t_last, the time of the path's
-    # last event.
-    rows = np.arange(n_paths)
-    x = np.repeat(np.array(state0.xi, dtype=float)[:, None], n_paths, axis=1)
-    t_last = np.full(n_paths, t0)
-    t = np.full(n_paths, t0)
-    n = np.full(n_paths, state0.population_size)
-    counts = np.repeat(np.array(state0.counts, dtype=np.int64)[:, None], n_paths, axis=1)
-    n_events = np.zeros(n_paths, dtype=np.int64)
-    zero_time = np.zeros(n_paths)
-    bound = gated_total(mu + x, n)
-
-    samples = gi = None
-    if config.record_grid is not None:
+    # The state of the active paths, one column per path, compacted as
+    # paths finish.  Float rows: the shot noise x1, x2, x3 at t_last (the
+    # time of the path's last event), t_last, the clock t, the time at
+    # N = 0, the bound and the next grid time.  Int rows: the counts N1,
+    # N2, N3, the population N, the output row and the next grid index.
+    # A sentinel past the last grid point ends the path's grid.
+    fs = np.empty((8, n_paths))
+    fs[:3] = np.array(state0.xi, dtype=float)[:, None]
+    fs[3:5] = t0
+    fs[5] = 0.0
+    ns = np.empty((6, n_paths), dtype=np.int64)
+    ns[:3] = np.array(state0.counts, dtype=np.int64)[:, None]
+    ns[3] = state0.population_size
+    ns[4] = np.arange(n_paths)
+    fs[6] = gated_total(mu + fs[:3], ns[3])
+    samples = None
+    if config.record_grid is None:
+        fs[7], ns[5] = np.inf, 0
+    else:
         grid = np.asarray(config.record_grid, dtype=float)
         samples = np.full((n_paths, grid.size, 4), np.nan)
         # Grid points at or before the start read the start state.
         g0 = int(np.searchsorted(grid, t0, side="right"))
-        lam0 = mu[:, 0] + x[:, 0]
-        samples[:, :g0] = (lam0[0], lam0[1], lam0[2] if n[0] > 0 else 0.0, lam0[2])
-        # Each path's next grid index and time; a sentinel past the last
-        # grid point ends the path's grid.
+        lam0 = mu[:, 0] + fs[:3, 0]
+        samples[:, :g0] = (lam0[0], lam0[1], lam0[2] if ns[3, 0] > 0 else 0.0, lam0[2])
         grid_ext = np.append(grid, np.inf)
-        gi = np.full(n_paths, g0)
-        next_grid = np.full(n_paths, grid_ext[g0])
+        fs[7], ns[5] = grid_ext[g0], g0
 
-    def finish(done, xi, clock, capped):
-        """Write out the paths of mask ``done`` and drop them from the state; the kept mask."""
-        nonlocal rows, x, t, t_last, n, counts, n_events, zero_time, bound, gi, next_grid
-        r = rows[done]
-        out_xi[r] = xi.T
-        out_counts[r] = counts.compress(done, axis=1).T
-        out_clock[r] = clock
-        out_zero[r] = zero_time[done]
+    def views():
+        """Row views of the packed state; taken again after each compaction."""
+        nonlocal x, t_last, t, zero_time, bound, next_grid, counts_n, n
+        x, t_last, t, zero_time, bound, next_grid = fs[:3], fs[3], fs[4], fs[5], fs[6], fs[7]
+        counts_n, n = ns[:4], ns[3]
+
+    x = t_last = t = zero_time = bound = next_grid = counts_n = n = None
+    views()
+
+    def finish(done, capped):
+        """Write out the paths of mask ``done`` and drop them from the state; the kept mask.
+
+        A capped path ends at its last event; any other at the horizon.
+        """
+        nonlocal fs, ns
+        f, i = fs.compress(done, axis=1), ns.compress(done, axis=1)
+        r = i[4]
+        if capped:
+            out_xi[r], out_clock[r] = f[:3].T, f[4]
+        else:
+            out_xi[r] = (f[:3] * np.exp(neg_beta * (horizon - f[3]))).T
+            out_clock[r] = horizon
+        out_counts[r] = i[:3].T
+        out_zero[r] = f[5]
         out_capped[r] = capped
         keep = ~done
-        rows, x, t, t_last, n, counts, n_events, zero_time, bound = (
-            a.compress(keep, axis=-1)
-            for a in (rows, x, t, t_last, n, counts, n_events, zero_time, bound))
-        if gi is not None:
-            gi, next_grid = gi.compress(keep), next_grid.compress(keep)
+        fs, ns = fs.compress(keep, axis=1), ns.compress(keep, axis=1)
+        views()
         return keep
 
+    def sample_grid(due, t_due):
+        """Sample the grid points that the paths ``due`` cross up to ``t_due``.
+
+        One take from each packed array gathers the paths' x, t_last and
+        (N, row, grid index); a path that crosses another point stays due.
+        """
+        f, i = fs[:4].take(due, axis=1), ns[3:].take(due, axis=1)
+        while True:
+            g = i[2]
+            lam = mu + f[:3] * np.exp(neg_beta * (grid[g] - f[3]))
+            gated = np.where(i[0] > 0, lam[2], 0.0)
+            samples[i[1], g] = np.concatenate((lam[:2], gated[None], lam[2:])).T
+            g += 1
+            upcoming = grid_ext[g]
+            ns[5, due], next_grid[due] = g, upcoming
+            again = upcoming <= t_due
+            if not again.any():
+                return
+            due, t_due = due[again], t_due[again]
+            f, i = f.compress(again, axis=1), i.compress(again, axis=1)
+
     steps = 0
-    while rows.size:
-        k = rows.size
-        t_cand = t + rng.standard_exponential(k) / bound
+    while fs.shape[1]:
+        k = fs.shape[1]
+        t_cand = rng.standard_exponential(k)
+        t_cand /= bound
+        t_cand += t
         t_next = np.minimum(t_cand, horizon)
-        if gi is not None:
-            while True:
-                due = np.flatnonzero(next_grid <= t_next)
-                if not due.size:
-                    break
-                g = gi[due]
-                lam = mu + x.take(due, axis=1) * np.exp(neg_beta * (grid[g] - t_last[due]))
-                gated = np.where(n[due] > 0, lam[2], 0.0)
-                samples[rows[due], g] = np.column_stack((lam[0], lam[1], gated, lam[2]))
-                gi[due] = g + 1
-                next_grid[due] = grid_ext[g + 1]
-        zero_time += np.where(n == 0, t_next - t, 0.0)
+        if samples is not None:
+            due = (next_grid <= t_next).nonzero()[0]
+            if due.size:
+                sample_grid(due, t_next[due])
+        empty = n == 0
+        if empty.any():
+            np.add(zero_time, t_next - t, out=zero_time, where=empty)
         u = rng.random((2, k))
-        t = t_cand
+        t[...] = t_cand
         # A path whose candidate passes the horizon ends there.
-        done = t >= horizon
+        done = t_cand >= horizon
         if done.any():
-            xi = x.compress(done, axis=1) * np.exp(neg_beta * (horizon - t_last[done]))
-            u = u.compress(finish(done, xi, horizon, False), axis=1)
-            if not rows.size:
+            u = u.compress(finish(done, False), axis=1)
+            if not fs.shape[1]:
                 break
         y = x * np.exp(neg_beta * (t - t_last))
         lam = mu + y
-        total = gated_total(lam, n)
-        accept = u[0] * bound < total
-        # Mark index 0, 1 or 2 (mutant, clone, death) as in _run.
-        v = u[1] * total
-        mark = np.add(v >= lam[0], (v >= lam[0] + lam[1]) & (n > 0), dtype=np.intp)
-        x = np.where(accept, y + jumps.take(mark, axis=1), x)
-        t_last = np.where(accept, t, t_last)
-        counts += (mark == component) & accept
-        n += n_step.take(mark) * accept
-        n_events += accept
+        l12 = lam[0] + lam[1]
+        alive = n > 0
+        # The bound row takes the total at the candidate; the acceptance
+        # test reads the old bound first.
+        threshold = u[0] * bound
+        np.add(l12, np.where(alive, lam[2], 0.0), out=bound)
+        accept = threshold < bound
+        # Mark index 0, 1 or 2 (mutant, clone, death) as in _run; 3 if rejected.
+        v = u[1] * bound
+        mark = np.where(accept, np.add(v >= lam[0], (v >= l12) & alive, dtype=np.intp), 3)
+        np.copyto(x, y + jumps.take(mark, axis=1), where=accept)
+        np.copyto(t_last, t, where=accept)
+        counts_n += step.take(mark, axis=1)
         # A rejected candidate's total is the next bound.
-        bound = np.where(accept, gated_total(mu + x, n), total)
+        np.copyto(bound, gated_total(mu + x, n), where=accept)
         steps += 1
         # A path that accepts its last allowed event stops there, capped;
         # no path has more events than steps.
         if steps >= max_events:
-            capped = n_events >= max_events
+            capped = ns[:3].sum(axis=0) - events0 >= max_events
             if capped.any():
-                finish(capped, x.compress(capped, axis=1), t[capped], True)
+                finish(capped, True)
     return MarkovBatch(samples, out_xi, out_counts, out_clock, out_zero, out_capped)
 
 

@@ -212,6 +212,28 @@ class TestSubcommands:
                     "--horizon", "20", "--runs", "2", "--seed", "1",
                     "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("command", ["sweep", "rho"])
+    @pytest.mark.parametrize("flag, env, message", [
+        ("0", None, "--threads must be >= 1, got 0"),
+        ("-4", None, "--threads must be >= 1, got -4"),
+        (None, "0", "HAWKES_EVOLVE_THREADS must be >= 1, got 0"),
+        (None, "two", "HAWKES_EVOLVE_THREADS must be an integer >= 1, got 'two'"),
+    ], ids=["flag_zero", "flag_negative", "env_zero", "env_not_an_integer"])
+    def test_bad_pool_size_rejected(self, bank_file, tmp_path, capsys, monkeypatch,
+                                    command, flag, env, message):
+        # A size below 1 once ran serially and exited 0; "two" exited 2
+        # with int()'s message, which named neither the variable nor the flag.
+        argv = {"sweep": ["sweep", "--f-grid", "0:1:0.5"],
+                "rho": ["rho", "--f", "0.75", "--epsilon", "0"]}[command]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("HAWKES_EVOLVE_THREADS", env)
+        assert run(argv + ["--horizon", "20", "--runs", "2", "--seed", "1",
+                           "--bank", bank_file, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}.*"))
+
 
 # Cross-exciting bank with every jump size at 0.4 of its decay rate.
 CROSS_BANK = KernelBank.exponential(
@@ -258,7 +280,7 @@ ARTIFACT_SHA256 = {
     },
     ("cross", "generator-check"): {
         "generator_check.json":
-            "8f7c65ce2efd8ec90cfe5c6451e030ce7e36170f109ad7daedaad6963e914deb",
+            "d5a20f5fa21f685d3efc237b77d9d76d133dfb517f232a0ce133ea570f856d4d",
     },
     ("cross", "expect"): {
         "expectations.csv": "0b6cefdea408e23bc0a033b88f850c44dc61912e31e32bf4ed8c9a7afeb42730",
@@ -286,7 +308,7 @@ ARTIFACT_SHA256 = {
     },
     ("poisson", "generator-check"): {
         "generator_check.json":
-            "3c49fbeab11c823fa3de29e3e897dd31e6232e5e5076d15ed25c497cd2d9a845",
+            "a51e38bd1fb73f55e2bffab85b42187dc8de571fd329483c8b8645be614c8f42",
     },
     ("poisson", "expect"): {
         "expectations.csv": "de54a80c3090f2e620c35205f651acf4884e5c4d81060b8cd3601e20d25bb847",

@@ -410,6 +410,11 @@ class TestMarkovBatch:
             np.linspace(0.0, 5.0, 21))), 400, None, 0),
         "block_1": (SELF_EXCITING_DEATHS, dict(horizon=8.0, seed=25, record_grid=(
             0.0, 1.0, 4.0, 8.0)), 300, None, 1),
+        # Every path returns to N = 0, and spends about half its time there.
+        "extinct": (KernelBank.exponential((0.4, 0.3, 1.5), ((0.2, 0.1), (0.1, 0.2)),
+                                           (1.0, 1.5), 0.5, 2.0),
+                    dict(horizon=20.0, seed=26, record_grid=(
+                        0.0, 0.5, 3.0, 3.0, 10.0, 19.5, 25.0)), 400, None, 0),
     }
     PINNED_SHA256 = {
         "cross": "c8fa01c8e9a744a70f3fc2083f4582642e41f4992a5567eab857118f68becb7d",
@@ -417,6 +422,7 @@ class TestMarkovBatch:
         "from_a_state": "9f330970729549b896d52736c83de5002288f6a86fa9c69e4b0792b94c472bca",
         "capped": "c77ac606d5955b5b7ef41cc55362c14ebffe8d8f32d07373a39751173bfad75c",
         "block_1": "6851dc663dae74d802018c4d1f3fd3a9aae490ab644428693b62195bda1de4fa",
+        "extinct": "efc6a30caddf419d587742558b25e281bf5818547d5954ac0faac04d5af03dc0",
     }
 
     @staticmethod
