@@ -93,9 +93,18 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _json_value(obj):
+    """``obj`` with each non-finite float replaced by None, so it writes as strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -113,6 +122,10 @@ def _write_gnuplot(path: str, csv_name: str, title: str, columns: list[tuple[int
 
 
 def _cmd_expect(args) -> int:
+    if not 1 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"--points must be between 1 and {MAX_GRID_POINTS}, got {args.points}")
+    if not 0 < args.t_max < np.inf:
+        raise ValueError(f"--t-max must be finite and > 0, got {args.t_max}")
     bank = _load_bank(args.bank)
     grid = np.linspace(0.0, args.t_max, args.points)
     methods = ("paper", "renewal") if args.method == "both" else (args.method,)
@@ -242,28 +255,19 @@ def _cmd_generator_check(args) -> int:
     state = IntensityState()
     checks = generator_drift_check(bank, state, [f for _, f in _POLY_FUNCTIONS],
                                    h=args.h, n_reps=args.reps, seed=args.seed)
-    payload = []
-    n_bad = 0
-    for (name, _), chk in zip(_POLY_FUNCTIONS, checks):
-        z = chk.z
-        n_bad += abs(z) >= 3
-        payload.append({
-            "function": name,
-            "analytic": chk.analytic,
-            "mc_mean": chk.mc_mean,
-            "mc_stderr": chk.mc_stderr,
-            "z": None if z != z else z,
-        })
+    payload = [{"function": name, "analytic": chk.analytic, "mc_mean": chk.mc_mean,
+                "mc_stderr": chk.mc_stderr, "z": chk.z}
+               for (name, _), chk in zip(_POLY_FUNCTIONS, checks)]
     _write_json(os.path.join(args.out, "generator_check.json"), payload)
     # One outlier in five is within normal MC noise at |z| = 3.
-    return 1 if n_bad > 1 else 0
+    return 1 if sum(abs(chk.z) >= 3 for chk in checks) > 1 else 0
 
 
 def _cmd_regime(args) -> int:
     bank = _load_bank(args.bank)
     doc = classify_regime(bank).to_dict()
     _write_json(os.path.join(args.out, "regime.json"), doc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(_json_value(doc), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

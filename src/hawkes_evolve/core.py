@@ -201,11 +201,10 @@ class EventLog:
 
 @dataclass(frozen=True)
 class IntensityState:
-    """Shot-noise values, event counts and the last-synchronized time."""
+    """Shot-noise values and event counts; a path starts from one at t = 0."""
 
     xi: tuple[float, float, float] = (0.0, 0.0, 0.0)
     counts: tuple[int, int, int] = (0, 0, 0)
-    clock: float = 0.0
 
     def __post_init__(self):
         if any(x < 0 for x in self.xi):
@@ -225,11 +224,20 @@ def _kernel_to_dict(kernel: ExpKernel) -> dict:
     return {"alpha": kernel.alpha, "beta": kernel.beta, "delta": kernel.delta}
 
 
-def _kernel_from_dict(d: dict) -> ExpKernel:
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _kernel_from_dict(d, what: str) -> ExpKernel:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = set(d) - _KERNEL_KEYS
     if unknown:
         raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-    return ExpKernel(float(d["alpha"]), float(d["beta"]), float(d.get("delta", 0.0)))
+    return ExpKernel(_number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta"),
+                     _number(d.get("delta", 0.0), f"{what} delta"))
 
 
 def bank_to_json(bank: KernelBank) -> str:
@@ -245,16 +253,21 @@ def bank_to_json(bank: KernelBank) -> str:
 
 
 def bank_from_json(text: str) -> KernelBank:
-    """Parse the JSON bank document; unknown keys are rejected."""
+    """Parse the JSON bank document; unknown keys and non-numeric entries are rejected."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a bank document must be a JSON object, got {doc!r}")
     unknown = set(doc) - {"base_rates", "birth_kernels", "death_kernel"}
     if unknown:
         raise ValueError(f"unknown bank keys: {sorted(unknown)}")
     rates = doc["base_rates"]
-    if len(rates) != 3:
-        raise ValueError(f"base_rates must have three entries, got {len(rates)}")
+    if not isinstance(rates, list) or len(rates) != 3:
+        raise ValueError(f"base_rates must be a list of three numbers, got {rates!r}")
     bk = doc["birth_kernels"]
-    if len(bk) != 2 or any(len(row) != 2 for row in bk):
+    if not isinstance(bk, list) or len(bk) != 2 or any(
+            not isinstance(row, list) or len(row) != 2 for row in bk):
         raise ValueError("birth_kernels must be a 2x2 array of kernels")
-    kernels = tuple(tuple(_kernel_from_dict(bk[j][i]) for i in range(2)) for j in range(2))
-    return KernelBank(tuple(float(r) for r in rates), kernels, _kernel_from_dict(doc["death_kernel"]))
+    kernels = tuple(tuple(_kernel_from_dict(bk[j][i], f"birth_kernels[{j}][{i}]")
+                          for i in range(2)) for j in range(2))
+    return KernelBank(tuple(_number(r, "base_rates entry") for r in rates), kernels,
+                      _kernel_from_dict(doc["death_kernel"], "death_kernel"))

@@ -131,8 +131,8 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
 
     Fitness draws come from a stream independent of the event engine's,
     so the same event path can be re-partitioned reproducibly.  ``f``,
-    when given, must be in [0, 1].  ``snapshot_grid`` must be finite and
-    non-decreasing, as a recording grid must (``check_grid``).
+    when given, must be in [0, 1].  ``snapshot_grid`` must be finite,
+    non-negative and non-decreasing, as a record grid (``check_grid``).
     """
     if f is not None and not 0 <= f <= 1:
         raise ValueError(f"f must be in [0, 1], got {f}")

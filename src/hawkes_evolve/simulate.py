@@ -32,11 +32,10 @@ from .core import EventLog, IntensityState, KernelBank, require_zero_offsets
 class SimConfig:
     """Run parameters shared by both engines.
 
-    ``record_grid`` holds the times at which the intensities are sampled.
-    Its points must be finite and non-decreasing (``check_grid``): the
-    engines sample the grid in one forward pass.  Repeated points and
-    points before the start clock are allowed; the latter read the start
-    state.  ``horizon`` must be finite and positive.
+    A path runs from t = 0 to ``horizon``, which must be finite and > 0.
+    ``record_grid`` holds the times at which the intensities are sampled,
+    finite, non-negative and non-decreasing (``check_grid``): the engines
+    sample the grid in one forward pass.  Repeated points are allowed.
     """
 
     horizon: float
@@ -57,10 +56,10 @@ class SimConfig:
 
 
 def check_grid(grid, name: str) -> np.ndarray:
-    """``grid`` as a float array; ValueError, naming it, unless finite and non-decreasing."""
+    """``grid`` as a float array; ValueError, naming it, unless finite, >= 0 and non-decreasing."""
     grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
-        raise ValueError(f"{name} must hold finite, non-decreasing times")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0) or np.any(np.diff(grid) < 0):
+        raise ValueError(f"{name} must hold finite, non-negative, non-decreasing times")
     return grid
 
 
@@ -74,21 +73,19 @@ class SimPath:
     but not from the path: xi3 jumps only at deaths, and deaths stop
     while N = 0.  Its grid means therefore fall below the analytic
     curves, which ignore the gate, whenever deaths self-excite.
-    ``start`` is the state the path started from.
+    ``start`` is the state the path started from at t = 0, and
+    ``elapsed`` the time the path ended: the horizon, or the last event
+    of a capped path.
     """
 
     events: EventLog
     final_state: IntensityState
+    elapsed: float
     zero_occupation_time: float
     capped: bool = False
     grid: Optional[np.ndarray] = None
     intensity_samples: Optional[np.ndarray] = None
     start: IntensityState = IntensityState()
-
-    @property
-    def elapsed(self) -> float:
-        """Time from the start state's clock to the end of the path."""
-        return self.final_state.clock - self.start.clock
 
 
 def rng_for(seed: int, *stream: int) -> Generator:
@@ -110,9 +107,9 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     shot noise just after it.  The loop computes that value itself, as
     xi_at(t) from just before the event plus the mark's row of
     ``bank.jumps``, so it evaluates xi_at once per candidate, plus once at
-    the start and once at the end.  The loop keeps the counts and the
-    clock, appends each event to a float64 and an int8 buffer, and builds
-    the log once.
+    the start and once at the end.  The loop runs from t = 0, keeps the
+    counts and the clock, appends each event to a float64 and an int8
+    buffer, and builds the log once.
     """
     mu1, mu2, mu3 = bank.base_rates
     jumps = bank.jumps
@@ -120,8 +117,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     n = state0.population_size
     exponential, uniform = rng.exponential, rng.random
 
-    t0 = state0.clock
-    horizon = t0 + config.horizon
+    horizon = config.horizon
     grid = None if config.record_grid is None else np.asarray(config.record_grid, dtype=float)
     samples = None if grid is None else np.full((grid.size, 4), np.nan)
     gi = 0
@@ -129,7 +125,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     def fill(gi: int, upto: float, n: int) -> int:
         """Sample (l1, l2, gated l3, ungated l3) at grid[gi:] up to upto; next gi."""
         while gi < grid.size and grid[gi] <= upto:
-            x1, x2, x3 = xi_at(max(float(grid[gi]), t0))  # points before t0 read t0
+            x1, x2, x3 = xi_at(float(grid[gi]))
             l3 = mu3 + x3
             samples[gi] = (mu1 + x1, mu2 + x2, l3 if n > 0 else 0.0, l3)
             gi += 1
@@ -139,7 +135,7 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     marks = array("b")
     zero_time = 0.0
     capped = False
-    t = t0
+    t = 0.0
     if grid is not None:
         gi = fill(gi, t, n)
     # l1, l2 and the gated l3 are the intensities at t: a rejected candidate's
@@ -183,9 +179,9 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
             l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
     if grid is not None:
         fill(gi, t, n)
-    final = IntensityState(xi_at(t), tuple(counts), t)
+    final = IntensityState(xi_at(t), tuple(counts))
     log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8), state0.counts)
-    return SimPath(log, final, zero_time, capped, grid, samples, state0)
+    return SimPath(log, final, t, zero_time, capped, grid, samples, state0)
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
@@ -201,7 +197,7 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     state0 = initial_state if initial_state is not None else IntensityState()
     b1, b2, b3 = bank.betas
     x1, x2, x3 = state0.xi
-    t_last = state0.clock
+    t_last = 0.0
 
     def xi_at(t: float) -> tuple[float, float, float]:
         dt = t - t_last
@@ -227,18 +223,16 @@ BATCH_STREAM = 3
 class MarkovBatch:
     """Lockstep Markov paths as arrays, one row per path.
 
-    ``intensity_samples`` is (paths, grid, 4) with the columns of
-    ``SimPath.intensity_samples``, NaN past a capped path's end, or None
-    without a recording grid.  ``xi`` and ``counts`` are the final shot
-    noise and counts, (paths, 3); ``clock``, ``zero_occupation_time``
-    and ``capped`` are per path.
+    ``intensity_samples`` is (paths, grid, 3): lambda1, lambda2 and the
+    ungated lambda3 (``SimPath.intensity_samples`` without its gated
+    column), NaN past a capped path's end, or None without a recording
+    grid.  ``xi`` and ``counts`` are the final shot noise and counts,
+    (paths, 3); ``capped`` is per path.
     """
 
     intensity_samples: Optional[np.ndarray]
     xi: np.ndarray
     counts: np.ndarray
-    clock: np.ndarray
-    zero_occupation_time: np.ndarray
     capped: np.ndarray
 
 
@@ -261,19 +255,19 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     intensities at the candidate, acceptance by the first uniform times
     the bound (a rejected candidate's total becomes the next bound), and
     for an accepted candidate the mark by the second.  Deaths are gated
-    at N = 0, and a path stops, capped, at ``config.max_events`` events.  The streams
-    differ from ``simulate_markov``'s, so the paths agree with it in
-    law, not draw for draw.
+    at N = 0, and a path stops, capped, at ``config.max_events`` events.
+    The streams differ from ``simulate_markov``'s, so the paths agree
+    with it in law, not draw for draw.
 
     A step costs mostly the fixed overhead of its numpy calls, so the
     state is packed into two component-major arrays, one column per
-    path: a float array (x1, x2, x3, t_last, t, time at N = 0, bound,
-    next grid time) and an int64 array (N1, N2, N3, N, output row, next
-    grid index).  Finishing paths leave by one ``compress`` of each;
-    accepted events update the state in place under the accept mask,
-    the counts and N by one ``take`` from a step table.  With the same
-    draws and the same bits, the benchmark's ``mc_cross`` (1500-path
-    blocks of ``CROSS_BANK`` to horizon 10, 11 grid points) runs 46.1k
+    path: a float array (x1, x2, x3, t_last, t, bound, next grid time)
+    and an int64 array (N1, N2, N3, N, output row, next grid index).
+    Finishing paths leave by one ``compress`` of each; accepted events
+    update the state in place under the accept mask, the counts and N by
+    one ``take`` from a step table.  With the same draws and the same
+    bits, the benchmark's ``mc_cross`` (1500-path blocks of
+    ``CROSS_BANK`` to horizon 10, 11 grid points) runs 46.1k
     replications/s, up from 36.8k with one array per state variable
     (``BENCH_19.json``; 2 vCPUs, Python 3.11.7, numpy 2.4.6).  Two
     routes were ruled out: a scalar loop for the last few paths of a
@@ -295,16 +289,13 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     jumps = np.zeros((3, 4))
     jumps[:, :3] = np.array(bank.jumps).T
     step = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, -1, 0]])
-    t0 = state0.clock
-    horizon = t0 + config.horizon
+    horizon = config.horizon
     max_events = config.max_events
     events0 = sum(state0.counts)
 
     # Per-path output, indexed by row.
     out_xi = np.empty((n_paths, 3))
     out_counts = np.empty((n_paths, 3), dtype=np.int64)
-    out_clock = np.empty(n_paths)
-    out_zero = np.empty(n_paths)
     out_capped = np.zeros(n_paths, dtype=bool)
 
     def gated_total(lam, n):
@@ -313,39 +304,32 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
 
     # The state of the active paths, one column per path, compacted as
     # paths finish.  Float rows: the shot noise x1, x2, x3 at t_last (the
-    # time of the path's last event), t_last, the clock t, the time at
-    # N = 0, the bound and the next grid time.  Int rows: the counts N1,
-    # N2, N3, the population N, the output row and the next grid index.
-    # A sentinel past the last grid point ends the path's grid.
-    fs = np.empty((8, n_paths))
+    # time of the path's last event), t_last, the clock t, the bound and
+    # the next grid time.  Int rows: the counts N1, N2, N3, the
+    # population N, the output row and the next grid index.  A sentinel
+    # past the last grid point ends the path's grid.
+    fs = np.zeros((7, n_paths))
     fs[:3] = np.array(state0.xi, dtype=float)[:, None]
-    fs[3:5] = t0
-    fs[5] = 0.0
-    ns = np.empty((6, n_paths), dtype=np.int64)
+    ns = np.zeros((6, n_paths), dtype=np.int64)
     ns[:3] = np.array(state0.counts, dtype=np.int64)[:, None]
     ns[3] = state0.population_size
     ns[4] = np.arange(n_paths)
-    fs[6] = gated_total(mu + fs[:3], ns[3])
+    fs[5] = gated_total(mu + fs[:3], ns[3])
     samples = None
-    if config.record_grid is None:
-        fs[7], ns[5] = np.inf, 0
-    else:
+    fs[6] = np.inf
+    if config.record_grid is not None:
         grid = np.asarray(config.record_grid, dtype=float)
-        samples = np.full((n_paths, grid.size, 4), np.nan)
-        # Grid points at or before the start read the start state.
-        g0 = int(np.searchsorted(grid, t0, side="right"))
-        lam0 = mu[:, 0] + fs[:3, 0]
-        samples[:, :g0] = (lam0[0], lam0[1], lam0[2] if ns[3, 0] > 0 else 0.0, lam0[2])
+        samples = np.full((n_paths, grid.size, 3), np.nan)
         grid_ext = np.append(grid, np.inf)
-        fs[7], ns[5] = grid_ext[g0], g0
+        fs[6] = grid_ext[0]
 
     def views():
         """Row views of the packed state; taken again after each compaction."""
-        nonlocal x, t_last, t, zero_time, bound, next_grid, counts_n, n
-        x, t_last, t, zero_time, bound, next_grid = fs[:3], fs[3], fs[4], fs[5], fs[6], fs[7]
+        nonlocal x, t_last, t, bound, next_grid, counts_n, n
+        x, t_last, t, bound, next_grid = fs[:3], fs[3], fs[4], fs[5], fs[6]
         counts_n, n = ns[:4], ns[3]
 
-    x = t_last = t = zero_time = bound = next_grid = counts_n = n = None
+    x = t_last = t = bound = next_grid = counts_n = n = None
     views()
 
     def finish(done, capped):
@@ -356,13 +340,8 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         nonlocal fs, ns
         f, i = fs.compress(done, axis=1), ns.compress(done, axis=1)
         r = i[4]
-        if capped:
-            out_xi[r], out_clock[r] = f[:3].T, f[4]
-        else:
-            out_xi[r] = (f[:3] * np.exp(neg_beta * (horizon - f[3]))).T
-            out_clock[r] = horizon
+        out_xi[r] = (f[:3] if capped else f[:3] * np.exp(neg_beta * (horizon - f[3]))).T
         out_counts[r] = i[:3].T
-        out_zero[r] = f[5]
         out_capped[r] = capped
         keep = ~done
         fs, ns = fs.compress(keep, axis=1), ns.compress(keep, axis=1)
@@ -373,14 +352,12 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         """Sample the grid points that the paths ``due`` cross up to ``t_due``.
 
         One take from each packed array gathers the paths' x, t_last and
-        (N, row, grid index); a path that crosses another point stays due.
+        (row, grid index); a path that crosses another point stays due.
         """
-        f, i = fs[:4].take(due, axis=1), ns[3:].take(due, axis=1)
+        f, i = fs[:4].take(due, axis=1), ns[4:].take(due, axis=1)
         while True:
-            g = i[2]
-            lam = mu + f[:3] * np.exp(neg_beta * (grid[g] - f[3]))
-            gated = np.where(i[0] > 0, lam[2], 0.0)
-            samples[i[1], g] = np.concatenate((lam[:2], gated[None], lam[2:])).T
+            g = i[1]
+            samples[i[0], g] = (mu + f[:3] * np.exp(neg_beta * (grid[g] - f[3]))).T
             g += 1
             upcoming = grid_ext[g]
             ns[5, due], next_grid[due] = g, upcoming
@@ -396,14 +373,11 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         t_cand = rng.standard_exponential(k)
         t_cand /= bound
         t_cand += t
-        t_next = np.minimum(t_cand, horizon)
         if samples is not None:
+            t_next = np.minimum(t_cand, horizon)
             due = (next_grid <= t_next).nonzero()[0]
             if due.size:
                 sample_grid(due, t_next[due])
-        empty = n == 0
-        if empty.any():
-            np.add(zero_time, t_next - t, out=zero_time, where=empty)
         u = rng.random((2, k))
         t[...] = t_cand
         # A path whose candidate passes the horizon ends there.
@@ -436,7 +410,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
             capped = ns[:3].sum(axis=0) - events0 >= max_events
             if capped.any():
                 finish(capped, True)
-    return MarkovBatch(samples, out_xi, out_counts, out_clock, out_zero, out_capped)
+    return MarkovBatch(samples, out_xi, out_counts, out_capped)
 
 
 class _History:
@@ -514,11 +488,11 @@ def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPat
 def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarray:
     """Compensator increments of process i between its own events.
 
-    The path is replayed from its start state on the Markov engine's
-    float recursion: only xi_i is kept, it decays in closed form between
-    events and jumps by the mark's alpha onto intensity i, and a running
-    N gates the deaths.  Under a correct simulation the residuals are
-    i.i.d. unit exponential.
+    The path is replayed from its start state at t = 0 on the Markov
+    engine's float recursion: only xi_i is kept, it decays in closed form
+    between events and jumps by the mark's alpha onto intensity i, and a
+    running N gates the deaths.  Under a correct simulation the residuals
+    are i.i.d. unit exponential.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
@@ -529,7 +503,7 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     jump = tuple(row[i - 1] for row in bank.jumps)
     n = path.start.population_size
     xi = path.start.xi[i - 1]
-    t = path.start.clock
+    t = 0.0
     residuals = []
     acc = 0.0
     for time, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):

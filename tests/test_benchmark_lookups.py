@@ -56,7 +56,7 @@ def test_simulate_dispatches_through_the_thinning_name(monkeypatch):
     bank = KernelBank.poisson((2.0, 1.0, 1.0))
     path = simulate_module.simulate(bank, SimConfig(horizon=1.0, seed=1, engine="thinning"))
     assert len(calls) == 1
-    assert path.final_state.clock == 1.0
+    assert path.elapsed == 1.0
 
 
 def test_drift_workload_functions_meet_the_block_contract(monkeypatch):

@@ -141,6 +141,103 @@ class TestExitCodes:
     def test_gnuplot_only_where_a_plot_is_written(self, bank_file, tmp_path):
         assert run(["regime", "--bank", bank_file, "--gnuplot", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--grid=-1:5:1"], "record_grid"),
+        (["population", "--snapshot-grid=-1:5:1"], "snapshot_grid"),
+        (["simulate", "--grid", "-1:5:1"], "--grid"),
+    ], ids=["record_grid", "snapshot_grid", "grid_read_as_a_flag"])
+    def test_negative_grid_rejected(self, argv, name, bank_file, tmp_path, capsys):
+        # Every path starts at t = 0.  Without "=", argparse reads -1:5:1
+        # as a flag and rejects the command line itself.
+        assert run(argv + ["--bank", bank_file, "--horizon", "5",
+                           "--out", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "0"], "--points must be between 1 and"),
+        (["--points", "-3"], "--points must be between 1 and"),
+        (["--points", str(10**12)], "--points must be between 1 and"),
+        (["--t-max", "0"], "--t-max must be finite and > 0"),
+        (["--t-max", "-1"], "--t-max must be finite and > 0"),
+        (["--t-max", "inf"], "--t-max must be finite and > 0"),
+    ], ids=["no_points", "negative_points", "huge_points", "zero_t_max",
+            "negative_t_max", "infinite_t_max"])
+    def test_expect_grid_bounded(self, flags, message, bank_file, tmp_path, capsys):
+        # --points 0 once wrote a table with no rows and exited 0, and a
+        # huge count tried to allocate gigabytes.
+        assert run(["expect", "--bank", bank_file, "--method", "paper", "--out",
+                    str(tmp_path)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "expectations.csv").exists()
+
+    def test_expect_single_point(self, bank_file, tmp_path):
+        assert run(["expect", "--bank", bank_file, "--method", "paper", "--points", "1",
+                    "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "expectations.csv").read_text().splitlines()) == 1 + 3
+
+
+def _set(key, value):
+    """A function that sets ``key`` of a Poisson bank's document to ``value``."""
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: 5, "a bank document must be a JSON object"),
+    (_set("base_rates", [[1], 0.8, 1.2]), "base_rates entry must be a number"),
+    (_set("death_kernel", 3), "death_kernel must be a JSON object"),
+], ids=["not_an_object", "nested_rate", "kernel_not_an_object"])
+def test_malformed_bank_file_exits_2(edit, message, tmp_path, capsys):
+    # Each of these once ended in a TypeError traceback and exit code 1.
+    bank = tmp_path / "bank.json"
+    doc = json.loads(bank_to_json(KernelBank.poisson((2.0, 1.0, 1.0))))
+    bank.write_text(json.dumps(edit(doc)))
+    assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Artifacts are strict JSON: a non-finite value is written as null."""
+
+    def test_rho_of_runs_that_end_empty(self, tmp_path):
+        # Deaths outpace births, so some runs end with N = 0 and rho = NaN.
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(KernelBank.poisson((1.0, 1.0, 3.0))))
+        assert run(["rho", "--bank", str(bank), "--f", "0.5", "--epsilon", "0.5",
+                    "--horizon", "50", "--runs", "4", "--threads", "1",
+                    "--out", str(tmp_path)]) == 0
+        doc = _strict_json((tmp_path / "rho.json").read_text())
+        assert None in doc["terminal_rho"]
+
+    def test_sweep_of_runs_that_end_empty(self, tmp_path):
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(KernelBank.poisson((1.0, 1.0, 3.0))))
+        assert run(["sweep", "--bank", str(bank), "--f-grid", "0:1:0.5", "--horizon", "50",
+                    "--runs", "4", "--seed", "1", "--threads", "1",
+                    "--out", str(tmp_path)]) == 0
+        doc = _strict_json((tmp_path / "sweep.json").read_text())
+        assert None in doc["r_fc_over_n"]
+
+    def test_generator_check_with_infinite_z(self, tmp_path):
+        # At h = 1e-6 two replications see no event, so the spread is zero
+        # and z is infinite.
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(CROSS_BANK))
+        assert run(["generator-check", "--bank", str(bank), "--reps", "2", "--h", "1e-6",
+                    "--out", str(tmp_path)]) == 1
+        doc = _strict_json((tmp_path / "generator_check.json").read_text())
+        assert None in [entry["z"] for entry in doc]
+
 
 class TestSubcommands:
     def test_regime_json(self, bank_file, tmp_path, capsys):
@@ -397,6 +494,18 @@ class TestScipyDeferred:
         assert "scipy.linalg" in renewal
         assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in renewal)
         assert gof_code in (0, 1) and "scipy.stats" in gof
+
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        # The hawkes-evolve console script calls the same main().
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(CROSS_BANK))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for name, code in (("bank.json", 0), ("missing.json", 2)):
+            done = subprocess.run([sys.executable, "-m", "hawkes_evolve.cli", "regime",
+                                   "--bank", str(tmp_path / name), "--out", str(tmp_path)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+        assert (tmp_path / "regime.json").exists()
 
     def test_numpy_random_loads_with_the_package(self):
         # numpy loads it lazily; pool workers forked by sweep and rho

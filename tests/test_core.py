@@ -130,6 +130,23 @@ class TestKernelBank:
         with pytest.raises(ValueError, match=field):
             bank_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, value, field", [
+        (("birth_kernels", 0, 1, "alpha"), None, r"birth_kernels\[0\]\[1\] alpha"),
+        (("birth_kernels", 1, 0, "beta"), "1.5", r"birth_kernels\[1\]\[0\] beta"),
+        (("death_kernel", "delta"), True, "death_kernel delta"),
+        (("birth_kernels", 1), 5, "birth_kernels"),
+        (("base_rates",), 2.0, "base_rates"),
+    ], ids=["null", "string", "bool", "row_not_a_list", "rates_not_a_list"])
+    def test_json_non_numeric_values_rejected(self, where, value, field):
+        # A ValueError, which the CLI reports with exit code 2, not a TypeError.
+        doc = json.loads(bank_to_json(exp_bank()))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        with pytest.raises(ValueError, match=field):
+            bank_from_json(json.dumps(doc))
+
     def test_json_default_delta(self):
         doc = json.loads(bank_to_json(exp_bank()))
         del doc["death_kernel"]["delta"]

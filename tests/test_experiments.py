@@ -74,10 +74,17 @@ class TestMcMeanIntensity:
                               np.linspace(0, 1, 3), 1, seed=1)
 
     def test_unsorted_grid_rejected_before_any_path(self):
-        # SimConfig rejects the grid; the renewal curve would only have
-        # rejected it after every path was simulated.
-        with pytest.raises(ValueError, match="record_grid"):
+        # The renewal curve would only have rejected the grid after every
+        # path was simulated.
+        with pytest.raises(ValueError, match="t_grid"):
             mc_mean_intensity(HAWKES_BANK, [0.0, 10.0, 5.0], 10**6, seed=1)
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 2.0], [-1.0, 0.0, 1.0], [0.0, math.inf]],
+                             ids=["nan", "negative", "inf"])
+    def test_bad_grid_error_names_t_grid(self, grid):
+        # These once raised from SimConfig, naming record_grid or the horizon.
+        with pytest.raises(ValueError, match="^t_grid"):
+            mc_mean_intensity(HAWKES_BANK, grid, 10**6, seed=1)
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [1.0, 2.0]],
                              ids=["repeated", "late_start"])

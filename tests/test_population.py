@@ -305,8 +305,8 @@ class TestPopulationSimulation:
         assert pop.snapshots[0][1] == []
         assert sum(k for _, k in pop.snapshots[-1][1]) <= pop.partition.total
 
-    @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")]],
-                             ids=["unsorted", "nan"])
+    @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")], [-1.0, 0.0, 5.0]],
+                             ids=["unsorted", "nan", "negative"])
     def test_snapshot_grid_must_be_finite_and_non_decreasing(self, grid):
         # The snapshots are taken in one forward pass: an unsorted grid once
         # labelled the t = 1 snapshot with the partition at t = 5.

@@ -70,25 +70,27 @@ class TestSimConfig:
             SimConfig(horizon=1.0, seed=1, engine="exact")
 
     @pytest.mark.parametrize("grid", [(5.0, 1.0, 3.0), (0.0, float("nan"), 2.0),
-                                      (0.0, 1.0, float("inf"))],
-                             ids=["unsorted", "nan", "inf"])
+                                      (0.0, 1.0, float("inf")), (-1.0, 0.0, 2.0), (-1e-300,)],
+                             ids=["unsorted", "nan", "inf", "negative", "tiny_negative"])
     def test_record_grid_must_be_finite_and_non_decreasing(self, grid):
         # An unsorted grid once read the shot noise before the path's last
         # event: lambda1 = 36.2 at t = 1 on CROSS_BANK, seed 1, against 4.38.
+        # Every path starts at t = 0, so a negative time has no state to read.
         with pytest.raises(ValueError, match="record_grid"):
             SimConfig(horizon=10.0, seed=1, record_grid=grid)
 
     @pytest.mark.parametrize("engine", ["markov", "thinning", "batch"])
-    def test_repeated_and_pre_start_grid_points_accepted(self, engine):
-        # A point before the start clock reads the start state; a repeated
-        # point reads the same intensities twice.
+    def test_repeated_grid_points_accepted(self, engine):
+        # Points at 0 read the start state; a repeated point reads the same
+        # intensities twice.  The batch has no gated lambda3 column.
         config = SimConfig(horizon=5.0, seed=6, engine=engine.replace("batch", "markov"),
-                           record_grid=(-1.0, 0.0, 2.0, 2.0, 4.0))
+                           record_grid=(0.0, 0.0, 2.0, 2.0, 4.0))
+        start = [*CROSS_BANK.base_rates[:2], 0.0, CROSS_BANK.base_rates[2]]
         if engine == "batch":
             samples = simulate_markov_batch(CROSS_BANK, config, 4).intensity_samples[0]
+            del start[2]
         else:
             samples = simulate(CROSS_BANK, config).intensity_samples
-        start = [*CROSS_BANK.base_rates[:2], 0.0, CROSS_BANK.base_rates[2]]
         assert samples[0].tolist() == samples[1].tolist() == start
         assert samples[2].tolist() == samples[3].tolist()
         assert np.isfinite(samples).all()
@@ -139,6 +141,15 @@ class TestMarkovEngine:
                                SimConfig(horizon=100.0, seed=5))
         assert 0 < path.zero_occupation_time < 100.0
 
+    def test_zero_occupation_stops_at_the_horizon(self):
+        # A path with no event spends the whole horizon at N = 0, and no more.
+        bank = KernelBank.poisson((0.01, 0.01, 1.0))
+        paths = [simulate_markov(bank, SimConfig(horizon=5.0, seed=6), i) for i in range(300)]
+        empty = [p for p in paths if len(p.events) == 0]
+        assert len(empty) > 200
+        assert all(p.zero_occupation_time == 5.0 for p in empty)
+        assert all(p.zero_occupation_time < 5.0 for p in paths if len(p.events))
+
     def test_poisson_count_rate(self):
         path = simulate_markov(KernelBank.poisson((2.0, 1.0, 1.0)),
                                SimConfig(horizon=2000.0, seed=9))
@@ -182,17 +193,21 @@ class TestMarkovEngine:
         assert (~reached).sum() == 10
 
     def test_elapsed_counts_from_the_start_clock(self):
-        start = IntensityState(counts=(1, 0, 1), clock=100.0)
+        # A path starts from its state at t = 0, and ends at the horizon,
+        # or at its last event when capped.
+        start = IntensityState(counts=(1, 0, 1))
         path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=1), initial_state=start)
         assert path.elapsed == 3.0
         assert 0 < path.zero_occupation_time <= path.elapsed
+        capped = simulate_markov(CROSS_BANK, SimConfig(horizon=100.0, seed=1, max_events=5))
+        assert capped.capped and capped.elapsed == capped.events.times[-1] < 100.0
 
     def test_final_state_matches_history(self):
         config = SimConfig(horizon=40.0, seed=21)
         path = simulate_markov(HAWKES_BANK, config)
         direct = shot_noise_from_history(HAWKES_BANK, path.events, 40.0)
         assert path.final_state.xi == pytest.approx(direct, rel=1e-9, abs=1e-12)
-        assert path.final_state.clock == 40.0
+        assert path.elapsed == 40.0
 
     def test_intensity_recording(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
@@ -208,7 +223,7 @@ class TestMarkovEngine:
 
 OFFSET_BANK = KernelBank.exponential(
     (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)
-EMPTY_PATH = SimPath(EventLog(), IntensityState(clock=1.0), 1.0)
+EMPTY_PATH = SimPath(EventLog(), IntensityState(), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -250,7 +265,8 @@ class TestPinnedOutput:
             (0.766748411912506, Mark.MUTANT)]
         assert (events.times[-1], events.marks[-1]) == (4.892121947010064, Mark.MUTANT)
         assert path.final_state == IntensityState(
-            (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14), 5.0)
+            (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14))
+        assert path.elapsed == 5.0
 
     @pytest.mark.parametrize("engine, pinned, xi", [
         ("markov",
@@ -271,7 +287,8 @@ class TestPinnedOutput:
         marks = {0: Mark.MUTANT, 1: Mark.CLONE, 700: Mark.MUTANT, 1547: Mark.DEATH}
         for k, t in pinned.items():
             assert (events.times[k], events.marks[k]) == (t, marks[k])
-        assert path.final_state == IntensityState(xi, (677, 680, 191), 100.0)
+        assert path.final_state == IntensityState(xi, (677, 680, 191))
+        assert path.elapsed == 100.0
         assert path.zero_occupation_time == 0.143178666259572
         assert not path.capped
 
@@ -299,7 +316,7 @@ def _batch_run(bank, config, n_paths, state=None):
     blocks = [simulate_markov_batch(bank, config, stop - start, state, block)
               for block, start, stop in batch_blocks(n_paths)]
     return {name: np.concatenate([getattr(b, name) for b in blocks])
-            for name in ("intensity_samples", "counts", "zero_occupation_time", "capped")}
+            for name in ("intensity_samples", "counts", "capped")}
 
 
 class TestMarkovBatch:
@@ -307,15 +324,15 @@ class TestMarkovBatch:
         (CROSS_BANK, None),
         (HAWKES_BANK, None),
         (SELF_EXCITING_DEATHS, None),
-        (HAWKES_BANK, IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2), clock=3.0)),
+        (HAWKES_BANK, IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))),
     ], ids=["cross", "hawkes", "self_exciting_deaths", "hawkes_from_a_state"])
     def test_agrees_in_law_with_simulate_markov(self, bank, state):
         # Independent streams: the batch on seed 1, the scalar engine on
         # seed 2.  Two-sample KS on the final counts, and z on the grid
-        # means of lambda1, lambda2, ungated lambda3 and the time at N = 0.
+        # means of lambda1, lambda2 and ungated lambda3, the scalar
+        # engine's columns 0, 1 and 3.
         n, horizon = 3000, 20.0
-        t0 = 0.0 if state is None else state.clock
-        grid = tuple(np.linspace(t0, t0 + horizon, 11))
+        grid = tuple(np.linspace(0.0, horizon, 11))
         batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=grid), n,
                            state)
         config = SimConfig(horizon=horizon, seed=2, record_grid=grid)
@@ -330,11 +347,8 @@ class TestMarkovBatch:
             return (a.mean(axis=0) - b.mean(axis=0)) / se
 
         samples = np.array([p.intensity_samples for p in paths])
-        cols = [0, 1, 3]
-        assert np.max(np.abs(z(batch["intensity_samples"][:, 1:, cols],
-                               samples[:, 1:, cols]))) < 4.0
-        zero = np.array([p.zero_occupation_time for p in paths])
-        assert abs(z(batch["zero_occupation_time"], zero)) < 4.0
+        assert np.max(np.abs(z(batch["intensity_samples"][:, 1:],
+                               samples[:, 1:, [0, 1, 3]]))) < 4.0
         assert not batch["capped"].any()
 
     def test_capped_paths_stop_at_max_events(self):
@@ -343,9 +357,13 @@ class TestMarkovBatch:
             CROSS_BANK, SimConfig(horizon=100.0, seed=4, max_events=30, record_grid=grid), 500)
         assert batch.capped.all()
         assert (batch.counts.sum(axis=1) == 30).all()
-        assert (batch.clock < 100.0).all()
-        reached = np.asarray(grid)[None, :] <= batch.clock[:, None]
-        assert np.isfinite(batch.intensity_samples[reached]).all()
+        # Each path's samples are finite up to its last event and NaN
+        # after it, which comes before the horizon.
+        reached = np.isfinite(batch.intensity_samples)
+        assert (reached == reached[:, :, :1]).all()
+        reached = reached[:, :, 0]
+        assert (reached[:, :-1] >= reached[:, 1:]).all()
+        assert reached[:, 0].all() and not reached[:, -1].any()
         assert np.isnan(batch.intensity_samples[~reached]).all()
 
     def test_first_event_is_a_birth_in_the_base_rate_ratio(self):
@@ -367,23 +385,14 @@ class TestMarkovBatch:
         grid = (0.0, 1.0, 5.0, 10.0)
         batch = simulate_markov_batch(bank, SimConfig(horizon=10.0, seed=2, record_grid=grid),
                                       200)
-        assert (batch.clock == 10.0).all() and not batch.capped.any()
+        assert not batch.capped.any()
         assert (batch.xi == 0.0).all()
         samples = batch.intensity_samples
-        assert (samples[:, :, 0] == 2.0).all() and (samples[:, :, 3] == 1.0).all()
-        # The gated column starts at 0 on the empty population.
-        assert (samples[:, 0, 2] == 0.0).all()
+        assert samples.shape == (200, 4, 3)
+        assert (samples[:, :, 0] == 2.0).all() and (samples[:, :, 1] == 1.0).all()
+        assert (samples[:, :, 2] == 1.0).all()
         n = batch.counts[:, 0] + batch.counts[:, 1] - batch.counts[:, 2]
         assert (n >= 0).all()
-        assert (samples[:, -1, 2] == np.where(n > 0, 1.0, 0.0)).all()
-
-    def test_zero_occupation_stops_at_the_horizon(self):
-        bank = KernelBank.poisson((0.01, 0.01, 1.0))
-        batch = simulate_markov_batch(bank, SimConfig(horizon=5.0, seed=6), 300)
-        empty = batch.counts.sum(axis=1) == 0
-        assert empty.sum() > 200
-        assert (batch.zero_occupation_time[empty] == 5.0).all()
-        assert (batch.zero_occupation_time[~empty] < 5.0).all()
 
     def test_blocks_are_reproducible_and_distinct(self):
         config = SimConfig(horizon=5.0, seed=3)
@@ -392,7 +401,7 @@ class TestMarkovBatch:
         assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
         assert not np.array_equal(a.counts, c.counts)
 
-    # Fixed-seed runs of the batch engine, each hashed over all six
+    # Fixed-seed runs of the batch engine, each hashed over all four
     # MarkovBatch arrays: a change to any draw, formula or step order
     # changes the digest.
     PINNED_RUNS = {
@@ -401,10 +410,10 @@ class TestMarkovBatch:
             0.0, 0.5, 2.0, 2.0, 5.0, 9.5, 12.0)), 400, None, 0),
         "poisson": (KernelBank.poisson((2.0, 1.0, 1.0)), dict(horizon=10.0, seed=22, record_grid=(
             0.0, 0.5, 2.0, 2.0, 5.0, 9.5, 12.0)), 400, None, 0),
-        # A non-empty start at clock 3, with grid points before the clock.
+        # A non-empty start, with a repeated grid point at 0.
         "from_a_state": (HAWKES_BANK, dict(horizon=6.0, seed=23, record_grid=(
-            1.0, 2.5, 3.0, 4.0, 4.0, 7.5, 9.0)), 400,
-            IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2), clock=3.0), 0),
+            0.0, 0.0, 1.0, 4.0, 4.0, 6.0, 7.5)), 400,
+            IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2)), 0),
         # About half of the paths stop capped.
         "capped": (CROSS_BANK, dict(horizon=5.0, seed=24, max_events=30, record_grid=tuple(
             np.linspace(0.0, 5.0, 21))), 400, None, 0),
@@ -417,20 +426,19 @@ class TestMarkovBatch:
                         0.0, 0.5, 3.0, 3.0, 10.0, 19.5, 25.0)), 400, None, 0),
     }
     PINNED_SHA256 = {
-        "cross": "c8fa01c8e9a744a70f3fc2083f4582642e41f4992a5567eab857118f68becb7d",
-        "poisson": "0fccf967612e1e89f6a552bd2ac01004cd5efb6c59c4cdaa1d12a82c20571325",
-        "from_a_state": "9f330970729549b896d52736c83de5002288f6a86fa9c69e4b0792b94c472bca",
-        "capped": "c77ac606d5955b5b7ef41cc55362c14ebffe8d8f32d07373a39751173bfad75c",
-        "block_1": "6851dc663dae74d802018c4d1f3fd3a9aae490ab644428693b62195bda1de4fa",
-        "extinct": "efc6a30caddf419d587742558b25e281bf5818547d5954ac0faac04d5af03dc0",
+        "cross": "2f023a950917c6f949667d02cff2f90f155d06d7e3089091f2d7eaed0fe04fd0",
+        "poisson": "c9466ac73c5345719f8aa33cd9b867254022e5873e82be7bbe5adfaa9a4f292a",
+        "from_a_state": "7ec3241a69c28e6d75e3070d5b209a0f7923bc4594c3b9034d8726c8baf506d5",
+        "capped": "b0d3c5e2f61739f30065cfc0ad606f649d20ecc3ffbb224c5180cefa14829464",
+        "block_1": "8a1985cef432caab64eadaf833c114b4172044bd7eb3366faa856bc1809c4d45",
+        "extinct": "85aabb72dcdcd152b19d55aba82f824d8f336159043d0f657606725c37a677d4",
     }
 
     @staticmethod
     def batch_digest(batch):
         """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array."""
         h = hashlib.sha256()
-        for name in ("intensity_samples", "xi", "counts", "clock", "zero_occupation_time",
-                     "capped"):
+        for name in ("intensity_samples", "xi", "counts", "capped"):
             a = np.ascontiguousarray(getattr(batch, name))
             h.update(f"{name} {a.dtype.str} {a.shape}".encode())
             h.update(a.tobytes())
@@ -496,7 +504,7 @@ class TestThinningEngine:
                 break
             direct = np.add(bank.base_rates, shot_noise_from_history(bank, events, g))
             assert row[[0, 1, 3]] == pytest.approx(direct, rel=1e-12)
-        direct = shot_noise_from_history(bank, events, path.final_state.clock)
+        direct = shot_noise_from_history(bank, events, path.elapsed)
         assert path.final_state.xi == pytest.approx(direct, rel=1e-12)
 
     def test_one_kernel_sum_per_candidate(self, monkeypatch):
@@ -632,9 +640,9 @@ class TestTimeRescaling:
             assert res == pytest.approx(expected, rel=1e-10)
 
     def test_residuals_start_from_the_start_state(self):
-        # From a late clock and large shot noise, the first residual of
-        # each path covers only the time since the start.
-        start = IntensityState(xi=(8.0, 8.0, 8.0), counts=(5, 5, 0), clock=100.0)
+        # From large shot noise, the first residual of each path
+        # integrates the start state's decaying intensity.
+        start = IntensityState(xi=(8.0, 8.0, 8.0), counts=(5, 5, 0))
         first = []
         for seed in range(400):
             path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=seed),
