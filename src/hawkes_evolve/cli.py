@@ -18,10 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IntensityState, KernelBank, UnsupportedKernelError, bank_from_json
+from .core import IntensityState, KernelBank, bank_from_json
 from .expectations import (
-    DegenerateParametersError,
-    NoStationaryRateError,
     classify_regime,
     expected_intensity_paper,
     expected_intensity_renewal,
@@ -365,9 +363,7 @@ def run(argv) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args)
-    except (ValueError, KeyError, OSError, UnsupportedKernelError,
-            DegenerateParametersError, NoStationaryRateError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

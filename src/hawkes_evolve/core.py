@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,6 @@ class ExpKernel:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"kernel argument must be >= 0, got {t}")
-        return self.delta + self.alpha * math.exp(-self.beta * t)
 
 
 @dataclass(frozen=True)
@@ -140,20 +136,15 @@ class EventLog:
     """Strictly ordered marked events of one realization, as read-only arrays.
 
     ``times`` (float64) are finite, non-negative and strictly increasing;
-    ``marks`` (int8) take the ``Mark`` values 1, 2 and 3.  The running
-    population size N = N1 + N2 - N3, counted from ``initial_counts``,
-    stays non-negative at every prefix.  A log continuing a path started
-    from a nonempty state carries the starting counts there.
+    ``marks`` (int8) take the ``Mark`` values 1, 2 and 3.  Counted from
+    the empty state at t = 0, the running population size
+    N = N1 + N2 - N3 stays non-negative at every prefix.
     """
 
     times: np.ndarray = ()
     marks: np.ndarray = ()
-    initial_counts: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        n0 = self.initial_counts[0] + self.initial_counts[1] - self.initial_counts[2]
-        if n0 < 0:
-            raise ValueError(f"initial population negative for counts {self.initial_counts}")
         # Validate the inputs as given and copy them last, so the checks'
         # temporaries and the copies are never held at once.
         times = np.asarray(self.times, dtype=np.float64)
@@ -171,16 +162,15 @@ class EventLog:
             bad = np.flatnonzero(times[1:] <= times[:-1])
             if bad.size:
                 raise ValueError(f"event times must be strictly increasing at index {bad[0] + 1}")
-            # Running N - n0 in place: 1 - 2 (m // 3) is +1 for a birth and
+            # Running N in place: 1 - 2 (m // 3) is +1 for a birth and
             # -1 for a death, and int32 holds the sum below 2^31 events.
             run = marks.astype(np.int32 if marks.size < 2**31 else np.int64)
             run //= 3
             run *= -2
             run += 1
             np.cumsum(run, out=run)
-            if run.min() < -n0:
-                raise ValueError(f"population size goes negative at index "
-                                 f"{np.argmax(run < -n0)}")
+            if run.min() < 0:
+                raise ValueError(f"population size goes negative at index {np.argmax(run < 0)}")
             del run
         times = times.copy()
         marks = marks.astype(np.int8)
@@ -195,21 +185,30 @@ class EventLog:
     def counts(self, t: float = math.inf) -> tuple[int, int, int]:
         """(N1, N2, N3) counted over events with time <= t."""
         k = int(np.searchsorted(self.times, t, side="right"))
-        added = np.bincount(self.marks[:k], minlength=4)
-        return tuple(int(c + a) for c, a in zip(self.initial_counts, added[1:]))
+        return tuple(np.bincount(self.marks[:k], minlength=4)[1:].tolist())
 
 
 @dataclass(frozen=True)
 class IntensityState:
-    """Shot-noise values and event counts; a path starts from one at t = 0."""
+    """A state of the Markov couple: shot noise (xi1, xi2, xi3) and counts (N1, N2, N3).
+
+    The scalar engines start empty and report their final state as one;
+    the batched engine, and so the generator drift check, can start
+    from one at t = 0.  Validated once, here: three finite xi >= 0 and
+    three integer counts >= 0 with N = N1 + N2 - N3 >= 0.
+    """
 
     xi: tuple[float, float, float] = (0.0, 0.0, 0.0)
     counts: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        if any(x < 0 for x in self.xi):
-            raise ValueError(f"shot noise values must be >= 0, got {self.xi}")
-        if self.counts[0] + self.counts[1] - self.counts[2] < 0:
+        if len(self.xi) != 3 or not all(
+                isinstance(x, numbers.Real) and 0 <= x < math.inf for x in self.xi):
+            raise ValueError(f"shot noise must be three finite numbers >= 0, got {self.xi}")
+        if len(self.counts) != 3 or not all(
+                isinstance(c, numbers.Integral) and c >= 0 for c in self.counts):
+            raise ValueError(f"counts must be three integers >= 0, got {self.counts}")
+        if self.population_size < 0:
             raise ValueError(f"population size negative for counts {self.counts}")
 
     @property

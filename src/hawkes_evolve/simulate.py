@@ -72,10 +72,9 @@ class SimPath:
     path are NaN.  The ungated column drops the gate from the intensity
     but not from the path: xi3 jumps only at deaths, and deaths stop
     while N = 0.  Its grid means therefore fall below the analytic
-    curves, which ignore the gate, whenever deaths self-excite.
-    ``start`` is the state the path started from at t = 0, and
-    ``elapsed`` the time the path ended: the horizon, or the last event
-    of a capped path.
+    curves, which ignore the gate, whenever deaths self-excite.  A path
+    starts from the empty state at t = 0; ``elapsed`` is the time it
+    ended: the horizon, or the last event of a capped path.
     """
 
     events: EventLog
@@ -85,7 +84,6 @@ class SimPath:
     capped: bool = False
     grid: Optional[np.ndarray] = None
     intensity_samples: Optional[np.ndarray] = None
-    start: IntensityState = IntensityState()
 
 
 def rng_for(seed: int, *stream: int) -> Generator:
@@ -97,8 +95,7 @@ def rng_for(seed: int, *stream: int) -> Generator:
     return Generator(Philox(SeedSequence((seed, *stream))))
 
 
-def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensityState,
-         rng: Generator) -> SimPath:
+def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> SimPath:
     """Ogata's thinning loop over an engine's shot noise, on plain floats and ints.
 
     ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
@@ -107,14 +104,14 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     shot noise just after it.  The loop computes that value itself, as
     xi_at(t) from just before the event plus the mark's row of
     ``bank.jumps``, so it evaluates xi_at once per candidate, plus once at
-    the start and once at the end.  The loop runs from t = 0, keeps the
-    counts and the clock, appends each event to a float64 and an int8
-    buffer, and builds the log once.
+    the start and once at the end.  The loop runs from the empty state
+    at t = 0, keeps the counts and the clock, appends each event to a
+    float64 and an int8 buffer, and builds the log once.
     """
     mu1, mu2, mu3 = bank.base_rates
     jumps = bank.jumps
-    counts = list(state0.counts)
-    n = state0.population_size
+    counts = [0, 0, 0]
+    n = 0
     exponential, uniform = rng.exponential, rng.random
 
     horizon = config.horizon
@@ -180,12 +177,11 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, state0: IntensitySt
     if grid is not None:
         fill(gi, t, n)
     final = IntensityState(xi_at(t), tuple(counts))
-    log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8), state0.counts)
-    return SimPath(log, final, t, zero_time, capped, grid, samples, state0)
+    log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8))
+    return SimPath(log, final, t, zero_time, capped, grid, samples)
 
 
-def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
-                    initial_state: Optional[IntensityState] = None) -> SimPath:
+def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
     """Statistically exact sample via the closed-form Markov state.
 
     The path draws from the stream ``rng_for(config.seed, path_index)``.
@@ -194,9 +190,8 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
     the loop hands it the value after the mark's jumps.
     """
     require_zero_offsets(bank, "simulate_markov")
-    state0 = initial_state if initial_state is not None else IntensityState()
     b1, b2, b3 = bank.betas
-    x1, x2, x3 = state0.xi
+    x1 = x2 = x3 = 0.0
     t_last = 0.0
 
     def xi_at(t: float) -> tuple[float, float, float]:
@@ -207,7 +202,7 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0,
         nonlocal x1, x2, x3, t_last
         (x1, x2, x3), t_last = xi, t
 
-    return _run(bank, config, xi_at, record, state0, rng_for(config.seed, path_index))
+    return _run(bank, config, xi_at, record, rng_for(config.seed, path_index))
 
 
 # Paths per lockstep block.  Block b of a run draws from the stream
@@ -247,7 +242,9 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
                           block: int = 0) -> MarkovBatch:
     """Block ``block`` of a run: n_paths <= BATCH_BLOCK Markov paths in lockstep.
 
-    Each step follows ``_run`` for every active path at once: one
+    Every path starts from ``initial_state`` (default empty) at t = 0;
+    this is the one engine that takes a start state, for
+    ``generator_drift_check``.  Each step follows ``_run`` for every active path at once: one
     exponential at the path's last refreshed bound gives the candidate,
     the grid points the step crosses are sampled, and two uniforms are
     drawn.  Paths whose candidate passed the horizon then finish and
@@ -474,8 +471,7 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     """
     require_zero_offsets(bank, "simulate_thinning_general")
     history = _History(bank)
-    return _run(bank, config, history.xi_at, history.record, IntensityState(),
-                rng_for(config.seed, path_index))
+    return _run(bank, config, history.xi_at, history.record, rng_for(config.seed, path_index))
 
 
 def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
@@ -488,7 +484,7 @@ def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPat
 def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarray:
     """Compensator increments of process i between its own events.
 
-    The path is replayed from its start state at t = 0 on the Markov
+    The path is replayed from the empty state at t = 0 on the Markov
     engine's float recursion: only xi_i is kept, it decays in closed form
     between events and jumps by the mark's alpha onto intensity i, and a
     running N gates the deaths.  Under a correct simulation the residuals
@@ -501,9 +497,7 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     beta = bank.betas[i - 1]
     # jump[m - 1] is xi_i's jump at an event of int mark m; 3 is a death.
     jump = tuple(row[i - 1] for row in bank.jumps)
-    n = path.start.population_size
-    xi = path.start.xi[i - 1]
-    t = 0.0
+    n, xi, t = 0, 0.0, 0.0
     residuals = []
     acc = 0.0
     for time, mark in zip(path.events.times.tolist(), path.events.marks.tolist()):

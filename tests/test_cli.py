@@ -171,6 +171,24 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "expectations.csv").exists()
 
+    @pytest.mark.parametrize("argv, bank, message", [
+        (["simulate", "--horizon", "1"], bank_to_json(KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)),
+         "constant offset"),
+        (["expect", "--method", "paper"], bank_to_json(KernelBank.exponential(
+            (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.0), 0.4, 1.0)),
+         "equal decay rates"),
+        (["regime"], '{"base_rates": [1, 2', "delimiter"),
+    ], ids=["offset_bank_simulated", "paper_curve_at_equal_decay_rates", "bank_not_json"])
+    def test_value_error_subclasses_exit_2(self, argv, bank, message, tmp_path, capsys):
+        # UnsupportedKernelError, DegenerateParametersError and
+        # json.JSONDecodeError, each a ValueError.
+        path = tmp_path / "bank.json"
+        path.write_text(bank)
+        assert run(argv + ["--bank", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_expect_single_point(self, bank_file, tmp_path):
         assert run(["expect", "--bank", bank_file, "--method", "paper", "--points", "1",
                     "--out", str(tmp_path)]) == 0

@@ -14,8 +14,11 @@ from hawkes_evolve import (
     SimConfig,
     bank_from_json,
     bank_to_json,
+    generator_drift_check,
     simulate_markov,
+    simulate_markov_batch,
 )
+from hawkes_evolve import experiments
 
 
 def exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)), betas=(2.0, 3.0), a3=0.4, b3=1.0,
@@ -24,19 +27,6 @@ def exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)), betas=(2.0, 3.0), a3=0.4, b3=1.0,
 
 
 class TestKernels:
-    def test_eval_at_zero(self):
-        assert ExpKernel(1.0, 2.0)(0.0) == 1.0
-
-    def test_eval_decay(self):
-        assert ExpKernel(1.0, 2.0)(math.log(2)) == pytest.approx(0.25, abs=1e-15)
-
-    def test_eval_zero_alpha(self):
-        assert ExpKernel(0.0, 5.0)(3.7) == 0.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            ExpKernel(1.0, 2.0)(-0.1)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ExpKernel(-1.0, 2.0)
@@ -154,28 +144,66 @@ class TestKernelBank:
 
 
 class TestIntensityState:
-    """The gate as the Markov engine reads it from a starting state."""
+    """The gate at a state, as the engines read it.
+
+    The scalar engines start empty.  The batched engine starts from a
+    state, and records lambda3 ungated, so the tests from a nonempty
+    state read the gate by its effect on the first event.
+    """
 
     @staticmethod
-    def intensities_from(state):
-        config = SimConfig(horizon=1.0, seed=1, record_grid=(0.0,))
-        return tuple(simulate_markov(exp_bank(), config, initial_state=state)
-                     .intensity_samples[0, :3])
+    def first_row_and_marks(state):
+        """The batch's first grid row, and the mark index (0, 1 or 2) of each path's first event."""
+        config = SimConfig(horizon=100.0, seed=1, max_events=1, record_grid=(0.0,))
+        batch = simulate_markov_batch(exp_bank(), config, 2000, state)
+        assert batch.capped.all()
+        return tuple(batch.intensity_samples[0, 0]), np.argmax(
+            batch.counts - np.array(state.counts), axis=1)
 
     def test_gate_closed_when_empty(self):
-        assert self.intensities_from(IntensityState()) == (1.0, 0.8, 0.0)
+        config = SimConfig(horizon=1.0, seed=1, record_grid=(0.0,))
+        assert tuple(simulate_markov(exp_bank(), config).intensity_samples[0, :3]) == (
+            1.0, 0.8, 0.0)
 
     def test_gate_open(self):
         state = IntensityState(xi=(0.3, 0.0, 0.5), counts=(1, 0, 0))
-        assert self.intensities_from(state) == (1.3, 0.8, 1.7)
+        row, marks = self.first_row_and_marks(state)
+        assert row == (1.3, 0.8, 1.7)
+        # About 45% of first events are deaths at these rates.
+        assert (marks == 2).sum() > 500
 
     def test_gate_closes_on_balance(self):
+        # N = 0 with lambda3 = 10.2 ungated: an open gate would make about
+        # 85% of first events deaths.
         state = IntensityState(xi=(0.0, 0.0, 9.0), counts=(2, 1, 3))
-        assert self.intensities_from(state)[2] == 0.0
+        row, marks = self.first_row_and_marks(state)
+        assert row == (1.0, 0.8, 10.2)
+        assert not (marks == 2).any()
 
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError):
             IntensityState(counts=(0, 0, 1))
+
+    @pytest.mark.parametrize("state", [
+        dict(xi=(math.nan, 0.0, 0.0)),
+        dict(xi=(0.0, math.inf, 0.0)),
+        dict(xi=(0.0, 0.0, -0.5)),
+        dict(xi=(0.3, 0.2)),
+        dict(counts=(1.5, 0, 0)),
+        dict(counts=(-1, 2, 0)),
+        dict(counts=(1, 0)),
+    ], ids=["nan_xi", "infinite_xi", "negative_xi", "two_xi", "fractional_count",
+            "negative_count", "two_counts"])
+    def test_malformed_state_rejected_before_any_path(self, state, monkeypatch):
+        # A NaN xi once made the drift check run forever, and a fractional
+        # count was truncated by the batch but not by the generator.
+        def no_path(*args):
+            raise AssertionError("a path was started")
+
+        monkeypatch.setattr(experiments, "simulate_markov_batch", no_path)
+        with pytest.raises(ValueError, match="shot noise|counts"):
+            generator_drift_check(exp_bank(), IntensityState(**state), [lambda z: z[0]],
+                                  n_reps=2000)
 
 
 class TestEventLog:
@@ -190,10 +218,6 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog([0.5, 1.0, 1.5], [Mark.MUTANT, Mark.DEATH, Mark.DEATH])
 
-    def test_initial_counts_allow_a_first_death(self):
-        log = EventLog([0.5], [Mark.DEATH], initial_counts=(2, 0, 0))
-        assert log.counts() == (2, 0, 1)
-
     def test_counts_at_time(self):
         log = EventLog([0.5, 1.0, 2.0], [Mark.MUTANT, Mark.CLONE, Mark.DEATH])
         assert log.counts(0.9) == (1, 0, 0)
@@ -204,7 +228,7 @@ class TestEventLog:
     def test_marks_outside_one_to_three_rejected(self):
         for mark in (0, 4, 259, 1.5):
             with pytest.raises(ValueError):
-                EventLog([0.5], [mark], initial_counts=(1, 0, 0))
+                EventLog([0.5], [mark])
 
     def test_non_finite_times_rejected(self):
         for times in ([math.nan, 1.0], [0.5, math.inf]):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from hawkes_evolve import (
     EventLog,
@@ -44,13 +45,8 @@ def shot_noise_from_history(bank, events, t):
     for time, mark in zip(events.times.tolist(), events.marks.tolist()):
         if time > t:
             break
-        dt = t - time
-        if mark == 3:  # a death
-            xi[2] += bank.death_kernel(dt)
-        else:
-            j = mark - 1
-            xi[0] += bank.birth_kernels[j][0](dt)
-            xi[1] += bank.birth_kernels[j][1](dt)
+        for i, (alpha, beta) in enumerate(zip(bank.jumps[mark - 1], bank.betas)):
+            xi[i] += alpha * math.exp(-beta * (t - time))
     return tuple(xi)
 
 
@@ -193,10 +189,9 @@ class TestMarkovEngine:
         assert (~reached).sum() == 10
 
     def test_elapsed_counts_from_the_start_clock(self):
-        # A path starts from its state at t = 0, and ends at the horizon,
-        # or at its last event when capped.
-        start = IntensityState(counts=(1, 0, 1))
-        path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=1), initial_state=start)
+        # A path starts empty at t = 0, and ends at the horizon, or at its
+        # last event when capped.
+        path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=1))
         assert path.elapsed == 3.0
         assert 0 < path.zero_occupation_time <= path.elapsed
         capped = simulate_markov(CROSS_BANK, SimConfig(horizon=100.0, seed=1, max_events=5))
@@ -254,20 +249,6 @@ class TestPinnedOutput:
         assert path.final_state.xi == pytest.approx(
             (0.5626297863552189, 0.5613049451511004, 1.264399216898759), rel=1e-14)
 
-    def test_markov_from_a_nonempty_state(self):
-        start = IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))
-        path = simulate_markov(HAWKES_BANK, SimConfig(horizon=5.0, seed=3),
-                               initial_state=start)
-        events = path.events
-        assert len(events) == 35
-        assert list(zip(events.times[:3].tolist(), events.marks[:3].tolist())) == [
-            (0.009367904968851386, Mark.MUTANT), (0.14994442544232342, Mark.CLONE),
-            (0.766748411912506, Mark.MUTANT)]
-        assert (events.times[-1], events.marks[-1]) == (4.892121947010064, Mark.MUTANT)
-        assert path.final_state == IntensityState(
-            (1.7277850452920094, 1.7797734776316363, 1.2160235722703276), (13, 12, 14))
-        assert path.elapsed == 5.0
-
     @pytest.mark.parametrize("engine, pinned, xi", [
         ("markov",
          {0: 0.012490539958468513, 1: 0.19831216339363675, 700: 40.04383953131022,
@@ -320,24 +301,18 @@ def _batch_run(bank, config, n_paths, state=None):
 
 
 class TestMarkovBatch:
-    @pytest.mark.parametrize("bank, state", [
-        (CROSS_BANK, None),
-        (HAWKES_BANK, None),
-        (SELF_EXCITING_DEATHS, None),
-        (HAWKES_BANK, IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))),
-    ], ids=["cross", "hawkes", "self_exciting_deaths", "hawkes_from_a_state"])
-    def test_agrees_in_law_with_simulate_markov(self, bank, state):
+    @pytest.mark.parametrize("bank", [CROSS_BANK, HAWKES_BANK, SELF_EXCITING_DEATHS],
+                             ids=["cross", "hawkes", "self_exciting_deaths"])
+    def test_agrees_in_law_with_simulate_markov(self, bank):
         # Independent streams: the batch on seed 1, the scalar engine on
         # seed 2.  Two-sample KS on the final counts, and z on the grid
         # means of lambda1, lambda2 and ungated lambda3, the scalar
         # engine's columns 0, 1 and 3.
         n, horizon = 3000, 20.0
         grid = tuple(np.linspace(0.0, horizon, 11))
-        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=grid), n,
-                           state)
+        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=grid), n)
         config = SimConfig(horizon=horizon, seed=2, record_grid=grid)
-        paths = [simulate_markov(bank, config, path_index=i, initial_state=state)
-                 for i in range(n)]
+        paths = [simulate_markov(bank, config, path_index=i) for i in range(n)]
         counts = np.array([p.final_state.counts for p in paths])
         for i in range(3):
             assert stats.ks_2samp(batch["counts"][:, i], counts[:, i]).pvalue > 0.01
@@ -350,6 +325,36 @@ class TestMarkovBatch:
         assert np.max(np.abs(z(batch["intensity_samples"][:, 1:],
                                samples[:, 1:, [0, 1, 3]]))) < 4.0
         assert not batch["capped"].any()
+
+    def test_means_from_a_state_solve_the_moment_ode(self):
+        # Births are ungated and deaths do not move xi1 or xi2, so y =
+        # (xi1, xi2, N1, N2, 1) has exact means E y(t) = expm(M t) y(0):
+        # dxi_i = -beta_i xi_i + sum_j alpha_ji lambda_j and dN_j = lambda_j,
+        # with lambda_j = mu_j + xi_j.  The gated lambda3 has no such mean.
+        bank, state = HAWKES_BANK, IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2))
+        mu, betas, jumps = bank.base_rates, bank.betas, bank.jumps
+        m = np.zeros((5, 5))
+        for i in range(2):
+            m[i, i] = -betas[i]
+            for j in range(2):
+                m[i, j] += jumps[j][i]
+                m[i, 4] += jumps[j][i] * mu[j]
+            m[2 + i, i], m[2 + i, 4] = 1.0, mu[i]
+        y0 = np.array([*state.xi[:2], *state.counts[:2], 1.0])
+        n, horizon = 3000, 20.0
+        grid = np.linspace(0.0, horizon, 11)
+        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=tuple(grid)),
+                           n, state)
+        assert not batch["capped"].any()
+        exact = np.array([expm(m * t) @ y0 for t in grid])
+
+        def z(x, mean):
+            return (x.mean(axis=0) - mean) / (x.std(axis=0, ddof=1) / math.sqrt(len(x)))
+
+        # Grid point 0 is the start state itself, with no spread.
+        lam = batch["intensity_samples"][:, 1:, :2]
+        assert np.max(np.abs(z(lam, np.add(mu[:2], exact[1:, :2])))) < 4.0
+        assert np.max(np.abs(z(batch["counts"][:, :2], exact[-1, 2:4]))) < 4.0
 
     def test_capped_paths_stop_at_max_events(self):
         grid = tuple(np.linspace(0.0, 100.0, 101))
@@ -638,21 +643,6 @@ class TestTimeRescaling:
             res = time_rescale_residuals(path, HAWKES_BANK, i)
             assert len(expected) > 10
             assert res == pytest.approx(expected, rel=1e-10)
-
-    def test_residuals_start_from_the_start_state(self):
-        # From large shot noise, the first residual of each path
-        # integrates the start state's decaying intensity.
-        start = IntensityState(xi=(8.0, 8.0, 8.0), counts=(5, 5, 0))
-        first = []
-        for seed in range(400):
-            path = simulate_markov(HAWKES_BANK, SimConfig(horizon=3.0, seed=seed),
-                                   initial_state=start)
-            assert path.start == start
-            res = time_rescale_residuals(path, HAWKES_BANK, 1)
-            if res.size:
-                first.append(res[0])
-        assert len(first) > 300
-        assert stats.kstest(first, "expon").pvalue > 0.01
 
     def test_index_validated(self):
         path = simulate_markov(HAWKES_BANK, SimConfig(horizon=1.0, seed=1))
