@@ -3,7 +3,6 @@
 from .core import (
     DegenerateParametersError,
     EventLog,
-    ExpKernel,
     IntensityState,
     KernelBank,
     Mark,

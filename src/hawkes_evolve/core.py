@@ -3,9 +3,9 @@
 Three counting processes drive the population: mutant births (type 1),
 clone births (type 2) and deaths (type 3).  The first two are mutually
 exciting, the third is self exciting and gated by the population size.
-This module holds the static parameters (kernels, baseline rates), the
-event log of a realization, and the shot-noise state record.  Every
-kernel is exponential, which is what makes (counts, shot noise) a
+This module holds the static parameters (the kernel tables and baseline
+rates), the event log of a realization, and the shot-noise state record.
+Every kernel is exponential, which is what makes (counts, shot noise) a
 Markov process: the shot noise decays in closed form between events
 and jumps by ``KernelBank.jumps`` at each one.  The engines in
 ``simulate`` run that recursion on plain floats.
@@ -39,49 +39,35 @@ class Mark(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class ExpKernel:
-    """Excitation kernel delta + alpha * exp(-beta * t)."""
-
-    alpha: float
-    beta: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not 0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-
-
-@dataclass(frozen=True)
 class KernelBank:
-    """Baseline rates and excitation kernels of the three processes.
+    """Baseline rates and exponential excitation kernels of the three processes, as tables.
 
-    ``birth_kernels[j][i]`` is the effect of a type-(j+1) event on the
-    intensity of process i+1, for i, j in {0, 1}.  Every kernel is an
-    ``ExpKernel``, and the two kernels targeting intensity i share their
-    decay rate, which is what makes the system Markov.
+    An event of mark m raises the intensity of process i by the kernel
+    delta + alpha * exp(-beta * t): ``jumps[m - 1][i - 1]`` is its alpha,
+    ``offsets[m - 1][i - 1]`` its delta, and ``betas[i - 1]`` the decay
+    rate that every kernel on intensity i shares, which is what makes
+    the system Markov.  Births never move lambda3 and deaths never move
+    lambda1 or lambda2, so those entries are zero.  Values are kept as
+    given and validated once, here.
     """
 
     base_rates: tuple[float, float, float]
-    birth_kernels: tuple[tuple[ExpKernel, ExpKernel], tuple[ExpKernel, ExpKernel]]
-    death_kernel: ExpKernel
+    jumps: tuple[tuple[float, float, float], ...]
+    betas: tuple[float, float, float]
+    offsets: tuple[tuple[float, float, float], ...] = ((0.0,) * 3,) * 3
 
     def __post_init__(self):
         if len(self.base_rates) != 3 or not all(0 < r < math.inf for r in self.base_rates):
             raise ValueError(f"base_rates must be three finite numbers > 0, got {self.base_rates}")
-        kernels = [k for row in self.birth_kernels for k in row] + [self.death_kernel]
-        if not all(isinstance(k, ExpKernel) for k in kernels):
-            raise ValueError("every kernel of a bank must be an ExpKernel")
-        for i in range(2):
-            k1, k2 = self.birth_kernels[0][i], self.birth_kernels[1][i]
-            if k1.beta != k2.beta:
-                raise ValueError(
-                    f"kernels targeting intensity {i + 1} must share their decay "
-                    f"rate, got {k1.beta} and {k2.beta}"
-                )
+        if len(self.betas) != 3 or not all(0 < b < math.inf for b in self.betas):
+            raise ValueError(f"betas must be three finite numbers > 0, got {self.betas}")
+        for name, table in (("alpha", self.jumps), ("delta", self.offsets)):
+            if len(table) != 3 or any(len(row) != 3 for row in table) or not all(
+                    0 <= x < math.inf for row in table for x in row):
+                raise ValueError(f"{name} table must be 3x3 of finite numbers >= 0, got {table}")
+            if table[0][2] or table[1][2] or table[2][0] or table[2][1]:
+                raise ValueError(f"births never move lambda3 and deaths never move lambda1 "
+                                 f"or lambda2, got {name} table {table}")
 
     @classmethod
     def exponential(cls, base_rates, alphas, betas, death_alpha, death_beta,
@@ -91,33 +77,12 @@ class KernelBank:
         ``alphas[j][i]`` is the jump of intensity i+1 at a type-(j+1)
         event; ``betas[i]`` is the decay rate attached to intensity i+1.
         """
-        if deltas is None:
-            deltas = ((0.0, 0.0), (0.0, 0.0))
-        bk = tuple(
-            tuple(ExpKernel(alphas[j][i], betas[i], deltas[j][i]) for i in range(2))
-            for j in range(2)
-        )
-        return cls(tuple(base_rates), bk, ExpKernel(death_alpha, death_beta, death_delta))
-
-    @property
-    def betas(self) -> tuple[float, float, float]:
-        """The decay rates of (xi1, xi2, xi3)."""
-        (k11, k12), _ = self.birth_kernels
-        return (k11.beta, k12.beta, self.death_kernel.beta)
-
-    @property
-    def jumps(self) -> tuple[tuple[float, float, float], ...]:
-        """Row m - 1: the jump of (xi1, xi2, xi3) at an event of mark m."""
-        (k11, k12), (k21, k22) = self.birth_kernels
-        return ((k11.alpha, k12.alpha, 0.0), (k21.alpha, k22.alpha, 0.0),
-                (0.0, 0.0, self.death_kernel.alpha))
-
-    @property
-    def offsets(self) -> tuple[tuple[float, float, float], ...]:
-        """Row m - 1: the offset delta of mark m's kernels on (lambda1, lambda2, lambda3)."""
-        (k11, k12), (k21, k22) = self.birth_kernels
-        return ((k11.delta, k12.delta, 0.0), (k21.delta, k22.delta, 0.0),
-                (0.0, 0.0, self.death_kernel.delta))
+        (a11, a12), (a21, a22) = alphas
+        (d11, d12), (d21, d22) = ((0.0, 0.0), (0.0, 0.0)) if deltas is None else deltas
+        return cls(tuple(base_rates),
+                   ((a11, a12, 0.0), (a21, a22, 0.0), (0.0, 0.0, death_alpha)),
+                   (betas[0], betas[1], death_beta),
+                   ((d11, d12, 0.0), (d21, d22, 0.0), (0.0, 0.0, death_delta)))
 
     @classmethod
     def poisson(cls, base_rates) -> "KernelBank":
@@ -216,11 +181,8 @@ class IntensityState:
         return self.counts[0] + self.counts[1] - self.counts[2]
 
 
-_KERNEL_KEYS = {"alpha", "beta", "delta"}
-
-
-def _kernel_to_dict(kernel: ExpKernel) -> dict:
-    return {"alpha": kernel.alpha, "beta": kernel.beta, "delta": kernel.delta}
+def _kernel_to_dict(bank: KernelBank, m: int, i: int) -> dict:
+    return {"alpha": bank.jumps[m][i], "beta": bank.betas[i], "delta": bank.offsets[m][i]}
 
 
 def _number(value, what: str) -> float:
@@ -229,30 +191,31 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _kernel_from_dict(d, what: str) -> ExpKernel:
+def _kernel_from_dict(d, what: str) -> tuple[float, float, float]:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    unknown = set(d) - _KERNEL_KEYS
+    unknown = set(d) - {"alpha", "beta", "delta"}
     if unknown:
         raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-    return ExpKernel(_number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta"),
-                     _number(d.get("delta", 0.0), f"{what} delta"))
+    return (_number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta"),
+            _number(d.get("delta", 0.0), f"{what} delta"))
 
 
 def bank_to_json(bank: KernelBank) -> str:
-    """Serialize a bank to its JSON document."""
-    doc = {
+    """Serialize a bank to its JSON document, one kernel object per (mark, target)."""
+    return json.dumps({
         "base_rates": list(bank.base_rates),
-        "birth_kernels": [
-            [_kernel_to_dict(bank.birth_kernels[j][i]) for i in range(2)] for j in range(2)
-        ],
-        "death_kernel": _kernel_to_dict(bank.death_kernel),
-    }
-    return json.dumps(doc, indent=2)
+        "birth_kernels": [[_kernel_to_dict(bank, j, i) for i in range(2)] for j in range(2)],
+        "death_kernel": _kernel_to_dict(bank, 2, 2),
+    }, indent=2)
 
 
 def bank_from_json(text: str) -> KernelBank:
-    """Parse the JSON bank document; unknown keys and non-numeric entries are rejected."""
+    """Parse the JSON bank document; unknown keys and non-numeric entries are rejected.
+
+    The file holds one beta per kernel, so this is where the rule that
+    the kernels on one intensity share their decay rate is checked.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a bank document must be a JSON object, got {doc!r}")
@@ -266,7 +229,14 @@ def bank_from_json(text: str) -> KernelBank:
     if not isinstance(bk, list) or len(bk) != 2 or any(
             not isinstance(row, list) or len(row) != 2 for row in bk):
         raise ValueError("birth_kernels must be a 2x2 array of kernels")
-    kernels = tuple(tuple(_kernel_from_dict(bk[j][i], f"birth_kernels[{j}][{i}]")
-                          for i in range(2)) for j in range(2))
-    return KernelBank(tuple(_number(r, "base_rates entry") for r in rates), kernels,
-                      _kernel_from_dict(doc["death_kernel"], "death_kernel"))
+    births = [[_kernel_from_dict(bk[j][i], f"birth_kernels[{j}][{i}]") for i in range(2)]
+              for j in range(2)]
+    death = _kernel_from_dict(doc["death_kernel"], "death_kernel")
+    for i in range(2):
+        if births[0][i][1] != births[1][i][1]:
+            raise ValueError(f"kernels targeting intensity {i + 1} must share their decay "
+                             f"rate, got {births[0][i][1]} and {births[1][i][1]}")
+    return KernelBank.exponential(
+        [_number(r, "base_rates entry") for r in rates],
+        [[k[0] for k in row] for row in births], [k[1] for k in births[0]], death[0], death[1],
+        [[k[2] for k in row] for row in births], death[2])

@@ -149,7 +149,7 @@ def _zeta(bank: KernelBank, state: IntensityState) -> np.ndarray:
         state.counts[0], bank.base_rates[0] + state.xi[0],
         state.counts[1], bank.base_rates[1] + state.xi[1],
         state.counts[2], bank.base_rates[2] + state.xi[2],
-    ])
+    ], dtype=float)
 
 
 def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> float:
@@ -236,6 +236,8 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     breaks this (``z.sum()``, or a ``math`` call) raises ValueError
     naming its position.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be finite and > 0, got {h}")
     if n_reps < 2:
         raise ValueError("need at least 2 replications for standard errors")
     config = SimConfig(horizon=h, seed=seed)
@@ -265,12 +267,12 @@ class SweepResult:
     """Terminal-time statistics of the fitness distribution over runs."""
 
     f_grid: np.ndarray
-    avg_cdf: np.ndarray
+    avg_cdf: np.ndarray            # NaN if no run ends with a site
     fc_paper: float
     fc_renewal: Optional[float]
     sup_dist_paper: Optional[float]
     sup_dist_renewal: Optional[float]
-    fc_hat: float
+    fc_hat: float                  # NaN if no run ends with a site
     r_fc_over_n: np.ndarray        # per run, at the reference fitness
     r_gap_over_n: np.ndarray       # mean over runs of R^f / N per grid point
     zero_occupation: np.ndarray    # per run
@@ -358,7 +360,8 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     gaps = np.stack([r[1] for r in results])
     r_refs = np.array([r[2] for r in results])
     zero_fracs = np.array([r[3] for r in results])
-    avg_cdf = np.nanmean(cdfs, axis=0)
+    empty = np.isnan(cdfs).all()
+    avg_cdf = np.full(f_grid.size, np.nan) if empty else np.nanmean(cdfs, axis=0)
     sup_paper = sup_renewal = None
     if fc_paper < 1:
         theo = np.array([theoretical_site_cdf(f, fc_paper) for f in f_grid])
@@ -366,9 +369,10 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     if fc_renewal is not None and fc_renewal < 1:
         theo = np.array([theoretical_site_cdf(f, fc_renewal) for f in f_grid])
         sup_renewal = float(np.max(np.abs(avg_cdf - theo)))
-    r_gap = np.nanmean(gaps, axis=0)
+    r_gap = np.full(f_grid.size, np.nan) if empty else np.nanmean(gaps, axis=0)
+    fc_hat = math.nan if empty else _knee_estimate(f_grid, avg_cdf)
     return SweepResult(f_grid, avg_cdf, fc_paper, fc_renewal, sup_paper, sup_renewal,
-                       _knee_estimate(f_grid, avg_cdf), r_refs, r_gap, zero_fracs, f_reference)
+                       fc_hat, r_refs, r_gap, zero_fracs, f_reference)
 
 
 def _rho_worker(bank, f, epsilon, config, i):
@@ -393,7 +397,9 @@ class RhoReport:
 
     @property
     def mean_rho(self) -> float:
-        return float(np.nanmean(self.terminal_rho))
+        """Mean over the runs that end nonempty; NaN if none does."""
+        rho = self.terminal_rho
+        return math.nan if np.isnan(rho).all() else float(np.nanmean(rho))
 
 
 def rho_convergence_check(bank: KernelBank, f: float, epsilon: float, horizon: float,

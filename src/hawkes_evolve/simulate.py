@@ -33,6 +33,7 @@ class SimConfig:
     """Run parameters shared by both engines.
 
     A path runs from t = 0 to ``horizon``, which must be finite and > 0.
+    ``seed`` is an integer >= 0 and ``max_events`` an integer >= 1.
     ``record_grid`` holds the times at which the intensities are sampled,
     finite, non-negative and non-decreasing (``check_grid``): the engines
     sample the grid in one forward pass.  Repeated points are allowed.
@@ -47,8 +48,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
-        if self.max_events <= 0:
-            raise ValueError(f"max_events must be > 0, got {self.max_events}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.max_events, (int, np.integer)) or self.max_events < 1:
+            raise ValueError(f"max_events must be an integer >= 1, got {self.max_events!r}")
         if self.engine not in ("markov", "thinning"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.record_grid is not None:

@@ -84,6 +84,19 @@ class TestExitCodes:
         assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "regime.json").exists()
 
+    @pytest.mark.parametrize("h", ["0", "nan"])
+    def test_generator_check_window_named(self, h, bank_file, tmp_path, capsys):
+        # The error once named the horizon, a field the user never set.
+        assert run(["generator-check", "--bank", bank_file, "--h", h,
+                    "--out", str(tmp_path)]) == 2
+        assert "h must be finite and > 0" in capsys.readouterr().err
+
+    def test_negative_seed_named(self, bank_file, tmp_path, capsys):
+        # numpy once rejected it with "expected non-negative integer".
+        assert run(["simulate", "--bank", bank_file, "--horizon", "1", "--seed", "-1",
+                    "--out", str(tmp_path)]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
     def test_generator_check_needs_two_replications(self, bank_file, tmp_path):
         assert run(["generator-check", "--bank", bank_file, "--reps", "1",
                     "--out", str(tmp_path)]) == 2
@@ -245,6 +258,25 @@ class TestStrictJson:
                     "--out", str(tmp_path)]) == 0
         doc = _strict_json((tmp_path / "sweep.json").read_text())
         assert None in doc["r_fc_over_n"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", ["--f-grid", "0:1:0.5"]),
+        ("rho", ["--f", "0.5", "--epsilon", "0.5"]),
+    ])
+    def test_every_run_ends_empty(self, command, extra, tmp_path):
+        # Births at rate 0.3 against deaths at rate 5: with seed 0 no run
+        # ends with an individual.  fc_hat once read f_grid[-1] = 1.0, and
+        # numpy's "Mean of empty slice" warning reached stderr.
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(KernelBank.poisson((0.2, 0.1, 5.0))))
+        assert run([command, "--bank", str(bank), "--horizon", "10", "--runs", "2",
+                    "--threads", "1", "--out", str(tmp_path)] + extra) == 0
+        doc = _strict_json((tmp_path / f"{command}.json").read_text())
+        if command == "sweep":
+            assert doc["fc_hat"] is None and doc["avg_cdf"] == [None] * 3
+        else:
+            assert doc["mean_rho"] is None and doc["terminal_rho"] == [None] * 2
 
     def test_generator_check_with_infinite_z(self, tmp_path):
         # At h = 1e-6 two replications see no event, so the spread is zero

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -7,7 +8,6 @@ import pytest
 
 from hawkes_evolve import (
     EventLog,
-    ExpKernel,
     IntensityState,
     KernelBank,
     Mark,
@@ -26,39 +26,58 @@ def exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)), betas=(2.0, 3.0), a3=0.4, b3=1.0,
     return KernelBank.exponential(base, alphas, betas, a3, b3, **kw)
 
 
+HAWKES_BANK = KernelBank.exponential(
+    (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
+# Every alpha and delta distinct, so a transposed or repeated row shows.
+ASYMMETRIC_BANK = exp_bank(deltas=((0.1, 0.2), (0.3, 0.4)), death_delta=0.5)
+
+
 class TestKernels:
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ExpKernel(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            ExpKernel(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ExpKernel(1.0, 2.0, -0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            exp_bank(alphas=((0.5, 0.2), (-1.0, 0.4)))
+        with pytest.raises(ValueError, match="beta"):
+            exp_bank(betas=(2.0, 0.0))
+        with pytest.raises(ValueError, match="delta"):
+            exp_bank(death_delta=-0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["alpha", "beta", "delta"])
     def test_non_finite_parameters_rejected(self, field, value):
-        params = {"alpha": 1.0, "beta": 2.0, "delta": 0.0, field: value}
+        params = {"alpha": dict(alphas=((0.5, value), (0.3, 0.4))),
+                  "beta": dict(b3=value),
+                  "delta": dict(deltas=((0.0, 0.0), (0.0, value)))}[field]
         with pytest.raises(ValueError, match=field):
-            ExpKernel(**params)
+            exp_bank(**params)
 
 
 class TestKernelBank:
     def test_shared_beta_enforced(self):
-        with pytest.raises(ValueError):
-            KernelBank(
-                (1.0, 1.0, 1.0),
-                ((ExpKernel(0.1, 2.0), ExpKernel(0.1, 3.0)),
-                 (ExpKernel(0.1, 2.5), ExpKernel(0.1, 3.0))),
-                ExpKernel(0.1, 1.0),
-            )
+        # The file holds one beta per kernel; the bank, one per intensity.
+        for j, i in [(1, 0), (0, 1)]:
+            doc = json.loads(bank_to_json(exp_bank()))
+            doc["birth_kernels"][j][i]["beta"] = 2.5
+            with pytest.raises(ValueError, match=f"kernels targeting intensity {i + 1} must "
+                                                 "share their decay rate"):
+                bank_from_json(json.dumps(doc))
 
-    def test_non_exponential_kernel_rejected(self):
-        k = ExpKernel(0.1, 2.0)
-        with pytest.raises(ValueError):
-            KernelBank((1.0, 1.0, 1.0), ((k, k), (k, k)), lambda t: 0.1 * math.exp(-t))
-        with pytest.raises(ValueError):
-            KernelBank((1.0, 1.0, 1.0), ((k, lambda t: 0.0), (k, k)), k)
+    def test_malformed_tables_rejected(self):
+        bank = exp_bank()
+        zero = ((0.0,) * 3,) * 3
+        with pytest.raises(ValueError, match="alpha table must be 3x3"):
+            KernelBank(bank.base_rates, bank.jumps[:2], bank.betas)
+        with pytest.raises(ValueError, match="delta table must be 3x3"):
+            KernelBank(bank.base_rates, bank.jumps, bank.betas, tuple(r[:2] for r in zero))
+        with pytest.raises(ValueError, match="betas must be three"):
+            KernelBank(bank.base_rates, bank.jumps, bank.betas[:2])
+        # Births never move lambda3 and deaths never move lambda1 or lambda2.
+        for m, i in [(0, 2), (1, 2), (2, 0), (2, 1)]:
+            table = [list(row) for row in zero]
+            table[m][i] = 0.1
+            with pytest.raises(ValueError, match="alpha table"):
+                KernelBank(bank.base_rates, tuple(map(tuple, table)), bank.betas)
+            with pytest.raises(ValueError, match="delta table"):
+                KernelBank(bank.base_rates, bank.jumps, bank.betas, tuple(map(tuple, table)))
 
     def test_positive_base_rates(self):
         with pytest.raises(ValueError):
@@ -73,6 +92,11 @@ class TestKernelBank:
         bank = exp_bank(betas=(2.0, 3.0), b3=1.5)
         assert bank.betas == (2.0, 3.0, 1.5)
 
+    def test_jumps_are_the_alphas_by_mark_and_target(self):
+        # Row m - 1, column i - 1: the jump of xi_i at an event of mark m.
+        # The alphas are asymmetric, so a transposed table fails here.
+        assert exp_bank().jumps == ((0.5, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.4))
+
     def test_offsets_are_the_deltas_by_mark_and_target(self):
         # Row m - 1, column i - 1: the offset of mark m's kernel on lambda_i.
         # The deltas are asymmetric, so a transposed table fails here.
@@ -82,14 +106,29 @@ class TestKernelBank:
 
     def test_poisson_constructor(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
-        assert all(
-            bank.birth_kernels[j][i].alpha == 0 for j in range(2) for i in range(2)
-        )
+        assert not np.any(bank.jumps) and not np.any(bank.offsets)
 
     def test_json_round_trip(self):
         bank = exp_bank()
         again = bank_from_json(bank_to_json(bank))
         assert again == bank
+
+    def test_json_round_trip_of_an_asymmetric_offset_bank(self):
+        again = bank_from_json(bank_to_json(ASYMMETRIC_BANK))
+        assert again == ASYMMETRIC_BANK
+        assert again.jumps == ((0.5, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.4))
+        assert again.offsets == ((0.1, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.5))
+
+    @pytest.mark.parametrize("bank, digest", [
+        (HAWKES_BANK, "6cff31466836308a9b22627374f3552070983c6b0b0c9e2c2427abf272e2790f"),
+        (ASYMMETRIC_BANK, "68165cd6cbcfeaa4410122e326d0c40ca58d108f5d8964821b0329b16e9ee87c"),
+        (KernelBank.exponential((2, 1, 1), ((1, 0), (0, 1)), (3, 2), 1, 4),
+         "c1c60bd1305359f150e208c6b45be8bc79437e5cd7ea69565c18e6661bbadfac"),
+    ], ids=["hawkes", "asymmetric_offsets", "int_built"])
+    def test_json_text_pinned(self, bank, digest):
+        # The bank file format, byte for byte: key order, nesting, and each
+        # number as it was given (an int-built bank writes ints).
+        assert hashlib.sha256(bank_to_json(bank).encode()).hexdigest() == digest
 
     def test_json_unknown_bank_key(self):
         doc = json.loads(bank_to_json(exp_bank()))
@@ -138,9 +177,9 @@ class TestKernelBank:
             bank_from_json(json.dumps(doc))
 
     def test_json_default_delta(self):
-        doc = json.loads(bank_to_json(exp_bank()))
+        doc = json.loads(bank_to_json(ASYMMETRIC_BANK))
         del doc["death_kernel"]["delta"]
-        assert bank_from_json(json.dumps(doc)).death_kernel.delta == 0.0
+        assert bank_from_json(json.dumps(doc)).offsets[2][2] == 0.0
 
 
 class TestIntensityState:

@@ -141,15 +141,16 @@ class TestRenewal:
         grid = np.linspace(0.0, 5.0, 4001)
         h = grid[1]
         y = {i: expected_intensity_renewal(bank, i, grid) for i in (1, 2, 3)}
-        sources = {1: ((1, bank.birth_kernels[0][0]), (2, bank.birth_kernels[1][0])),
-                   2: ((1, bank.birth_kernels[0][1]), (2, bank.birth_kernels[1][1])),
-                   3: ((3, bank.death_kernel),)}
+        # phi_ji(t) = delta + alpha exp(-beta t), read from the tables; the
+        # entries that couple births and deaths are zero.
         for i in (1, 2, 3):
             for m in range(400, grid.size, 400):
                 lag = grid[m] - grid[:m + 1]
                 rhs = bank.base_rates[i - 1]
-                for j, k in sources[i]:
-                    f = (k.delta + k.alpha * np.exp(-k.beta * lag)) * y[j][:m + 1]
+                for j in (1, 2, 3):
+                    phi = (bank.offsets[j - 1][i - 1]
+                           + bank.jumps[j - 1][i - 1] * np.exp(-bank.betas[i - 1] * lag))
+                    f = phi * y[j][:m + 1]
                     rhs += h * (f.sum() - 0.5 * (f[0] + f[-1]))
                 assert rhs == pytest.approx(y[i][m], rel=1e-5)
 

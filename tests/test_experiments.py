@@ -11,6 +11,7 @@ from hawkes_evolve import (
     generator_drift_check,
     gof_report,
     mc_mean_intensity,
+    phase_transition_sweep,
     rho_convergence_check,
     simulate,
 )
@@ -21,6 +22,9 @@ HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
 CROSS_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
+# Births at rate 0.3 against deaths at rate 5: with seed 0, both runs to
+# t = 10 end with no individual.
+DYING_BANK = KernelBank.poisson((0.2, 0.1, 5.0))
 
 
 class TestMcMeanIntensity:
@@ -139,6 +143,17 @@ class TestGeneratorApply:
         got = generator_apply(HAWKES_BANK, state, lambda z: z[4])
         assert got == pytest.approx(HAWKES_BANK.base_rates[2], rel=1e-9)
 
+    def test_integer_bank_and_state(self):
+        # A bank keeps its values as given.  With integer rates and shot
+        # noise the state vector was once an integer array, so the
+        # central difference's step of 1e-6 truncated: -499997 for l1.
+        f = lambda z: z[1]
+        ints = KernelBank.exponential((2, 1, 1), ((1, 0), (0, 1)), (3, 2), 1, 4)
+        floats = KernelBank.exponential((2.0, 1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (3.0, 2.0),
+                                        1.0, 4.0)
+        assert generator_apply(ints, IntensityState(xi=(1, 0, 0), counts=(1, 0, 0)), f) == (
+            generator_apply(floats, IntensityState(xi=(1.0, 0.0, 0.0), counts=(1, 0, 0)), f))
+
     def test_offset_jumps_by_alpha_plus_delta(self):
         # l1 = 1.9, l2 = 1.1; relaxation 2 * (0.3*2 + 0.2*1 - 0.9) = -0.2;
         # jumps 1.9 * (0.5 + 0.3) + 1.1 * (0.3 + 0.2) = 2.07.
@@ -230,6 +245,11 @@ class TestGeneratorDrift:
             assert [c.mc_mean for c in checks] == means.tolist()
             assert [c.mc_stderr for c in checks] == ses.tolist()
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_window_checked_by_name(self, h):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            generator_drift_check(CROSS_BANK, IntensityState(), [lambda z: z[1]], h=h)
+
     @pytest.mark.parametrize("n_reps", [0, 1])
     def test_needs_two_replications(self, n_reps):
         with pytest.raises(ValueError, match="at least 2"):
@@ -254,8 +274,22 @@ class TestSummaries:
         f = np.linspace(0, 1, 11)
         assert _knee_estimate(f, np.zeros_like(f)) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_where_every_run_ends_empty(self):
+        # No run holds a site, so there is no CDF to read a knee from: fc_hat
+        # once read f_grid[-1], and numpy warned of an empty slice twice.
+        result = phase_transition_sweep(DYING_BANK, [0.0, 0.5, 1.0], 10.0, 2, seed=0)
+        assert math.isnan(result.fc_hat)
+        assert np.isnan(result.avg_cdf).all() and np.isnan(result.r_gap_over_n).all()
+
 
 class TestRhoCheck:
+    @pytest.mark.filterwarnings("error")
+    def test_every_run_ends_empty(self):
+        report = rho_convergence_check(DYING_BANK, 0.5, 0.5, 10.0, 2, seed=0)
+        assert np.isnan(report.terminal_rho).all()
+        assert math.isnan(report.mean_rho)
+
     def test_short_run_shape(self):
         report = rho_convergence_check(KernelBank.poisson((2.0, 1.0, 1.0)),
                                        f=0.75, epsilon=0.0, horizon=200.0,

@@ -61,6 +61,22 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(horizon=horizon, seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", "7"),
+        ("max_events", 0), ("max_events", 2.5), ("max_events", -3),
+    ], ids=["negative_seed", "fractional_seed", "string_seed", "zero_cap", "fractional_cap",
+            "negative_cap"])
+    def test_seed_and_cap_are_integers(self, field, value):
+        # A fractional seed once raised a TypeError only when the first path
+        # started, and max_events = 2.5 capped a path at 3 events.
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"horizon": 1.0, "seed": 1, field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = SimConfig(horizon=1.0, seed=np.int64(3), max_events=np.int32(5))
+        assert simulate_markov(CROSS_BANK, config).events.counts() == simulate_markov(
+            CROSS_BANK, SimConfig(horizon=1.0, seed=3, max_events=5)).events.counts()
+
     def test_engine_name_checked(self):
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=1, engine="exact")
@@ -499,7 +515,7 @@ class TestThinningEngine:
     def test_samples_are_the_direct_kernel_sums(self, bank, seed):
         # Distinct mutant and clone rows: a swap of a kernel's source and
         # target would change the sums.
-        assume(bank.birth_kernels[0] != bank.birth_kernels[1])
+        assume(bank.jumps[0] != bank.jumps[1])
         grid = tuple(np.linspace(0.0, 5.0, 11))
         path = simulate_thinning_general(bank, SimConfig(horizon=5.0, seed=seed, max_events=400,
                                                          record_grid=grid))
