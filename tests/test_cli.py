@@ -348,10 +348,20 @@ class TestSubcommands:
         assert len(doc["terminal_rho"]) == 2
 
     def test_gof_exit_zero_on_good_fit(self, bank_file, tmp_path):
-        assert run(["gof", "--bank", bank_file, "--horizon", "200",
-                    "--seed", "2", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "gof.json").read_text())
-        assert set(doc) == {"1", "2", "3"}
+        # gof exits 1 when any of its three KS tests reads p <= 0.01, so a
+        # correct simulation fails about 3% of seeds.  Over 60 seeds, more
+        # than 6 failures has probability about 0.2%.
+        failures = 0
+        for seed in range(60):
+            out = tmp_path / str(seed)
+            out.mkdir()
+            code = run(["gof", "--bank", bank_file, "--horizon", "200",
+                        "--seed", str(seed), "--out", str(out)])
+            assert code in (0, 1)
+            failures += code
+            doc = json.loads((out / "gof.json").read_text())
+            assert set(doc) == {"1", "2", "3"}
+        assert failures <= 6
 
     def test_threads_env_fallback(self, bank_file, tmp_path, monkeypatch):
         monkeypatch.setenv("HAWKES_EVOLVE_THREADS", "1")
@@ -405,25 +415,25 @@ RUNS = {
 }
 ARTIFACT_SHA256 = {
     ("cross", "simulate-markov"): {
-        "events.csv": "1396ac24b590b81e26a3996c7d844418c5fba534b68bbdc1656268618f95191c",
-        "intensity.csv": "d282940026e46ac66a6538eb59a0582db8ce3e33a76c0f8de497884b66c0a969",
+        "events.csv": "d119cfb9af78a735a4c2fdef2b0098e6a2e6aff10f22d6514ca7dd950d353aa4",
+        "intensity.csv": "4f2a47cf04d4ad30f043446b920d3abceee49f2c405eb1b1866933d4a5011c7d",
     },
     ("cross", "simulate-thinning"): {
-        "events.csv": "1396ac24b590b81e26a3996c7d844418c5fba534b68bbdc1656268618f95191c",
-        "intensity.csv": "d282940026e46ac66a6538eb59a0582db8ce3e33a76c0f8de497884b66c0a969",
+        "events.csv": "d119cfb9af78a735a4c2fdef2b0098e6a2e6aff10f22d6514ca7dd950d353aa4",
+        "intensity.csv": "4f2a47cf04d4ad30f043446b920d3abceee49f2c405eb1b1866933d4a5011c7d",
     },
     ("cross", "population"): {
-        "partition.csv": "e023028206ff81282c37eb35090e0540c5dd0d12f7a0db82b4048badc56b6acf",
-        "lr.csv": "0085ecfaf5197220ea9db70dfe71f6c804db44a1f62b830526a19bf3f0d8bd17",
+        "partition.csv": "61fe591b3fc60765c20807da378703648d41eb39c5f8a3aff8169489c7d1910e",
+        "lr.csv": "d7e4abda815027f54503f8034f7546e088b56c42b0a4c26a42ba1bbdb43466b1",
     },
     ("cross", "sweep"): {
-        "sweep.json": "710e80f39ba3c3834f2c1f31787a8e46fb81fc49842d6902577a03292b44012c",
+        "sweep.json": "8c22c006739894f8b03ad3b72cf21ff7f27de20c8b40c44d0425b2518a5c60a2",
     },
     ("cross", "rho"): {
-        "rho.json": "b7fe29f56fd2dd2e5f40f0fd35084e96b91185c3721ec7c353479b9bdfd069f6",
+        "rho.json": "0f4704ae348565dd63da689425bdf493efb3b5926dac7da8138cdd488c904a4d",
     },
     ("cross", "gof"): {
-        "gof.json": "e0bbda32956a51b1db8b78f52d0014c179178a577e9d4db3746a8bc275dadc60",
+        "gof.json": "84fc342f744cbaa693f8fd346ca5dd472f1fe1e4c7d5024a160a12889ee27bf8",
     },
     ("cross", "generator-check"): {
         "generator_check.json":
@@ -433,25 +443,25 @@ ARTIFACT_SHA256 = {
         "expectations.csv": "0b6cefdea408e23bc0a033b88f850c44dc61912e31e32bf4ed8c9a7afeb42730",
     },
     ("poisson", "simulate-markov"): {
-        "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
+        "events.csv": "c1bf99e375d7747e04c4b37a4f83b3e90310518b49a1d5a3aa7a5022cb91c534",
         "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
     },
     ("poisson", "simulate-thinning"): {
-        "events.csv": "f59f1240da93b67c471418028b7b5d02c8287e617582d7d85daee7b629d61bc4",
+        "events.csv": "c1bf99e375d7747e04c4b37a4f83b3e90310518b49a1d5a3aa7a5022cb91c534",
         "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
     },
     ("poisson", "population"): {
-        "partition.csv": "0ae587bf8e6b8238399f14f1d5467bb4d04ec9d6295a8a52f273a3c9fefc4cec",
-        "lr.csv": "aac3a680bc1c5088243d38c9cbf822d5e609c26eb6eea3be09f1648a14e6fa9d",
+        "partition.csv": "e6be90bd98b4bdb9b64556dfbac983ae0466bf1f1fac8cc6ee6eaa002521a434",
+        "lr.csv": "7022b95b5a3af6498a06c86879b724e01f4a177baede6bda3a47b8dfbf1fa8d5",
     },
     ("poisson", "sweep"): {
-        "sweep.json": "a146b5e5e41793e7877aaab3a1fbe8cb5aa465ed156f5afc6ec99ebe57076903",
+        "sweep.json": "767bec8d7d721f5e3d6338fad83830f8aa55a0a970b873dd1d781494a24a5b51",
     },
     ("poisson", "rho"): {
-        "rho.json": "1a09ff1270e70df1395f39a19e887d5a1d6bf9e09871fa0bc7f431e009a64c6d",
+        "rho.json": "9ac70328576c38fff10a5e9cffb807b75f960b06289d7f2a7bdcae31976f2f23",
     },
     ("poisson", "gof"): {
-        "gof.json": "93b7b91887d175a964c5dd0cd2e0b651587e82f7b3bc576f1cf01839f5d77079",
+        "gof.json": "bde8ae9fb357bcb0c840597bda866fe4dbb4589cdcc80cb027bad930f5679239",
     },
     ("poisson", "generator-check"): {
         "generator_check.json":
@@ -463,6 +473,11 @@ ARTIFACT_SHA256 = {
 }
 
 
+# Exit codes other than 0.  gof's death residual on the Poisson bank at
+# seed 2 reads KS p = 0.00997, at its 1% cut.
+ARTIFACT_EXIT = {("poisson", "gof"): 1}
+
+
 class TestArtifactBytes:
     """SHA-256 of each artifact of small fixed-seed runs, to catch any byte change."""
 
@@ -472,7 +487,8 @@ class TestArtifactBytes:
         bank_path = tmp_path / "bank.json"
         bank_path.write_text(bank_to_json(BANKS[bank]))
         args, artifacts = RUNS[command]
-        assert run(args + ["--bank", str(bank_path), "--out", str(tmp_path)]) == 0
+        code = run(args + ["--bank", str(bank_path), "--out", str(tmp_path)])
+        assert code == ARTIFACT_EXIT.get((bank, command), 0)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in artifacts}
         assert digests == ARTIFACT_SHA256[bank, command]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkes_evolve import (
@@ -318,6 +318,10 @@ class TestCriticalFitness:
         assert critical_fitness(bank, "paper") == pytest.approx(0.5)
 
     @given(bank=random_banks(offsets=st.just(0.0)))
+    # The paper limit of the mutant rate is exactly 0 here:
+    # 1 + 1/1 - 1/(1 * 0.5).
+    @example(bank=KernelBank.exponential(
+        (1.0, 1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 0.5), 0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_is_the_ratio_of_the_asymptotic_rates(self, bank):
         import warnings
@@ -326,6 +330,10 @@ class TestCriticalFitness:
             try:
                 lam = asymptotic_rates(bank, method)
             except NoStationaryRateError:
+                continue
+            if lam[0] == 0:
+                with pytest.raises(DegenerateParametersError):
+                    critical_fitness(bank, method)
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,5 +1,5 @@
 import hashlib
-import importlib
+import itertools
 import math
 import tracemalloc
 
@@ -48,6 +48,61 @@ def shot_noise_from_history(bank, events, t):
         for i, (alpha, beta) in enumerate(zip(bank.jumps[mark - 1], bank.betas)):
             xi[i] += alpha * math.exp(-beta * (t - time))
     return tuple(xi)
+
+
+def block_draws(seed):
+    """The scalar loop's draws from path 0's stream, as (exponentials, uniforms) blocks.
+
+    Block sizes k are 64, 128, ..., 4096, then 4096 for ever; a block is
+    k standard exponentials followed by 2k uniforms.
+    """
+    rng = rng_for(seed, 0)
+    for k in itertools.chain([64, 128, 256, 512, 1024, 2048], itertools.repeat(4096)):
+        yield rng.standard_exponential(k).tolist(), rng.random(2 * k).tolist()
+
+
+def reference_path(bank, horizon, seed):
+    """The Markov engine's path written one draw at a time: (times, marks, candidates).
+
+    Each candidate takes the next exponential of the current block, then
+    one uniform to accept it and, if accepted, the next to pick its mark.
+    When a block's exponentials run out, the next block starts and the
+    uniforms left in the old one are dropped.
+    """
+    mu, betas, jumps = bank.base_rates, bank.betas, bank.jumps
+    blocks = block_draws(seed)
+    exps, uniforms = [], []
+
+    def exponential():
+        nonlocal exps, uniforms
+        if not exps:
+            exps, uniforms = (list(reversed(b)) for b in next(blocks))
+        return exps.pop()
+
+    x, t_last, n, t = (0.0, 0.0, 0.0), 0.0, 0, 0.0
+    times, marks, candidates = [], [], 0
+
+    def intensities(t):
+        xi = tuple(a * math.exp(-b * (t - t_last)) for a, b in zip(x, betas))
+        return xi, (mu[0] + xi[0], mu[1] + xi[1], mu[2] + xi[2] if n > 0 else 0.0)
+
+    _, (l1, l2, l3) = intensities(t)
+    while True:
+        bound = l1 + l2 + l3
+        candidates += 1
+        t = t + exponential() / bound
+        if t >= horizon:
+            return times, marks, candidates
+        xi, (l1, l2, l3) = intensities(t)
+        total = l1 + l2 + l3
+        if uniforms.pop() * bound < total:
+            v = uniforms.pop() * total
+            mark = 1 if v < l1 else 2 if v < l1 + l2 else 3
+            x, t_last = tuple(a + j for a, j in zip(xi, jumps[mark - 1])), t
+            n += -1 if mark == 3 else 1
+            times.append(t)
+            marks.append(mark)
+            _, (l1, l2, l3) = intensities(t)
 
 
 class TestSimConfig:
@@ -232,6 +287,34 @@ class TestMarkovEngine:
         assert path.intensity_samples[0, 2] == 0.0
 
 
+class TestBlockDraws:
+    def test_every_refill_matches_the_one_draw_reference(self):
+        # Blocks of 64, 128, ..., 4096 end after 8128 candidates; with the
+        # size capped at 4096 the next refills come after 12224 and 16320.
+        # A draw reused or skipped at any refill shifts every later event.
+        path = simulate_markov(CROSS_BANK, SimConfig(horizon=1500.0, seed=11))
+        times, marks, candidates = reference_path(CROSS_BANK, 1500.0, seed=11)
+        assert candidates > 16320
+        assert path.events.times.tolist() == times
+        assert path.events.marks.tolist() == marks
+
+    @pytest.mark.parametrize("engine", ["markov", "thinning"])
+    @pytest.mark.parametrize("max_events", [63, 64, 65, 192, 193])
+    def test_capped_path_is_a_prefix(self, engine, max_events):
+        # On a Poisson bank every candidate is an event, so these caps sit
+        # at and around the refills after 64 and 192 candidates.
+        bank = KernelBank.poisson((2.0, 1.0, 1.0))
+        full = simulate(bank, SimConfig(horizon=100.0, seed=8, engine=engine)).events
+        path = simulate(bank, SimConfig(horizon=100.0, seed=8, engine=engine,
+                                        max_events=max_events))
+        assert len(full) > 193
+        assert path.capped and len(path.events) == max_events
+        assert np.array_equal(path.events.times, full.times[:max_events])
+        assert np.array_equal(path.events.marks, full.marks[:max_events])
+        assert path.elapsed == full.times[max_events - 1]
+        assert path.final_state.counts == tuple(full.counts(path.elapsed))
+
+
 OFFSET_BANK = KernelBank.exponential(
     (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)
 EMPTY_PATH = SimPath(EventLog(), IntensityState(), 1.0, 1.0)
@@ -252,41 +335,48 @@ def test_offset_kernels_rejected(call):
 class TestPinnedOutput:
     """Fixed-seed paths, with literal values to catch changes across versions."""
 
-    @pytest.mark.parametrize("engine", ["markov", "thinning"])
-    def test_hawkes_bank(self, engine):
+    @pytest.mark.parametrize("engine, pinned, xi", [
+        ("markov",
+         {0: 1.2863250344709833, 1: 1.4333660335096217, 18: 5.252029900185111,
+          36: 9.854296418894323},
+         (1.7317640031093693, 1.8936488657659314, 0.04568074544503653)),
+        ("thinning",
+         {0: 1.2863250344709833, 1: 1.4333660335096217, 18: 5.252029900185112,
+          36: 9.854296418894325},
+         (1.7317640031093722, 1.893648865765937, 0.04568074544503656)),
+    ], ids=["markov", "thinning"])
+    def test_hawkes_bank(self, engine, pinned, xi):
         path = simulate(HAWKES_BANK, SimConfig(horizon=10.0, seed=7, engine=engine))
         events = path.events
-        assert len(events) == 44
-        pinned = {0: (1.2863250344709833, Mark.MUTANT), 1: (1.3298179234040737, Mark.CLONE),
-                  22: (5.323367534512877, Mark.MUTANT), 43: (9.985127072758697, Mark.DEATH)}
-        for k, (t, mark) in pinned.items():
-            assert (events.times[k], events.marks[k]) == (t, mark)
-        assert path.final_state.counts == (10, 14, 20)
-        assert path.final_state.xi == pytest.approx(
-            (0.5626297863552189, 0.5613049451511004, 1.264399216898759), rel=1e-14)
+        assert len(events) == 37
+        marks = {0: Mark.CLONE, 1: Mark.CLONE, 18: Mark.DEATH, 36: Mark.CLONE}
+        for k, t in pinned.items():
+            assert (events.times[k], events.marks[k]) == (t, marks[k])
+        assert path.final_state.counts == (8, 17, 12)
+        assert path.final_state.xi == pytest.approx(xi, rel=1e-14)
 
     @pytest.mark.parametrize("engine, pinned, xi", [
         ("markov",
-         {0: 0.012490539958468513, 1: 0.19831216339363675, 700: 40.04383953131022,
-          1547: 99.49984805635248},
-         (0.6583137929265519, 0.48672446560451704, 0.39709560093379587)),
+         {0: 0.012490539958468513, 1: 0.024810013259392208, 700: 46.01386052374953,
+          1247: 99.89293694397026},
+         (5.738928750964729, 5.757547698798943, 0.37134485979292053)),
         ("thinning",
-         {0: 0.012490539958468513, 1: 0.19831216339363675, 700: 40.0438395313103,
-          1547: 99.49984805635269},
-         (0.6583137929266923, 0.48672446560467264, 0.3970956009338806)),
+         {0: 0.012490539958468513, 1: 0.024810013259392208, 700: 46.01386052374953,
+          1247: 99.89293694397026},
+         (5.738928750964725, 5.757547698798946, 0.37134485979292065)),
     ])
     def test_long_cross_bank_path(self, engine, pinned, xi):
         # Long enough that each mark's history outgrows the thinning
         # engine's initial buffer at least once.
         path = simulate(CROSS_BANK, SimConfig(horizon=100.0, seed=3, engine=engine))
         events = path.events
-        assert len(events) == 1548
-        marks = {0: Mark.MUTANT, 1: Mark.CLONE, 700: Mark.MUTANT, 1547: Mark.DEATH}
+        assert len(events) == 1248
+        marks = {0: Mark.MUTANT, 1: Mark.CLONE, 700: Mark.CLONE, 1247: Mark.CLONE}
         for k, t in pinned.items():
             assert (events.times[k], events.marks[k]) == (t, marks[k])
-        assert path.final_state == IntensityState(xi, (677, 680, 191))
+        assert path.final_state == IntensityState(xi, (562, 499, 187))
         assert path.elapsed == 100.0
-        assert path.zero_occupation_time == 0.143178666259572
+        assert path.zero_occupation_time == 0.012490539958468513
         assert not path.capped
 
 
@@ -531,7 +621,7 @@ class TestThinningEngine:
     def test_one_kernel_sum_per_candidate(self, monkeypatch):
         # The loop sums the history once at the start, once per candidate
         # and once at the end; an accepted event's jump is added, not summed.
-        # The engine's generator is wrapped to count the candidates.
+        # The reference loop, on the same draws, counts the candidates.
         sums = []
         xi_at = _History.xi_at
 
@@ -540,33 +630,12 @@ class TestThinningEngine:
             return xi_at(history, t)
 
         monkeypatch.setattr(_History, "xi_at", counted)
-
-        class CountingRng:
-            """The two draws _run makes, with a count of candidates."""
-
-            def __init__(self, rng):
-                self.rng, self.candidates = rng, 0
-
-            def exponential(self, scale):
-                self.candidates += 1
-                return self.rng.exponential(scale)
-
-            def random(self):
-                return self.rng.random()
-
-        rngs = []
-
-        def counting_rng_for(seed, *stream):
-            rngs.append(CountingRng(rng_for(seed, *stream)))
-            return rngs[-1]
-
-        # The package's ``simulate`` attribute is the dispatch function.
-        module = importlib.import_module("hawkes_evolve.simulate")
-        monkeypatch.setattr(module, "rng_for", counting_rng_for)
         path = simulate_thinning_general(CROSS_BANK, SimConfig(horizon=50.0, seed=5))
-        (rng,) = rngs
+        times, marks, candidates = reference_path(CROSS_BANK, 50.0, seed=5)
         assert len(path.events) > 300
-        assert len(sums) == rng.candidates + 1, (len(sums), rng.candidates, len(path.events))
+        assert np.array_equal(path.events.marks, marks)
+        assert path.events.times == pytest.approx(times, rel=1e-12)
+        assert len(sums) == candidates + 1, (len(sums), candidates, len(path.events))
 
 
 class TestHistory:
