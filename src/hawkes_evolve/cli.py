@@ -1,8 +1,11 @@
 """Command line front end.
 
-One verb per analysis family; every subcommand reads a kernel bank from
-JSON, runs, and writes plot-ready CSV/JSON artifacts into the output
-directory.  Exit codes: 0 success, 2 validation error (single-line
+One verb per analysis family.  ``run`` reads and validates the kernel
+bank JSON before anything is written, naming a missing key in its
+error, so a bank that fails to load leaves no output directory behind;
+only then does the subcommand write plot-ready CSV/JSON artifacts into
+the output directory.  A ``start:stop:step`` grid never goes past
+``stop``.  Exit codes: 0 success, 2 validation error (single-line
 diagnostic on stderr), 1 when a statistical check the subcommand
 performs comes out negative.
 """
@@ -52,15 +55,12 @@ def parse_grid(text: str) -> np.ndarray:
     count = (stop - start) / step
     if not count < MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
-    n = int(round(count))
-    grid = start + step * np.arange(n + 1)
-    # Half-step tolerance keeps the endpoint despite rounding.
-    return grid[grid <= stop + 0.5 * step]
-
-
-def _load_bank(path: str) -> KernelBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bank_from_json(fh.read())
+    grid = start + step * np.arange(int(round(count)) + 1)
+    # The rounded count reaches an endpoint that the division put just
+    # short, and may overshoot stop by a fraction of a step.  Keep points
+    # up to stop plus rounding: a billionth of a step, and a few ulps of
+    # the grid's magnitude for a grid far from 0.
+    return grid[grid <= stop + 1e-9 * step + 4 * np.spacing(max(abs(start), abs(stop)))]
 
 
 def _resolve_threads(value: Optional[int]) -> int:
@@ -100,10 +100,13 @@ def _json_value(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
+def _json_text(obj) -> str:
+    return json.dumps(_json_value(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_value(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def _write_gnuplot(path: str, csv_name: str, title: str, columns: list[tuple[int, str]]) -> None:
@@ -119,21 +122,20 @@ def _write_gnuplot(path: str, csv_name: str, title: str, columns: list[tuple[int
         fh.write("\n".join(lines) + "\n")
 
 
-def _cmd_expect(args) -> int:
+_CURVES = {"paper": expected_intensity_paper, "renewal": expected_intensity_renewal}
+
+
+def _cmd_expect(args, bank: KernelBank) -> int:
     if not 1 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"--points must be between 1 and {MAX_GRID_POINTS}, got {args.points}")
     if not 0 < args.t_max < np.inf:
         raise ValueError(f"--t-max must be finite and > 0, got {args.t_max}")
-    bank = _load_bank(args.bank)
     grid = np.linspace(0.0, args.t_max, args.points)
-    methods = ("paper", "renewal") if args.method == "both" else (args.method,)
+    methods = list(_CURVES) if args.method == "both" else [args.method]
     rows = []
     for i in (1, 2, 3):
         for method in methods:
-            if method == "paper":
-                vals = expected_intensity_paper(bank, i, grid)
-            else:
-                vals = expected_intensity_renewal(bank, i, grid)
+            vals = _CURVES[method](bank, i, grid)
             rows.extend((f"{t:.10g}", f"{v:.10g}", method, i) for t, v in zip(grid, vals))
     out = os.path.join(args.out, "expectations.csv")
     _write_csv(out, ["t", "value", "method", "index"], rows)
@@ -143,8 +145,7 @@ def _cmd_expect(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_simulate(args, bank: KernelBank) -> int:
     record = None if args.grid is None else tuple(parse_grid(args.grid))
     config = SimConfig(horizon=args.horizon, seed=args.seed, engine=args.engine,
                        record_grid=record)
@@ -170,8 +171,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_population(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_population(args, bank: KernelBank) -> int:
     config = SimConfig(horizon=args.horizon, seed=args.seed, engine=args.engine)
     snap = None if args.snapshot_grid is None else parse_grid(args.snapshot_grid)
     pop = simulate_population(bank, config, f=args.f, snapshot_grid=snap)
@@ -191,8 +191,7 @@ def _cmd_population(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_sweep(args, bank: KernelBank) -> int:
     f_grid = parse_grid(args.f_grid)
     result = phase_transition_sweep(bank, f_grid, args.horizon, args.runs, args.seed,
                                     threads=_resolve_threads(args.threads))
@@ -205,8 +204,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_rho(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_rho(args, bank: KernelBank) -> int:
     report = rho_convergence_check(bank, args.f, args.epsilon, args.horizon,
                                    args.runs, args.seed,
                                    threads=_resolve_threads(args.threads))
@@ -222,8 +220,7 @@ def _cmd_rho(args) -> int:
     return 0
 
 
-def _cmd_gof(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_gof(args, bank: KernelBank) -> int:
     config = SimConfig(horizon=args.horizon, seed=args.seed, engine=args.engine)
     path = simulate(bank, config)
     report = gof_report(path, bank)
@@ -248,8 +245,7 @@ _POLY_FUNCTIONS = [
 ]
 
 
-def _cmd_generator_check(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_generator_check(args, bank: KernelBank) -> int:
     state = IntensityState()
     checks = generator_drift_check(bank, state, [f for _, f in _POLY_FUNCTIONS],
                                    h=args.h, n_reps=args.reps, seed=args.seed)
@@ -261,11 +257,10 @@ def _cmd_generator_check(args) -> int:
     return 1 if sum(abs(chk.z) >= 3 for chk in checks) > 1 else 0
 
 
-def _cmd_regime(args) -> int:
-    bank = _load_bank(args.bank)
+def _cmd_regime(args, bank: KernelBank) -> int:
     doc = classify_regime(bank).to_dict()
     _write_json(os.path.join(args.out, "regime.json"), doc)
-    print(json.dumps(_json_value(doc), indent=2, sort_keys=True, allow_nan=False))
+    print(_json_text(doc))
     return 0
 
 
@@ -277,93 +272,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False, gnuplot=False):
-        p.add_argument("--bank", required=True, help="kernel bank JSON file")
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        if gnuplot:
-            p.add_argument("--gnuplot", action="store_true",
-                           help="also emit a gnuplot script next to the CSV")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="replication pool size (default: HAWKES_EVOLVE_THREADS "
-                                "or the CPU count)")
+    # Each option that several subcommands share is defined once, in a
+    # parent parser that those subcommands list.
+    def shared(*args, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
 
-    p = sub.add_parser("expect", help="tabulate the analytic mean-intensity curves")
-    common(p, gnuplot=True)
+    files = shared("--bank", required=True, help="kernel bank JSON file")
+    files.add_argument("--out", default=".", help="output directory (default: cwd)")
+    gnuplot = shared("--gnuplot", action="store_true",
+                     help="also emit a gnuplot script next to the CSV")
+    threads = shared("--threads", type=int, default=None,
+                     help="replication pool size (default: HAWKES_EVOLVE_THREADS "
+                          "or the CPU count)")
+    engine = shared("--engine", choices=["markov", "thinning"], default="markov")
+    horizon = shared("--horizon", type=float, required=True)
+    seed = shared("--seed", type=int, default=0)
+    runs = shared("--runs", type=int, default=50)
+
+    def command(name, fn, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[files, *parents])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("expect", _cmd_expect, "tabulate the analytic mean-intensity curves", gnuplot)
     p.add_argument("--t-max", type=float, default=10.0, help="end of the time grid")
     p.add_argument("--points", type=int, default=101, help="grid size")
     p.add_argument("--method", choices=["paper", "renewal", "both"], default="both")
-    p.set_defaults(fn=_cmd_expect)
 
-    p = sub.add_parser("simulate", help="sample one event path")
-    common(p, gnuplot=True)
-    p.add_argument("--engine", choices=["markov", "thinning"], default="markov")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("simulate", _cmd_simulate, "sample one event path",
+                gnuplot, engine, horizon, seed)
     p.add_argument("--grid", default=None,
                    help="start:stop:step grid for intensity recording")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("population", help="sample a fitness-structured trajectory")
-    common(p)
-    p.add_argument("--engine", choices=["markov", "thinning"], default="markov")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("population", _cmd_population, "sample a fitness-structured trajectory",
+                engine, horizon, seed)
     p.add_argument("--f", type=float, default=None,
                    help="threshold for the left/right occupancy trajectory")
     p.add_argument("--snapshot-grid", default=None,
                    help="start:stop:step grid of partition snapshots")
-    p.set_defaults(fn=_cmd_population)
 
-    p = sub.add_parser("sweep", help="terminal site-distribution sweep over runs")
-    common(p, threads=True, gnuplot=True)
+    p = command("sweep", _cmd_sweep, "terminal site-distribution sweep over runs",
+                gnuplot, threads, horizon, runs, seed)
     p.add_argument("--f-grid", required=True, help="start:stop:step fitness grid")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("rho", help="terminal left-mass fraction of the modified chain")
-    common(p, threads=True)
+    p = command("rho", _cmd_rho, "terminal left-mass fraction of the modified chain",
+                threads, horizon, runs, seed)
     p.add_argument("--f", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_rho)
 
-    p = sub.add_parser("gof", help="goodness of fit of one simulated path")
-    common(p)
-    p.add_argument("--engine", choices=["markov", "thinning"], default="markov")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_gof)
+    command("gof", _cmd_gof, "goodness of fit of one simulated path", engine, horizon, seed)
 
-    p = sub.add_parser("generator-check",
-                       help="drift check of the analytic generator at the empty state")
-    common(p)
+    p = command("generator-check", _cmd_generator_check,
+                "drift check of the analytic generator at the empty state", seed)
     p.add_argument("--h", type=float, default=1e-3, help="drift window")
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_generator_check)
 
-    p = sub.add_parser("regime", help="classify the long-run population regime")
-    common(p)
-    p.set_defaults(fn=_cmd_regime)
+    command("regime", _cmd_regime, "classify the long-run population regime")
 
     return parser
 
 
 def run(argv) -> int:
+    """Parse argv, read the bank, then create --out and run the subcommand."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
+        with open(args.bank, "r", encoding="utf-8") as fh:
+            bank = bank_from_json(fh.read())
         os.makedirs(args.out, exist_ok=True)
-        return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+        return args.fn(args, bank)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,12 +191,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _require_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
 def _kernel_from_dict(d, what: str) -> tuple[float, float, float]:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = set(d) - {"alpha", "beta", "delta"}
     if unknown:
         raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
+    _require_keys(d, ("alpha", "beta"), what)
     return (_number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta"),
             _number(d.get("delta", 0.0), f"{what} delta"))
 
@@ -211,7 +218,7 @@ def bank_to_json(bank: KernelBank) -> str:
 
 
 def bank_from_json(text: str) -> KernelBank:
-    """Parse the JSON bank document; unknown keys and non-numeric entries are rejected.
+    """Parse the JSON bank document; unknown, missing and non-numeric entries are rejected.
 
     The file holds one beta per kernel, so this is where the rule that
     the kernels on one intensity share their decay rate is checked.
@@ -222,6 +229,7 @@ def bank_from_json(text: str) -> KernelBank:
     unknown = set(doc) - {"base_rates", "birth_kernels", "death_kernel"}
     if unknown:
         raise ValueError(f"unknown bank keys: {sorted(unknown)}")
+    _require_keys(doc, ("base_rates", "birth_kernels", "death_kernel"), "the bank document")
     rates = doc["base_rates"]
     if not isinstance(rates, list) or len(rates) != 3:
         raise ValueError(f"base_rates must be a list of three numbers, got {rates!r}")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkes_evolve import KernelBank, bank_to_json
-from hawkes_evolve.cli import parse_grid, run
+from hawkes_evolve.cli import build_parser, parse_grid, run
 
 
 @pytest.fixture
@@ -56,6 +59,38 @@ class TestParseGrid:
 
     def test_sweep_grid_unchanged(self):
         assert parse_grid("0:1:0.02").tolist() == (0.02 * np.arange(51)).tolist()
+
+    @pytest.mark.parametrize("text, points", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:10:6", [0.0, 6.0]),
+        ("0:1:0.4", [0.0, 0.4, 0.8]),
+    ])
+    def test_no_point_past_stop(self, text, points):
+        # The step count is rounded, and 0:1:0.6 once read [0, 0.6, 1.2].
+        assert parse_grid(text).tolist() == points
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-100, 100), span=st.floats(0, 100), step=st.floats(1e-3, 10))
+    def test_last_point_within_a_step_of_stop(self, start, span, step):
+        stop = start + span
+        grid = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert grid[0] == start
+        # Past stop by no more than rounding (a billionth of a step, plus a
+        # few ulps of numbers below 200), and short of it by less than a step.
+        assert grid[-1] <= stop + 2e-9 * step
+        assert stop - grid[-1] < step
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-100, 100), k=st.integers(0, 1000), step=st.floats(1e-3, 10))
+    def test_endpoint_kept_on_a_whole_number_of_steps(self, start, k, step):
+        stop = start + k * step
+        grid = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert len(grid) == k + 1 and grid[-1] == stop
+
+    def test_endpoint_kept_far_from_zero(self):
+        # 1537 steps; start + 1537 * step rounds to one ulp past stop.
+        grid = parse_grid("7850852925.97:7850857461.657:2.951")
+        assert len(grid) == 1538 and grid[-1] == pytest.approx(7850857461.657, abs=1e-5)
 
 
 class TestExitCodes:
@@ -228,6 +263,197 @@ def test_malformed_bank_file_exits_2(edit, message, tmp_path, capsys):
     bank.write_text(json.dumps(edit(doc)))
     assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _drop_alpha(doc):
+    del doc["birth_kernels"][0][1]["alpha"]
+    return doc
+
+
+def test_missing_bank_key_named(tmp_path, capsys):
+    # A missing key once escaped as a KeyError whose text was only the key.
+    bank = tmp_path / "bank.json"
+    doc = json.loads(bank_to_json(KernelBank.poisson((2.0, 1.0, 1.0))))
+    bank.write_text(json.dumps(_drop_alpha(doc)))
+    assert run(["regime", "--bank", str(bank), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: birth_kernels[0][1] is missing 'alpha'\n"
+
+
+# The arguments each subcommand needs besides --bank and --out.
+REQUIRED_ARGS = {
+    "expect": [],
+    "simulate": ["--horizon", "1"],
+    "population": ["--horizon", "1"],
+    "sweep": ["--f-grid", "0:1:0.5", "--horizon", "1", "--runs", "1", "--threads", "1"],
+    "rho": ["--f", "0.5", "--epsilon", "0", "--horizon", "1", "--runs", "1",
+            "--threads", "1"],
+    "gof": ["--horizon", "1"],
+    "generator-check": ["--reps", "2"],
+    "regime": [],
+}
+
+
+def _bad_bank(tmp_path, kind):
+    """A bank path that fails to load: missing, not JSON, or missing a key."""
+    path = tmp_path / "bank.json"
+    if kind == "not_json":
+        path.write_text('{"base_rates": [1, 2')
+    elif kind == "missing_key":
+        doc = json.loads(bank_to_json(KernelBank.poisson((2.0, 1.0, 1.0))))
+        del doc["death_kernel"]
+        path.write_text(json.dumps(doc))
+    return path
+
+
+class TestFailedLoadWritesNothing:
+    """The bank is read before --out is created, so a bad bank leaves no trace."""
+
+    @pytest.mark.parametrize("kind", ["missing_file", "not_json", "missing_key"])
+    @pytest.mark.parametrize("command", list(REQUIRED_ARGS))
+    def test_out_not_created(self, command, kind, tmp_path, capsys):
+        # regime once exited 2 here but left an empty --out behind.
+        bank = _bad_bank(tmp_path, kind)
+        out = tmp_path / "out"
+        assert run([command, "--bank", str(bank), "--out", str(out)]
+                   + REQUIRED_ARGS[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if kind == "missing_file" else ["bank.json"])
+
+    def test_expect_names_the_bank_first(self, tmp_path, capsys):
+        bank = _bad_bank(tmp_path, "missing_key")
+        assert run(["expect", "--bank", str(bank), "--points", "0",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "the bank document is missing 'death_kernel'" in capsys.readouterr().err
+
+
+class TestGridEnds:
+    """A start:stop:step grid whose step does not divide the span stops short of stop."""
+
+    def test_sweep(self, bank_file, tmp_path):
+        # Once exited 2 with "f_grid points must be in [0, 1], got 1.2".
+        assert run(["sweep", "--bank", bank_file, "--f-grid", "0:1:0.6", "--horizon", "5",
+                    "--runs", "1", "--threads", "1", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "sweep.json").read_text())["f_grid"] == [0.0, 0.6]
+
+    def test_population_snapshots(self, bank_file, tmp_path):
+        # Once wrote a snapshot labelled t = 12 on a path to horizon 10.
+        assert run(["population", "--bank", bank_file, "--horizon", "10",
+                    "--snapshot-grid", "0:10:6", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "partition.csv").read_text().splitlines()[1:]
+        # Every path starts empty, so the snapshot at t = 0 has no rows.
+        assert {row.split(",")[0] for row in rows} == {"6"}
+
+
+# Each subcommand's options as flag: (type, default, choices, required),
+# written from the parser before its shared options were consolidated.
+OPTIONS = {
+    "expect": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--gnuplot": (None, False, None, False),
+        "--t-max": (float, 10.0, None, False),
+        "--points": (int, 101, None, False),
+        "--method": (None, "both", ["paper", "renewal", "both"], False),
+    },
+    "simulate": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--gnuplot": (None, False, None, False),
+        "--engine": (None, "markov", ["markov", "thinning"], False),
+        "--horizon": (float, None, None, True),
+        "--seed": (int, 0, None, False),
+        "--grid": (None, None, None, False),
+    },
+    "population": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--engine": (None, "markov", ["markov", "thinning"], False),
+        "--horizon": (float, None, None, True),
+        "--seed": (int, 0, None, False),
+        "--f": (float, None, None, False),
+        "--snapshot-grid": (None, None, None, False),
+    },
+    "sweep": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--gnuplot": (None, False, None, False),
+        "--threads": (int, None, None, False),
+        "--f-grid": (None, None, None, True),
+        "--horizon": (float, None, None, True),
+        "--runs": (int, 50, None, False),
+        "--seed": (int, 0, None, False),
+    },
+    "rho": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--threads": (int, None, None, False),
+        "--f": (float, None, None, True),
+        "--epsilon": (float, None, None, True),
+        "--horizon": (float, None, None, True),
+        "--runs": (int, 50, None, False),
+        "--seed": (int, 0, None, False),
+    },
+    "gof": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--engine": (None, "markov", ["markov", "thinning"], False),
+        "--horizon": (float, None, None, True),
+        "--seed": (int, 0, None, False),
+    },
+    "generator-check": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+        "--h": (float, 1e-3, None, False),
+        "--reps": (int, 100_000, None, False),
+        "--seed": (int, 0, None, False),
+    },
+    "regime": {
+        "--bank": (None, None, None, True),
+        "--out": (None, ".", None, False),
+    },
+}
+# Help text by flag, the same in every subcommand that has the flag
+# except rho's --f, which has none.
+OPTION_HELP = {
+    "--bank": "kernel bank JSON file",
+    "--out": "output directory (default: cwd)",
+    "--gnuplot": "also emit a gnuplot script next to the CSV",
+    "--threads": "replication pool size (default: HAWKES_EVOLVE_THREADS or the CPU count)",
+    "--t-max": "end of the time grid",
+    "--points": "grid size",
+    "--grid": "start:stop:step grid for intensity recording",
+    "--f": "threshold for the left/right occupancy trajectory",
+    "--snapshot-grid": "start:stop:step grid of partition snapshots",
+    "--f-grid": "start:stop:step fitness grid",
+    "--h": "drift window",
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_options_pinned(command):
+    options = {}
+    for action in _subcommands()[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag, = action.option_strings
+        options[flag] = (action.type, action.default, action.choices, action.required)
+        expected = None if (command, flag) == ("rho", "--f") else OPTION_HELP.get(flag)
+        assert action.help == expected, flag
+    assert options == OPTIONS[command]
+
+
+def test_subcommands_pinned():
+    assert list(_subcommands()) == list(OPTIONS)
 
 
 def _strict_json(text):

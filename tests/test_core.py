@@ -176,6 +176,25 @@ class TestKernelBank:
         with pytest.raises(ValueError, match=field):
             bank_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, message", [
+        (("base_rates",), "the bank document is missing 'base_rates'"),
+        (("birth_kernels",), "the bank document is missing 'birth_kernels'"),
+        (("death_kernel",), "the bank document is missing 'death_kernel'"),
+        (("birth_kernels", 0, 1, "alpha"), r"birth_kernels\[0\]\[1\] is missing 'alpha'"),
+        (("birth_kernels", 1, 0, "beta"), r"birth_kernels\[1\]\[0\] is missing 'beta'"),
+        (("death_kernel", "alpha"), "death_kernel is missing 'alpha'"),
+    ], ids=["base_rates", "birth_kernels", "death_kernel", "birth_alpha", "birth_beta",
+            "death_alpha"])
+    def test_json_missing_key_named(self, where, message):
+        # A missing key once escaped as a KeyError whose text was only the key.
+        doc = json.loads(bank_to_json(exp_bank()))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        del node[where[-1]]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bank_from_json(json.dumps(doc))
+
     def test_json_default_delta(self):
         doc = json.loads(bank_to_json(ASYMMETRIC_BANK))
         del doc["death_kernel"]["delta"]
