@@ -49,6 +49,7 @@ from .simulate import (
     MarkovBatch,
     SimConfig,
     SimPath,
+    intensities_at,
     rng_for,
     simulate,
     simulate_markov,

@@ -34,7 +34,7 @@ from .experiments import (
     rho_convergence_check,
 )
 from .population import simulate_population
-from .simulate import SimConfig, simulate
+from .simulate import SimConfig, check_grid, intensities_at, simulate
 
 
 # The most points a grid may have; every grid this package needs has a
@@ -146,9 +146,8 @@ def _cmd_expect(args, bank: KernelBank) -> int:
 
 
 def _cmd_simulate(args, bank: KernelBank) -> int:
-    record = None if args.grid is None else tuple(parse_grid(args.grid))
-    config = SimConfig(horizon=args.horizon, seed=args.seed, engine=args.engine,
-                       record_grid=record)
+    config = SimConfig(horizon=args.horizon, seed=args.seed, engine=args.engine)
+    grid = None if args.grid is None else check_grid(parse_grid(args.grid), "record_grid")
     path = simulate(bank, config)
     rows = []
     n = [0, 0, 0]
@@ -157,10 +156,10 @@ def _cmd_simulate(args, bank: KernelBank) -> int:
         rows.append((f"{t:.12g}", mark, n[0], n[1], n[2], n[0] + n[1] - n[2]))
     _write_csv(os.path.join(args.out, "events.csv"),
                ["time", "mark", "n1", "n2", "n3", "N"], rows)
-    if path.intensity_samples is not None:
+    if grid is not None:
         rows = [
             (f"{t:.10g}", f"{s[0]:.10g}", f"{s[1]:.10g}", f"{s[2]:.10g}")
-            for t, s in zip(path.grid, path.intensity_samples)
+            for t, s in zip(grid, intensities_at(path, bank, grid))
         ]
         _write_csv(os.path.join(args.out, "intensity.csv"),
                    ["t", "lambda1", "lambda2", "lambda3_gated"], rows)

@@ -123,14 +123,14 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
     # The renewal curve rejects such a grid too, but only after every path has run.
     if t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
-    config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed,
-                       record_grid=tuple(t_grid))
+    config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed)
     # (grid, lambda1 / lambda2 / ungated lambda3, paths): numpy sums a
     # contiguous last axis pairwise, so a constant column's mean is exact
     # at any n and its standard error 0, which _z scores exactly.
     lam = np.empty((t_grid.size, 3, n_paths))
     for block, start, stop in batch_blocks(n_paths):
-        batch = simulate_markov_batch(bank, config, stop - start, block=block)
+        batch = simulate_markov_batch(bank, config, stop - start, block=block,
+                                      record_grid=t_grid)
         lam[:, :, start:stop] = batch.intensity_samples.transpose(1, 2, 0)
     mean = lam.mean(axis=-1)
     stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)

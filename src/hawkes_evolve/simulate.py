@@ -13,7 +13,8 @@ randoms from the path's stream in blocks of k exponentials then 2k
 uniforms, k = 64, 128, ..., 4096, and reads them in order (``_run``).
 The batched Markov engine runs the same loop on a block of paths at
 once, as numpy arrays, for the Monte Carlo harness; it draws per step,
-from streams of its own.
+from streams of its own, and is the one engine that samples a grid: a
+scalar path's events fix its intensities, which ``intensities_at`` reads.
 """
 
 from __future__ import annotations
@@ -37,16 +38,12 @@ class SimConfig:
 
     A path runs from t = 0 to ``horizon``, which must be finite and > 0.
     ``seed`` is an integer >= 0 and ``max_events`` an integer >= 1.
-    ``record_grid`` holds the times at which the intensities are sampled,
-    finite, non-negative and non-decreasing (``check_grid``): the engines
-    sample the grid in one forward pass.  Repeated points are allowed.
     """
 
     horizon: float
     seed: int
     engine: str = "markov"
     max_events: int = 10_000_000
-    record_grid: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:
@@ -57,8 +54,6 @@ class SimConfig:
             raise ValueError(f"max_events must be an integer >= 1, got {self.max_events!r}")
         if self.engine not in ("markov", "thinning"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.record_grid is not None:
-            check_grid(self.record_grid, "record_grid")
 
 
 def check_grid(grid, name: str) -> np.ndarray:
@@ -71,16 +66,10 @@ def check_grid(grid, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimPath:
-    """One realization: events, final state and optional intensity samples.
+    """One realization: events and final state.
 
-    ``intensity_samples`` columns are (lambda1, lambda2, gated lambda3,
-    ungated lambda3) on the recording grid; rows past the end of a capped
-    path are NaN.  The ungated column drops the gate from the intensity
-    but not from the path: xi3 jumps only at deaths, and deaths stop
-    while N = 0.  Its grid means therefore fall below the analytic
-    curves, which ignore the gate, whenever deaths self-excite.  A path
-    starts from the empty state at t = 0; ``elapsed`` is the time it
-    ended: the horizon, or the last event of a capped path.
+    A path starts from the empty state at t = 0; ``elapsed`` is the time
+    it ended: the horizon, or the last event of a capped path.
     """
 
     events: EventLog
@@ -88,8 +77,6 @@ class SimPath:
     elapsed: float
     zero_occupation_time: float
     capped: bool = False
-    grid: Optional[np.ndarray] = None
-    intensity_samples: Optional[np.ndarray] = None
 
 
 def rng_for(seed: int, *stream: int) -> Generator:
@@ -111,8 +98,9 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
     xi_at(t) from just before the event plus the mark's row of
     ``bank.jumps``, so it evaluates xi_at once per candidate, plus once at
     the start and once at the end.  The loop runs from the empty state
-    at t = 0, keeps the counts and the clock, appends each event to a
-    float64 and an int8 buffer, and builds the log once.
+    at t = 0, keeps the counts, the clock and the time spent at N = 0,
+    appends each event to a float64 and an int8 buffer, and builds the
+    log once.  It samples no grid; ``intensities_at`` reads one back.
 
     The draws come from ``rng`` in blocks, read in order through
     memoryviews: k standard exponentials, then 2k uniforms, with
@@ -134,26 +122,11 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
     exps = uniforms = iter(())
 
     horizon = config.horizon
-    grid = None if config.record_grid is None else np.asarray(config.record_grid, dtype=float)
-    samples = None if grid is None else np.full((grid.size, 4), np.nan)
-    gi = 0
-
-    def fill(gi: int, upto: float, n: int) -> int:
-        """Sample (l1, l2, gated l3, ungated l3) at grid[gi:] up to upto; next gi."""
-        while gi < grid.size and grid[gi] <= upto:
-            x1, x2, x3 = xi_at(float(grid[gi]))
-            l3 = mu3 + x3
-            samples[gi] = (mu1 + x1, mu2 + x2, l3 if n > 0 else 0.0, l3)
-            gi += 1
-        return gi
-
     times = array("d")
     marks = array("b")
     zero_time = 0.0
     capped = False
     t = 0.0
-    if grid is not None:
-        gi = fill(gi, t, n)
     # l1, l2 and the gated l3 are the intensities at t: a rejected candidate's
     # values are the next bound, and only an accepted event changes them.
     xi = xi_at(t)
@@ -167,11 +140,8 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
             block = min(2 * block, 4096)
             e = next(exps)
         t_cand = t + e / bound
-        t_next = min(t_cand, horizon)
-        if grid is not None:
-            gi = fill(gi, t_next, n)
         if n == 0:
-            zero_time += t_next - t
+            zero_time += min(t_cand, horizon) - t
         if t_cand >= horizon:
             t = horizon
             break
@@ -199,11 +169,9 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
                 capped = True
                 break
             l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
-    if grid is not None:
-        fill(gi, t, n)
     final = IntensityState(xi_at(t), tuple(counts))
     log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8))
-    return SimPath(log, final, t, zero_time, capped, grid, samples)
+    return SimPath(log, final, t, zero_time, capped)
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
@@ -244,10 +212,10 @@ class MarkovBatch:
     """Lockstep Markov paths as arrays, one row per path.
 
     ``intensity_samples`` is (paths, grid, 3): lambda1, lambda2 and the
-    ungated lambda3 (``SimPath.intensity_samples`` without its gated
-    column), NaN past a capped path's end, or None without a recording
-    grid.  ``xi`` and ``counts`` are the final shot noise and counts,
-    (paths, 3); ``capped`` is per path.
+    ungated lambda3 (``intensities_at`` without its gated column), NaN
+    past a capped path's end, or None without a recording grid.  ``xi``
+    and ``counts`` are the final shot noise and counts, (paths, 3);
+    ``capped`` is per path.
     """
 
     intensity_samples: Optional[np.ndarray]
@@ -264,12 +232,14 @@ def batch_blocks(n_paths: int) -> list[tuple[int, int, int]]:
 
 def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
                           initial_state: Optional[IntensityState] = None,
-                          block: int = 0) -> MarkovBatch:
+                          block: int = 0, *, record_grid=None) -> MarkovBatch:
     """Block ``block`` of a run: n_paths <= BATCH_BLOCK Markov paths in lockstep.
 
     Every path starts from ``initial_state`` (default empty) at t = 0;
     this is the one engine that takes a start state, for
-    ``generator_drift_check``.  Each step follows ``_run`` for every active path at once: one
+    ``generator_drift_check``, and, keeping no event log, samples
+    ``record_grid`` as it runs (``check_grid``; points may repeat).
+    Each step follows ``_run`` for every active path at once: one
     exponential at the path's last refreshed bound gives the candidate,
     the grid points the step crosses are sampled, and two uniforms are
     drawn.  Paths whose candidate passed the horizon then finish and
@@ -301,6 +271,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     require_zero_offsets(bank, "simulate_markov_batch")
     if not 0 < n_paths <= BATCH_BLOCK:
         raise ValueError(f"a block holds 1 to {BATCH_BLOCK} paths, got {n_paths}")
+    grid = None if record_grid is None else check_grid(record_grid, "record_grid")
     rng = rng_for(config.seed, block, BATCH_STREAM)
     state0 = initial_state if initial_state is not None else IntensityState()
     mu = np.array(bank.base_rates, dtype=float)[:, None]
@@ -339,8 +310,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     fs[5] = gated_total(mu + fs[:3], ns[3])
     samples = None
     fs[6] = np.inf
-    if config.record_grid is not None:
-        grid = np.asarray(config.record_grid, dtype=float)
+    if grid is not None:
         samples = np.full((n_paths, grid.size, 3), np.nan)
         grid_ext = np.append(grid, np.inf)
         fs[6] = grid_ext[0]
@@ -504,6 +474,34 @@ def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPat
     if config.engine == "markov":
         return simulate_markov(bank, config, path_index)
     return simulate_thinning_general(bank, config, path_index)
+
+
+def intensities_at(path: SimPath, bank: KernelBank, record_grid) -> np.ndarray:
+    """(lambda1, lambda2, gated lambda3, ungated lambda3) of a path at each grid time.
+
+    One forward pass over the events and ``record_grid`` (``check_grid``;
+    points may repeat) replays the path from the empty state at t = 0 on
+    the Markov engine's recursion.  A grid time equal to an event's reads
+    the intensities just before it; rows past ``path.elapsed`` are NaN.
+    The ungated column drops the gate from the intensity, not the path.
+    """
+    grid = check_grid(record_grid, "record_grid")
+    require_zero_offsets(bank, "intensities_at")
+    mu, betas, jumps = bank.base_rates, bank.betas, bank.jumps
+    out = np.full((grid.size, 4), np.nan)
+    x, t_last, n = (0.0, 0.0, 0.0), 0.0, 0
+    events = zip(path.events.times.tolist(), path.events.marks.tolist())
+    t, mark = next(events, (math.inf, 0))
+    for row, g in enumerate(grid[grid <= path.elapsed].tolist()):
+        while t < g:
+            x = tuple(xi * math.exp(-b * (t - t_last)) + j
+                      for xi, b, j in zip(x, betas, jumps[mark - 1]))
+            n += -1 if mark == 3 else 1
+            t_last = t
+            t, mark = next(events, (math.inf, 0))
+        l1, l2, l3 = (m + xi * math.exp(-b * (g - t_last)) for m, xi, b in zip(mu, x, betas))
+        out[row] = (l1, l2, l3 if n > 0 else 0.0, l3)
+    return out
 
 
 def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarray:

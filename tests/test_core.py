@@ -15,6 +15,7 @@ from hawkes_evolve import (
     bank_from_json,
     bank_to_json,
     generator_drift_check,
+    intensities_at,
     simulate_markov,
     simulate_markov_batch,
 )
@@ -212,16 +213,15 @@ class TestIntensityState:
     @staticmethod
     def first_row_and_marks(state):
         """The batch's first grid row, and the mark index (0, 1 or 2) of each path's first event."""
-        config = SimConfig(horizon=100.0, seed=1, max_events=1, record_grid=(0.0,))
-        batch = simulate_markov_batch(exp_bank(), config, 2000, state)
+        config = SimConfig(horizon=100.0, seed=1, max_events=1)
+        batch = simulate_markov_batch(exp_bank(), config, 2000, state, record_grid=(0.0,))
         assert batch.capped.all()
         return tuple(batch.intensity_samples[0, 0]), np.argmax(
             batch.counts - np.array(state.counts), axis=1)
 
     def test_gate_closed_when_empty(self):
-        config = SimConfig(horizon=1.0, seed=1, record_grid=(0.0,))
-        assert tuple(simulate_markov(exp_bank(), config).intensity_samples[0, :3]) == (
-            1.0, 0.8, 0.0)
+        path = simulate_markov(exp_bank(), SimConfig(horizon=1.0, seed=1))
+        assert tuple(intensities_at(path, exp_bank(), (0.0,))[0, :3]) == (1.0, 0.8, 0.0)
 
     def test_gate_open(self):
         state = IntensityState(xi=(0.3, 0.0, 0.5), counts=(1, 0, 0))

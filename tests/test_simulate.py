@@ -20,6 +20,7 @@ from hawkes_evolve import (
     SimPath,
     UnsupportedKernelError,
     expected_intensity_paper,
+    intensities_at,
     rng_for,
     simulate,
     simulate_markov,
@@ -143,21 +144,25 @@ class TestSimConfig:
         # An unsorted grid once read the shot noise before the path's last
         # event: lambda1 = 36.2 at t = 1 on CROSS_BANK, seed 1, against 4.38.
         # Every path starts at t = 0, so a negative time has no state to read.
+        config = SimConfig(horizon=10.0, seed=1)
         with pytest.raises(ValueError, match="record_grid"):
-            SimConfig(horizon=10.0, seed=1, record_grid=grid)
+            simulate_markov_batch(CROSS_BANK, config, 4, record_grid=grid)
+        with pytest.raises(ValueError, match="record_grid"):
+            intensities_at(simulate(CROSS_BANK, config), CROSS_BANK, grid)
 
     @pytest.mark.parametrize("engine", ["markov", "thinning", "batch"])
     def test_repeated_grid_points_accepted(self, engine):
         # Points at 0 read the start state; a repeated point reads the same
         # intensities twice.  The batch has no gated lambda3 column.
-        config = SimConfig(horizon=5.0, seed=6, engine=engine.replace("batch", "markov"),
-                           record_grid=(0.0, 0.0, 2.0, 2.0, 4.0))
+        config = SimConfig(horizon=5.0, seed=6, engine=engine.replace("batch", "markov"))
+        grid = (0.0, 0.0, 2.0, 2.0, 4.0)
         start = [*CROSS_BANK.base_rates[:2], 0.0, CROSS_BANK.base_rates[2]]
         if engine == "batch":
-            samples = simulate_markov_batch(CROSS_BANK, config, 4).intensity_samples[0]
+            samples = simulate_markov_batch(CROSS_BANK, config, 4,
+                                            record_grid=grid).intensity_samples[0]
             del start[2]
         else:
-            samples = simulate(CROSS_BANK, config).intensity_samples
+            samples = intensities_at(simulate(CROSS_BANK, config), CROSS_BANK, grid)
         assert samples[0].tolist() == samples[1].tolist() == start
         assert samples[2].tolist() == samples[3].tolist()
         assert np.isfinite(samples).all()
@@ -249,14 +254,15 @@ class TestMarkovEngine:
 
     def test_capped_path_leaves_nan_on_unreached_grid(self):
         grid = tuple(np.linspace(0.0, 100.0, 11))
-        path = simulate(KernelBank.poisson((2.0, 1.0, 1.0)),
-                        SimConfig(horizon=100.0, seed=1, max_events=20, record_grid=grid))
+        bank = KernelBank.poisson((2.0, 1.0, 1.0))
+        path = simulate(bank, SimConfig(horizon=100.0, seed=1, max_events=20))
+        samples = intensities_at(path, bank, grid)
         assert path.capped
         stop = path.events.times[-1]
         reached = np.asarray(grid) <= stop
-        assert path.intensity_samples[0, 0] == 2.0
-        assert np.all(np.isfinite(path.intensity_samples[reached]))
-        assert np.all(np.isnan(path.intensity_samples[~reached]))
+        assert samples[0, 0] == 2.0
+        assert np.all(np.isfinite(samples[reached]))
+        assert np.all(np.isnan(samples[~reached]))
         assert (~reached).sum() == 10
 
     def test_elapsed_counts_from_the_start_clock(self):
@@ -278,13 +284,13 @@ class TestMarkovEngine:
     def test_intensity_recording(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
         grid = (0.0, 1.0, 5.0, 10.0)
-        path = simulate_markov(bank, SimConfig(horizon=10.0, seed=2,
-                                               record_grid=grid))
-        assert path.intensity_samples.shape == (4, 4)
-        assert np.allclose(path.intensity_samples[:, 0], 2.0)
-        assert np.allclose(path.intensity_samples[:, 3], 1.0)
+        samples = intensities_at(simulate_markov(bank, SimConfig(horizon=10.0, seed=2)),
+                                 bank, grid)
+        assert samples.shape == (4, 4)
+        assert np.allclose(samples[:, 0], 2.0)
+        assert np.allclose(samples[:, 3], 1.0)
         # At t=0 the population is empty, so the gated column starts at 0.
-        assert path.intensity_samples[0, 2] == 0.0
+        assert samples[0, 2] == 0.0
 
 
 class TestBlockDraws:
@@ -398,9 +404,10 @@ SELF_EXCITING_DEATHS = KernelBank.exponential(
     (1.0, 0.8, 1.5), ((0.3, 0.2), (0.1, 0.4)), (1.0, 1.5), 0.8, 1.2)
 
 
-def _batch_run(bank, config, n_paths, state=None):
+def _batch_run(bank, config, n_paths, state=None, record_grid=None):
     """Every block of an n_paths batched run, stacked."""
-    blocks = [simulate_markov_batch(bank, config, stop - start, state, block)
+    blocks = [simulate_markov_batch(bank, config, stop - start, state, block,
+                                    record_grid=record_grid)
               for block, start, stop in batch_blocks(n_paths)]
     return {name: np.concatenate([getattr(b, name) for b in blocks])
             for name in ("intensity_samples", "counts", "capped")}
@@ -416,8 +423,8 @@ class TestMarkovBatch:
         # engine's columns 0, 1 and 3.
         n, horizon = 3000, 20.0
         grid = tuple(np.linspace(0.0, horizon, 11))
-        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=grid), n)
-        config = SimConfig(horizon=horizon, seed=2, record_grid=grid)
+        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1), n, record_grid=grid)
+        config = SimConfig(horizon=horizon, seed=2)
         paths = [simulate_markov(bank, config, path_index=i) for i in range(n)]
         counts = np.array([p.final_state.counts for p in paths])
         for i in range(3):
@@ -427,7 +434,7 @@ class TestMarkovBatch:
             se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
             return (a.mean(axis=0) - b.mean(axis=0)) / se
 
-        samples = np.array([p.intensity_samples for p in paths])
+        samples = np.array([intensities_at(p, bank, grid) for p in paths])
         assert np.max(np.abs(z(batch["intensity_samples"][:, 1:],
                                samples[:, 1:, [0, 1, 3]]))) < 4.0
         assert not batch["capped"].any()
@@ -449,8 +456,8 @@ class TestMarkovBatch:
         y0 = np.array([*state.xi[:2], *state.counts[:2], 1.0])
         n, horizon = 3000, 20.0
         grid = np.linspace(0.0, horizon, 11)
-        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1, record_grid=tuple(grid)),
-                           n, state)
+        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1), n, state,
+                           record_grid=grid)
         assert not batch["capped"].any()
         exact = np.array([expm(m * t) @ y0 for t in grid])
 
@@ -465,7 +472,7 @@ class TestMarkovBatch:
     def test_capped_paths_stop_at_max_events(self):
         grid = tuple(np.linspace(0.0, 100.0, 101))
         batch = simulate_markov_batch(
-            CROSS_BANK, SimConfig(horizon=100.0, seed=4, max_events=30, record_grid=grid), 500)
+            CROSS_BANK, SimConfig(horizon=100.0, seed=4, max_events=30), 500, record_grid=grid)
         assert batch.capped.all()
         assert (batch.counts.sum(axis=1) == 30).all()
         # Each path's samples are finite up to its last event and NaN
@@ -494,8 +501,8 @@ class TestMarkovBatch:
     def test_final_state_and_grid_of_the_poisson_bank(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
         grid = (0.0, 1.0, 5.0, 10.0)
-        batch = simulate_markov_batch(bank, SimConfig(horizon=10.0, seed=2, record_grid=grid),
-                                      200)
+        batch = simulate_markov_batch(bank, SimConfig(horizon=10.0, seed=2), 200,
+                                      record_grid=grid)
         assert not batch.capped.any()
         assert (batch.xi == 0.0).all()
         samples = batch.intensity_samples
@@ -558,7 +565,10 @@ class TestMarkovBatch:
     @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
     def test_pinned_bytes(self, run):
         bank, config, n_paths, state, block = self.PINNED_RUNS[run]
-        batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state, block)
+        config = dict(config)
+        grid = config.pop("record_grid")
+        batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state, block,
+                                      record_grid=grid)
         assert self.batch_digest(batch) == self.PINNED_SHA256[run]
 
     def test_block_size_enforced(self):
@@ -607,10 +617,9 @@ class TestThinningEngine:
         # target would change the sums.
         assume(bank.jumps[0] != bank.jumps[1])
         grid = tuple(np.linspace(0.0, 5.0, 11))
-        path = simulate_thinning_general(bank, SimConfig(horizon=5.0, seed=seed, max_events=400,
-                                                         record_grid=grid))
+        path = simulate_thinning_general(bank, SimConfig(horizon=5.0, seed=seed, max_events=400))
         events = path.events
-        for g, row in zip(grid, path.intensity_samples):
+        for g, row in zip(grid, intensities_at(path, bank, grid)):
             if np.isnan(row[0]):
                 break
             direct = np.add(bank.base_rates, shot_noise_from_history(bank, events, g))
@@ -636,6 +645,19 @@ class TestThinningEngine:
         assert np.array_equal(path.events.marks, marks)
         assert path.events.times == pytest.approx(times, rel=1e-12)
         assert len(sums) == candidates + 1, (len(sums), candidates, len(path.events))
+
+
+class TestIntensitiesAt:
+    @settings(max_examples=50, deadline=None)
+    @given(bank=zero_offset_banks(), seed=st.integers(0, 2**16))
+    def test_read_back_at_the_end_is_the_final_state(self, bank, seed):
+        # The read-back replays the Markov engine's own recursion, so at
+        # the horizon it gives the engine's final shot noise bit for bit.
+        path = simulate_markov(bank, SimConfig(horizon=5.0, seed=seed, max_events=400))
+        assume(not path.capped)
+        last = intensities_at(path, bank, (0.0, path.elapsed / 2, path.elapsed))[-1]
+        assert last[[0, 1, 3]].tolist() == np.add(bank.base_rates, path.final_state.xi).tolist()
+        assert (last[2] == 0.0) == (path.final_state.population_size == 0)
 
 
 class TestHistory:
