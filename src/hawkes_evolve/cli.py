@@ -175,10 +175,10 @@ def _cmd_population(args, bank: KernelBank) -> int:
     snap = None if args.snapshot_grid is None else parse_grid(args.snapshot_grid)
     pop = simulate_population(bank, config, f=args.f, snapshot_grid=snap)
     snapshots = pop.snapshots if snap is not None else [(args.horizon, pop.partition.sites())]
-    rows = [
-        (f"{t:.10g}", f"{x:.12g}", k)
-        for t, sites in snapshots for x, k in sites
-    ]
+    rows = []
+    for t, sites in snapshots:
+        # A snapshot with no site writes one row, so that it still shows.
+        rows += [(f"{t:.10g}", f"{x:.12g}", k) for x, k in sites] or [(f"{t:.10g}", "", 0)]
     _write_csv(os.path.join(args.out, "partition.csv"),
                ["t", "site_fitness", "count"], rows)
     if pop.lr_trajectory is not None:

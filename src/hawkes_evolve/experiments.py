@@ -120,9 +120,10 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     t_grid = check_grid(t_grid, "t_grid")
-    # The renewal curve rejects such a grid too, but only after every path has run.
-    if t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase from 0")
+    # The curves reject a grid or a singular bank; they run before any path.
+    targets = [(i, method, curve(bank, i, t_grid)) for i in (1, 2, 3)
+               for method, curve in (("paper", expected_intensity_paper),
+                                     ("renewal", expected_intensity_renewal))]
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed)
     # (grid, lambda1 / lambda2 / ungated lambda3, paths): numpy sums a
     # contiguous last axis pairwise, so a constant column's mean is exact
@@ -134,12 +135,9 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
         lam[:, :, start:stop] = batch.intensity_samples.transpose(1, 2, 0)
     mean = lam.mean(axis=-1)
     stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)
-    comparisons = {}
-    for i in (1, 2, 3):
-        m, se = mean[:, i - 1], stderr[:, i - 1]
-        for method, target in (("paper", expected_intensity_paper(bank, i, t_grid)),
-                               ("renewal", expected_intensity_renewal(bank, i, t_grid))):
-            comparisons[(i, method)] = CurveComparison(method, target, _z(m, se, target))
+    comparisons = {(i, method): CurveComparison(method, target,
+                                                _z(mean[:, i - 1], stderr[:, i - 1], target))
+                   for i, method, target in targets}
     return MCReport(t_grid, n_paths, mean, stderr, comparisons, bank.jumps[2][2] > 0)
 
 

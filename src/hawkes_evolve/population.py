@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import KernelBank
 from .expectations import asymptotic_rates
-from .simulate import SimConfig, SimPath, check_grid, rng_for, simulate
+from .simulate import (EPSILON_STREAM, FITNESS_STREAM, SimConfig, SimPath, check_grid, rng_for,
+                       simulate)
 
 _BLOCK = 64  # slots per block count
 
@@ -122,7 +123,6 @@ class PopulationPath:
     partition: FitnessPartition
     snapshots: list  # (t, [(fitness, count), ...]) on the snapshot grid
     lr_trajectory: Optional[np.ndarray]  # rows (t, L, R, N) when f was given
-    f: Optional[float]
 
 
 def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] = None,
@@ -140,7 +140,7 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     path = simulate(bank, config, path_index)
     marks = path.events.marks
     # One uniform per birth in event order, the values scalar draws would give.
-    births = rng_for(config.seed, path_index, 1).random(int(np.count_nonzero(marks != 3)))
+    births = rng_for(config.seed, path_index, FITNESS_STREAM).random(int(np.count_nonzero(marks != 3)))
     births = iter(births.tolist())
     partition = FitnessPartition()
     insert, sample_site, remove_min = partition.insert, partition.sample_site, partition.remove_min
@@ -174,7 +174,7 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
             snapshots.append((float(grid[gi]), partition.sites()))
             gi += 1
     lr = None if f is None else np.asarray(lr_rows, dtype=float)
-    return PopulationPath(path, partition, snapshots, lr, f)
+    return PopulationPath(path, partition, snapshots, lr)
 
 
 def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: SimConfig,
@@ -192,7 +192,7 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     path = simulate(bank, config, path_index)
     # One draw per event keeps coupling across epsilon.
-    uniforms = rng_for(config.seed, path_index, 2).random(len(path.events)).tolist()
+    uniforms = rng_for(config.seed, path_index, EPSILON_STREAM).random(len(path.events)).tolist()
     rows = [(0.0, 0, 0)]
     left = right = 0
     for t, mark, u in zip(path.events.times.tolist(), path.events.marks.tolist(), uniforms):

@@ -198,13 +198,15 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) ->
     return _run(bank, config, xi_at, record, rng_for(config.seed, path_index))
 
 
-# Paths per lockstep block.  Block b of a run draws from the stream
-# rng_for(seed, b, BATCH_STREAM); the tag keeps these streams apart from
-# the per-path streams (seed, i) and from population's tags 1 and 2.  The
-# block size is fixed, so a run's results do not depend on how its
-# blocks are spread over workers.
-BATCH_BLOCK = 2048
+# Stream tags: path i's events draw from rng_for(seed, i), its fitness
+# uniforms from (seed, i, FITNESS_STREAM), its epsilon chain's from
+# (seed, i, EPSILON_STREAM), and block b of a batched run from (seed, b,
+# BATCH_STREAM).  A block holds BATCH_BLOCK paths, a fixed number, so a
+# run's results do not depend on how its blocks are spread over workers.
+FITNESS_STREAM = 1
+EPSILON_STREAM = 2
 BATCH_STREAM = 3
+BATCH_BLOCK = 2048
 
 
 @dataclass(frozen=True)

@@ -344,8 +344,7 @@ class TestGridEnds:
         assert run(["population", "--bank", bank_file, "--horizon", "10",
                     "--snapshot-grid", "0:10:6", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "partition.csv").read_text().splitlines()[1:]
-        # Every path starts empty, so the snapshot at t = 0 has no rows.
-        assert {row.split(",")[0] for row in rows} == {"6"}
+        assert {row.split(",")[0] for row in rows} == {"0", "6"}
 
 
 # Each subcommand's options as flag: (type, default, choices, required),
@@ -557,6 +556,21 @@ class TestSubcommands:
             == "t,site_fitness,count"
         assert (tmp_path / "lr.csv").read_text().splitlines()[0] == "t,L,R,N,f"
 
+    @pytest.mark.parametrize("rates, grid, empty", [
+        ((2.0, 1.0, 1.0), ["--snapshot-grid", "0:10:6"], ["0,,0"]),
+        ((0.2, 0.1, 5.0), [], ["10,,0"]),
+    ], ids=["empty_start", "empty_end"])
+    def test_empty_partition_written(self, rates, grid, empty, tmp_path):
+        # An empty partition once wrote no row, so the snapshot at t = 0
+        # and the final partition of a run that died out went missing.
+        bank = tmp_path / "bank.json"
+        bank.write_text(bank_to_json(KernelBank.poisson(rates)))
+        assert run(["population", "--bank", str(bank), "--horizon", "10", "--out",
+                    str(tmp_path)] + grid) == 0
+        rows = (tmp_path / "partition.csv").read_text().splitlines()
+        assert rows[0] == "t,site_fitness,count"
+        assert [row for row in rows[1:] if row.endswith(",,0")] == empty
+
     def test_sweep_artifacts(self, bank_file, tmp_path):
         assert run(["sweep", "--bank", bank_file, "--f-grid", "0:1:0.5",
                     "--horizon", "20", "--runs", "3", "--seed", "1",
@@ -649,7 +663,7 @@ ARTIFACT_SHA256 = {
         "intensity.csv": "4f2a47cf04d4ad30f043446b920d3abceee49f2c405eb1b1866933d4a5011c7d",
     },
     ("cross", "population"): {
-        "partition.csv": "61fe591b3fc60765c20807da378703648d41eb39c5f8a3aff8169489c7d1910e",
+        "partition.csv": "e08127d9c157b86358adabde22fd079ebfc4bce2b4eb0bf2bed6f36e0af368ac",
         "lr.csv": "d7e4abda815027f54503f8034f7546e088b56c42b0a4c26a42ba1bbdb43466b1",
     },
     ("cross", "sweep"): {
@@ -677,7 +691,7 @@ ARTIFACT_SHA256 = {
         "intensity.csv": "7ec45b40ed5595f402f8b79761ef512ea4134c5f194e36304e458d4b69419df7",
     },
     ("poisson", "population"): {
-        "partition.csv": "e6be90bd98b4bdb9b64556dfbac983ae0466bf1f1fac8cc6ee6eaa002521a434",
+        "partition.csv": "202e885f4a484d6b75db22d7295fe676a8bd49a93297383ae08dfe9c93e0c42e",
         "lr.csv": "7022b95b5a3af6498a06c86879b724e01f4a177baede6bda3a47b8dfbf1fa8d5",
     },
     ("poisson", "sweep"): {

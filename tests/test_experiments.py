@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hawkes_evolve import (
+    DegenerateParametersError,
     IntensityState,
     KernelBank,
     SimConfig,
@@ -15,6 +16,7 @@ from hawkes_evolve import (
     rho_convergence_check,
     simulate,
 )
+from hawkes_evolve import experiments
 from hawkes_evolve.experiments import _knee_estimate
 from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks, simulate_markov_batch
 
@@ -101,6 +103,18 @@ class TestMcMeanIntensity:
     def test_empty_grid_rejected_before_any_path(self):
         with pytest.raises(ValueError, match="t_grid"):
             mc_mean_intensity(HAWKES_BANK, [], 10**6, seed=1)
+
+    def test_singular_paper_curve_rejected_before_any_path(self, monkeypatch):
+        # Equal birth decay rates make the paper's closed form singular; it
+        # once raised only after all 20,000 paths had run.
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path was started")
+
+        monkeypatch.setattr(experiments, "simulate_markov_batch", no_path)
+        bank = KernelBank.exponential(
+            (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.0), 0.4, 1.0)
+        with pytest.raises(DegenerateParametersError):
+            mc_mean_intensity(bank, [0.0, 1.0, 2.0], 20_000, seed=1)
 
     def test_standard_error_scaling(self):
         bank = HAWKES_BANK
