@@ -140,7 +140,8 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     path = simulate(bank, config, path_index)
     marks = path.events.marks
     # One uniform per birth in event order, the values scalar draws would give.
-    births = rng_for(config.seed, path_index, FITNESS_STREAM).random(int(np.count_nonzero(marks != 3)))
+    births = rng_for(config.seed, path_index, FITNESS_STREAM).random(
+        int(np.count_nonzero(marks != 3)))
     births = iter(births.tolist())
     partition = FitnessPartition()
     insert, sample_site, remove_min = partition.insert, partition.sample_site, partition.remove_min

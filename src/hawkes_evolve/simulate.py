@@ -485,7 +485,7 @@ def intensities_at(path: SimPath, bank: KernelBank, record_grid) -> np.ndarray:
     points may repeat) replays the path from the empty state at t = 0 on
     the Markov engine's recursion.  A grid time equal to an event's reads
     the intensities just before it; rows past ``path.elapsed`` are NaN.
-    The ungated column drops the gate from the intensity, not the path.
+    The ungated column ignores the gate; the path's deaths still stop at N = 0.
     """
     grid = check_grid(record_grid, "record_grid")
     require_zero_offsets(bank, "intensities_at")
