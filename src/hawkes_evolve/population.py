@@ -4,18 +4,17 @@ Individuals carry a fitness in [0, 1]; identical values form one site.
 Mutant births open a fresh uniform site, clone births reinforce an
 existing site proportionally to its occupancy (a clone born into an
 empty population opens a fresh uniform site, as a mutant does), and
-deaths remove one individual from the lowest occupied site.  Sites hold slots in creation
-order, with one count per slot and one per block of ``_BLOCK`` slots,
-so a birth or death updates two counts and a weighted pick bisects the
-block totals and then one block; a lazy min-heap gives the lowest site.
+deaths remove one individual from the lowest occupied site.  Sites hold
+slots in creation order under a tree of counts with 16 entries per node,
+so a birth or death updates one count per level and a weighted pick
+scans at most 16 counts per level; a lazy min-heap gives the lowest site.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -25,22 +24,19 @@ from .expectations import asymptotic_rates
 from .simulate import (EPSILON_STREAM, FITNESS_STREAM, SimConfig, SimPath, check_grid, rng_for,
                        simulate)
 
-_BLOCK = 64  # slots per block count
-
-
 class FitnessPartition:
     """Occupied fitness sites with their occupation counts.
 
     Slots are never reused: an emptied site keeps its slot at count 0,
     and a fitness that returns opens a new one.  ``total`` is the number
-    of individuals.
+    of individuals.  ``_levels`` holds one count per slot, then one per
+    16 entries below, up to a top level of at most 16 entries.
     """
 
     def __init__(self):
         self._slot: dict[float, int] = {}  # live fitness -> slot
         self._fitness: list[float] = []
-        self._count: list[int] = []
-        self._block: list[int] = []
+        self._levels: list[list[int]] = [[]]
         self._heap: list[float] = []
         self.total = 0
 
@@ -50,40 +46,60 @@ class FitnessPartition:
 
     def sites(self) -> list[tuple[float, int]]:
         """(fitness, count) pairs sorted by fitness."""
-        count = self._count
+        count = self._levels[0]
         return sorted((x, count[slot]) for x, slot in self._slot.items())
 
-    def insert(self, x: float):
-        """Add one individual at fitness x, creating the site if needed."""
+    def _add(self, slot: int, step: int) -> None:
+        """Move ``step`` individuals into ``slot``: one count per level along its path."""
+        for level in self._levels:
+            level[slot] += step
+            slot >>= 4
+        self.total += step
+
+    def _pick(self, u: float) -> int:
+        """The first slot whose inclusive running count exceeds ``int(u * total)``."""
+        if self.total == 0:
+            raise ValueError("cannot sample from an empty partition")
+        k = int(u * self.total)
+        j = 0
+        for level in reversed(self._levels):
+            j <<= 4
+            for c in level[j:j + 16]:
+                if k < c:
+                    break
+                k -= c
+                j += 1
+        return j
+
+    def insert(self, x: float) -> float:
+        """Add one individual at fitness x, creating the site if needed; x."""
         if not 0 <= x <= 1:
             raise ValueError(f"fitness must be in [0, 1], got {x}")
         slot = self._slot.get(x)
         if slot is None:
-            slot = self._slot[x] = len(self._count)
+            slot = self._slot[x] = len(self._fitness)
             self._fitness.append(x)
-            self._count.append(0)
-            if slot % _BLOCK == 0:
-                self._block.append(0)
+            i, levels = slot, self._levels
+            for level in levels:
+                level.append(0)
+                if i & 15:
+                    break
+                i >>= 4
+            if len(levels[-1]) > 16:
+                levels.append([sum(levels[-1][:16]), sum(levels[-1][16:])])
             heapq.heappush(self._heap, x)
-        self._count[slot] += 1
-        self._block[slot // _BLOCK] += 1
-        self.total += 1
+        self._add(slot, 1)
+        return x
+
+    def clone(self, u: float) -> float:
+        """Add one individual to the site ``sample_site(u)`` picks; its fitness."""
+        slot = self._pick(u)
+        self._add(slot, 1)
+        return self._fitness[slot]
 
     def sample_site(self, u: float) -> float:
-        """Fitness of a site drawn with probability count / total.
-
-        Individual ``int(u * total)``, counted in slot order, is picked:
-        the first slot whose inclusive running count exceeds it.
-        """
-        if self.total == 0:
-            raise ValueError("cannot sample from an empty partition")
-        k = int(u * self.total)
-        ends = list(accumulate(self._block))
-        b = bisect_right(ends, k)
-        start = b * _BLOCK
-        k -= ends[b - 1] if b else 0
-        slot = start + bisect_right(list(accumulate(self._count[start:start + _BLOCK])), k)
-        return self._fitness[slot]
+        """Fitness of a site drawn with probability count / total (``_pick``)."""
+        return self._fitness[self._pick(u)]
 
     def min_fitness(self) -> float:
         if not self._slot:
@@ -96,10 +112,8 @@ class FitnessPartition:
         """Remove one individual from the lowest site; True if the site emptied."""
         x = self.min_fitness()
         slot = self._slot[x]
-        self._count[slot] -= 1
-        self._block[slot // _BLOCK] -= 1
-        self.total -= 1
-        if self._count[slot] == 0:
+        self._add(slot, -1)
+        if self._levels[0][slot] == 0:
             del self._slot[x]
             heapq.heappop(self._heap)
             return x, True
@@ -133,47 +147,41 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     so the same event path can be re-partitioned reproducibly.  ``f``,
     when given, must be in [0, 1].  ``snapshot_grid`` must be finite,
     non-negative and non-decreasing, as a record grid (``check_grid``).
+    A snapshot at grid time g holds the partition after every event at
+    or before g; a grid time past ``path.elapsed`` (the horizon, or the
+    last event of a capped path) gets none.
     """
     if f is not None and not 0 <= f <= 1:
         raise ValueError(f"f must be in [0, 1], got {f}")
-    grid = None if snapshot_grid is None else check_grid(snapshot_grid, "snapshot_grid")
+    grid = check_grid([] if snapshot_grid is None else snapshot_grid, "snapshot_grid")
     path = simulate(bank, config, path_index)
     marks = path.events.marks
     # One uniform per birth in event order, the values scalar draws would give.
-    births = rng_for(config.seed, path_index, FITNESS_STREAM).random(
-        int(np.count_nonzero(marks != 3)))
-    births = iter(births.tolist())
+    births = iter(rng_for(config.seed, path_index, FITNESS_STREAM).random(
+        int(np.count_nonzero(marks != 3))).tolist())
     partition = FitnessPartition()
-    insert, sample_site, remove_min = partition.insert, partition.sample_site, partition.remove_min
-    snapshots = []
-    gi = 0
-    lr_rows = [] if f is not None else None
-    left = 0
-    if f is not None:
-        lr_rows.append((0.0, 0, 0, 0))
+    insert, clone, remove_min = partition.insert, partition.clone, partition.remove_min
+    # Grid times past the path's end get no snapshot; inf ends the grid.
+    grid = grid[grid <= path.elapsed].tolist() + [math.inf]
+    snapshots, gi, left = [], 0, 0
+    lr_rows = None if f is None else [(0.0, 0, 0, 0)]
     for t, mark in zip(path.events.times.tolist(), marks.tolist()):
-        if grid is not None:
-            while gi < grid.size and grid[gi] < t:
-                snapshots.append((float(grid[gi]), partition.sites()))
-                gi += 1
+        while grid[gi] < t:
+            snapshots.append((grid[gi], partition.sites()))
+            gi += 1
         if mark == 3:  # a death
             x, _ = remove_min()
             step = -1
         else:
             # The uniform is the fitness of a mutant, and of a clone born
             # into an empty population; otherwise it picks the site cloned.
-            u = next(births)
-            x = sample_site(u) if mark == 2 and partition.total else u
-            insert(x)
+            x = (clone if mark == 2 and partition.total else insert)(next(births))
             step = 1
         if f is not None:
             if x <= f:
                 left += step
             lr_rows.append((t, left, partition.total - left, partition.total))
-    if grid is not None:
-        while gi < grid.size:
-            snapshots.append((float(grid[gi]), partition.sites()))
-            gi += 1
+    snapshots += [(g, partition.sites()) for g in grid[gi:-1]]
     lr = None if f is None else np.asarray(lr_rows, dtype=float)
     return PopulationPath(path, partition, snapshots, lr)
 

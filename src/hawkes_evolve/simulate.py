@@ -1,11 +1,12 @@
 """Generating the events of a path by thinning.
 
-One thinning loop serves two engines, each of which supplies only its
-shot noise: the exact Markov engine keeps it in closed form, while the
-full-history engine sums the kernels over every past event and so serves
-as an independent reference check on it.  The loop evaluates the shot
-noise once per candidate: a rejected candidate's intensities are the
-next bound, and at an accepted event the loop adds the mark's jumps
+One thinning loop, ``_run``, serves two engines: on its own it is the
+exact Markov engine, keeping the shot noise as three local floats that
+decay in closed form, and given a ``_History`` it is the full-history
+engine, which sums the kernels over every past event and so serves as an
+independent reference check on it.  The loop evaluates the shot noise
+once per candidate: a rejected candidate's intensities are the next
+bound, and at an accepted event the loop adds the mark's jumps
 (``KernelBank.jumps``) to the shot noise it has just evaluated.  With
 zero offsets the total intensity decays between events, so the value
 after the last event or candidate is a valid bound.  The loop draws its
@@ -88,19 +89,20 @@ def rng_for(seed: int, *stream: int) -> Generator:
     return Generator(Philox(SeedSequence((seed, *stream))))
 
 
-def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> SimPath:
-    """Ogata's thinning loop over an engine's shot noise, on plain floats and ints.
+def _run(bank: KernelBank, config: SimConfig, rng: Generator, history=None) -> SimPath:
+    """Ogata's thinning loop on plain floats and ints, for both scalar engines.
 
-    ``xi_at(t)`` returns the engine's (xi1, xi2, xi3) at a time no
-    earlier than its last event; ``record(mark, t, xi)`` adds an accepted
-    event of mark 1, 2 or 3 to the engine's history, given ``xi``, the
-    shot noise just after it.  The loop computes that value itself, as
-    xi_at(t) from just before the event plus the mark's row of
-    ``bank.jumps``, so it evaluates xi_at once per candidate, plus once at
-    the start and once at the end.  The loop runs from the empty state
-    at t = 0, keeps the counts, the clock and the time spent at N = 0,
-    appends each event to a float64 and an int8 buffer, and builds the
-    log once.  It samples no grid; ``intensities_at`` reads one back.
+    Without a ``history`` it is the Markov engine: the shot noise is x1,
+    x2, x3 at ``t_last``, the last event's time, decaying as
+    x exp(-beta (t - t_last)).  A ``_History`` makes it the full-history
+    engine: ``history.xi_at(t)`` sums the kernels over the past events
+    and ``history.record(mark, t)`` adds one.  The shot noise is read
+    once per candidate and once at the end; after an accepted event it
+    is the value read at the candidate plus the mark's row of
+    ``bank.jumps``.  The loop runs from the empty state at t = 0, keeps
+    N, the clock and the time spent at N = 0, appends each event to a
+    float64 and an int8 buffer, and builds the log once, which gives the
+    final counts.  It samples no grid; ``intensities_at`` reads one back.
 
     The draws come from ``rng`` in blocks, read in order through
     memoryviews: k standard exponentials, then 2k uniforms, with
@@ -114,23 +116,22 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
     Poisson path's time per event.
     """
     mu1, mu2, mu3 = bank.base_rates
-    jumps = bank.jumps
-    counts = [0, 0, 0]
+    b1, b2, b3 = bank.betas
+    jumps = (None, *bank.jumps)  # by mark
+    exp = math.exp
     n = 0
     draw_exp, draw_uniform = rng.standard_exponential, rng.random
     block = 64
     exps = uniforms = iter(())
 
-    horizon = config.horizon
-    times = array("d")
-    marks = array("b")
-    zero_time = 0.0
-    capped = False
-    t = 0.0
+    horizon, max_events = config.horizon, config.max_events
+    times, marks = array("d"), array("b")
+    zero_time, capped = 0.0, False
+    t = t_last = 0.0
+    x1 = x2 = x3 = 0.0
     # l1, l2 and the gated l3 are the intensities at t: a rejected candidate's
     # values are the next bound, and only an accepted event changes them.
-    xi = xi_at(t)
-    l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
+    l1, l2, l3 = mu1 + x1, mu2 + x2, 0.0
     while True:
         bound = l1 + l2 + l3
         e = next(exps, None)
@@ -146,56 +147,46 @@ def _run(bank: KernelBank, config: SimConfig, xi_at, record, rng: Generator) -> 
             t = horizon
             break
         t = t_cand
-        xi = xi_at(t)
-        l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
+        if history is None:
+            dt = t - t_last
+            y1, y2, y3 = x1 * exp(-b1 * dt), x2 * exp(-b2 * dt), x3 * exp(-b3 * dt)
+        else:
+            y1, y2, y3 = history.xi_at(t)
+        l1, l2, l3 = mu1 + y1, mu2 + y2, mu3 + y3 if n > 0 else 0.0
         total = l1 + l2 + l3
         if next(uniforms) * bound < total:
             # Superposition: a uniform on [0, total) picks the component.
             v = next(uniforms) * total
-            if v < l1:
-                mark = 1
-            elif v < l1 + l2:
-                mark = 2
-            else:
-                mark = 3
-            j1, j2, j3 = jumps[mark - 1]
-            xi = (xi[0] + j1, xi[1] + j2, xi[2] + j3)
-            record(mark, t, xi)
-            counts[mark - 1] += 1
+            mark = 1 if v < l1 else 2 if v < l1 + l2 else 3
+            j1, j2, j3 = jumps[mark]
+            x1, x2, x3, t_last = y1 + j1, y2 + j2, y3 + j3, t
+            if history is not None:
+                history.record(mark, t)
             n += -1 if mark == 3 else 1
             times.append(t)
             marks.append(mark)
-            if len(times) >= config.max_events:
+            if len(times) >= max_events:
                 capped = True
                 break
-            l1, l2, l3 = mu1 + xi[0], mu2 + xi[1], mu3 + xi[2] if n > 0 else 0.0
-    final = IntensityState(xi_at(t), tuple(counts))
+            l1, l2, l3 = mu1 + x1, mu2 + x2, mu3 + x3 if n > 0 else 0.0
+    if history is None:
+        dt = t - t_last
+        xi = (x1 * exp(-b1 * dt), x2 * exp(-b2 * dt), x3 * exp(-b3 * dt))
+    else:
+        xi = history.xi_at(t)
     log = EventLog(np.frombuffer(times), np.frombuffer(marks, dtype=np.int8))
-    return SimPath(log, final, t, zero_time, capped)
+    return SimPath(log, IntensityState(xi, log.counts()), t, zero_time, capped)
 
 
 def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:
     """Statistically exact sample via the closed-form Markov state.
 
     The path draws from the stream ``rng_for(config.seed, path_index)``.
-    The shot noise is three floats and the time of the last event: it
-    decays as exp(-beta (t - t_last)) per component, and at each event
-    the loop hands it the value after the mark's jumps.
+    The shot noise is three floats and the time of the last event, which
+    ``_run`` keeps as locals and decays in closed form.
     """
     require_zero_offsets(bank, "simulate_markov")
-    b1, b2, b3 = bank.betas
-    x1 = x2 = x3 = 0.0
-    t_last = 0.0
-
-    def xi_at(t: float) -> tuple[float, float, float]:
-        dt = t - t_last
-        return (x1 * math.exp(-b1 * dt), x2 * math.exp(-b2 * dt), x3 * math.exp(-b3 * dt))
-
-    def record(mark: int, t: float, xi: tuple[float, float, float]) -> None:
-        nonlocal x1, x2, x3, t_last
-        (x1, x2, x3), t_last = xi, t
-
-    return _run(bank, config, xi_at, record, rng_for(config.seed, path_index))
+    return _run(bank, config, rng_for(config.seed, path_index))
 
 
 # Stream tags: path i's events draw from rng_for(seed, i), its fitness
@@ -430,8 +421,8 @@ class _History:
         self.live = np.zeros((len(self.targets), 64), dtype=bool)
         self.neg_betas = np.array([-bank.betas[i] for i, _ in self.targets])[:, None]
 
-    def record(self, mark: int, t: float, xi=None) -> None:
-        """Append an event's time to its mark's rows; the sums need no xi."""
+    def record(self, mark: int, t: float) -> None:
+        """Append an event's time to its mark's rows."""
         rows = self.rows[mark - 1]
         if rows is None:
             return
@@ -468,7 +459,7 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     """
     require_zero_offsets(bank, "simulate_thinning_general")
     history = _History(bank)
-    return _run(bank, config, history.xi_at, history.record, rng_for(config.seed, path_index))
+    return _run(bank, config, rng_for(config.seed, path_index), history)
 
 
 def simulate(bank: KernelBank, config: SimConfig, path_index: int = 0) -> SimPath:

@@ -346,6 +346,13 @@ class TestGridEnds:
         rows = (tmp_path / "partition.csv").read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"0", "6"}
 
+    def test_population_snapshots_stop_at_the_horizon(self, bank_file, tmp_path):
+        # Once wrote the final partition under t = 10, 15 and 20 as well.
+        assert run(["population", "--bank", bank_file, "--horizon", "5",
+                    "--snapshot-grid", "0:20:5", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "partition.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"0", "5"}
+
 
 # Each subcommand's options as flag: (type, default, choices, required),
 # written from the parser before its shared options were consolidated.

@@ -104,15 +104,20 @@ class TestPartition:
     @given(st.lists(st.one_of(
         st.floats(0, 1, allow_nan=False),
         st.just("death"),
+        st.tuples(st.just("clone"), st.floats(0, 1, exclude_max=True)),
     ), max_size=200))
     @example([i / 100 for i in range(100)] + ["death"] * 30 + [0.5, 0.25, 0.995])
     @example([i / 200 for i in range(200)] + ["death"] * 70 + [0.5, 0.25, 0.995])
+    @example([i / 300 for i in range(300)] + ["death"] * 40
+             + [("clone", j / 7) for j in range(7)] + [0.5])
     @settings(max_examples=100, deadline=None)
     def test_counts_stay_consistent(self, ops):
         # Slots in creation order as [fitness, count]; the partition's pick
-        # must be the cumulative pick over them.  200 sites fill three
-        # blocks of 64 slots and part of a fourth, and 70 deaths empty the
-        # first block and the start of the second.
+        # must be the cumulative pick over them, and a clone must add one
+        # individual where sample_site followed by insert would.  200 sites
+        # make a tree of two levels and 300 one of three; the deaths empty
+        # the first slots, across the edges at multiples of 16, and the
+        # clones pick across the edge at 256.
         p = FitnessPartition()
         slots, live = [], {}
         expected = 0
@@ -125,6 +130,14 @@ class TestPartition:
                 if emptied:
                     del live[x]
                 expected -= 1
+            elif isinstance(op, tuple):
+                if p.total == 0:
+                    continue
+                u = op[1]
+                x = p.sample_site(u)
+                assert p.clone(u) == x
+                slots[live[x]][1] += 1
+                expected += 1
             else:
                 if op not in live:
                     live[op] = len(slots)
@@ -151,8 +164,54 @@ def assert_picks(p, slots):
         assert p.sample_site(u) == cumulative_pick(slots, u * total)
 
 
+def empty_edges(n, edges):
+    """Slots [fitness, count] with both sides of each edge emptied, and the partition.
+
+    Low fitness marks the slots that the deaths empty: slots e - 1 and e
+    for each edge e below n.  The others hold 1 to 3 individuals.
+    """
+    emptied = {s for e in edges for s in (e - 1, e) if 0 <= s < n}
+    slots = [[(i + 1) / (4 * n) if i in emptied else 0.5 + i / (4 * n), 1 + i % 3]
+             for i in range(n)]
+    p = build(slots)
+    for _ in range(sum(slots[s][1] for s in emptied)):
+        p.remove_min()
+    for s in emptied:
+        slots[s][1] = 0
+    assert p.sites() == sorted((x, k) for x, k in slots if k)
+    return p, slots
+
+
 class TestPartitionBlocks:
-    """Weighted picks across the partition's blocks of 64 slots."""
+    """Weighted picks across the edges of the partition's 16-way count tree.
+
+    Level 0 holds one count per slot and each level above one per 16
+    entries below, so edges fall at multiples of 16, 256 and 4096 slots.
+    The older cases pick across multiples of 64 slots.
+    """
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 257])
+    def test_emptied_slots_at_tree_edges(self, n):
+        p, slots = empty_edges(n, range(16, n + 1, 16))
+        assert_picks(p, slots)
+
+    @pytest.mark.parametrize("n, levels", [(4096, 3), (4097, 4)])
+    def test_ranks_around_the_edges_at_4096_slots(self, n, levels):
+        # A fourth level appears when the third passes 16 entries.  Every
+        # edge of 16 slots is checked at the ranks around it.
+        p, slots = empty_edges(n, range(256, n + 1, 256))
+        assert len(p._levels) == levels
+        total = p.total
+        edge_ranks = set()
+        running = 0
+        for i, (_, k) in enumerate(slots):
+            if i % 16 == 0:
+                edge_ranks.update(range(running - 2, running + 3))
+            running += k
+        edge_ranks.update((0, total - 1))
+        for rank in sorted(r for r in edge_ranks if 0 <= r < total):
+            for u in (rank / total, (rank + 0.5) / total):
+                assert p.sample_site(u) == cumulative_pick(slots, u * total)
 
     def test_more_than_two_blocks(self):
         slots = [[(i + 1) / 400, 1 + i % 5] for i in range(300)]
@@ -203,6 +262,14 @@ class TestPopulationEvents:
         pop = simulate_population(GROWING, SimConfig(horizon=30.0, seed=4), f=0.5)
         sites, rows = reference_replay(pop.path, rng_for(4, 0, 1), 0.5)
         assert pop.partition.site_count < pop.partition.total
+        assert pop.partition.sites() == sites
+        assert np.array_equal(pop.lr_trajectory, rows)
+
+    def test_replay_past_256_slots(self):
+        # Each mutant opens a slot, so the tree has three levels.
+        pop = simulate_population(GROWING, SimConfig(horizon=200.0, seed=7), f=0.5)
+        assert pop.path.events.counts()[0] > 256
+        sites, rows = reference_replay(pop.path, rng_for(7, 0, 1), 0.5)
         assert pop.partition.sites() == sites
         assert np.array_equal(pop.lr_trajectory, rows)
 
@@ -304,6 +371,15 @@ class TestPopulationSimulation:
         assert [t for t, _ in pop.snapshots] == [0.0, 5.0, 10.0]
         assert pop.snapshots[0][1] == []
         assert sum(k for _, k in pop.snapshots[-1][1]) <= pop.partition.total
+
+    def test_no_snapshot_past_a_capped_path(self):
+        # A capped path ends at its last event; the grid times after it
+        # once all got the final partition.
+        pop = simulate_population(GROWING, SimConfig(horizon=10.0, seed=5, max_events=8),
+                                  snapshot_grid=np.linspace(0.0, 10.0, 41))
+        assert pop.path.capped and pop.path.elapsed < 9.0
+        times = [t for t, _ in pop.snapshots]
+        assert times == [t for t in np.linspace(0.0, 10.0, 41).tolist() if t <= pop.path.elapsed]
 
     @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")], [-1.0, 0.0, 5.0]],
                              ids=["unsorted", "nan", "negative"])

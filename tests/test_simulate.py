@@ -628,9 +628,10 @@ class TestThinningEngine:
         assert path.final_state.xi == pytest.approx(direct, rel=1e-12)
 
     def test_one_kernel_sum_per_candidate(self, monkeypatch):
-        # The loop sums the history once at the start, once per candidate
-        # and once at the end; an accepted event's jump is added, not summed.
-        # The reference loop, on the same draws, counts the candidates.
+        # The loop sums the history once per candidate below the horizon
+        # and once at the end, never for the empty history at t = 0; an
+        # accepted event's jump is added, not summed.  The reference loop,
+        # on the same draws, counts the candidates, the last one included.
         sums = []
         xi_at = _History.xi_at
 
@@ -644,7 +645,7 @@ class TestThinningEngine:
         assert len(path.events) > 300
         assert np.array_equal(path.events.marks, marks)
         assert path.events.times == pytest.approx(times, rel=1e-12)
-        assert len(sums) == candidates + 1, (len(sums), candidates, len(path.events))
+        assert len(sums) == candidates, (len(sums), candidates, len(path.events))
 
 
 class TestIntensitiesAt:
