@@ -34,7 +34,7 @@ from .population import (
 # Nothing here calls simulate_markov; the name stays importable from this
 # module because the benchmark's tracer (perfbench/spans.py) looks it up
 # here with no default.
-from .simulate import (SimConfig, SimPath, batch_blocks, check_grid, simulate_markov,
+from .simulate import (SimConfig, SimPath, check_grid, simulate_markov,
                        simulate_markov_batch, time_rescale_residuals)
 
 
@@ -111,11 +111,11 @@ def _z(mean, stderr, target):
 def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCReport:
     """Unbiased grid means of lambda^i(t) over n_paths replications.
 
-    The paths run in lockstep blocks of the batched Markov engine
-    (``simulate_markov_batch``), one stream per block.  The death
-    intensity is recorded without its gate; see ``MCReport`` for why its
-    comparisons still differ when deaths self-excite.  Each grid point
-    is scored against both curves by ``_z``.
+    The paths are one run of the batched Markov engine
+    (``simulate_markov_batch``).  The death intensity is recorded
+    without its gate; see ``MCReport`` for why its comparisons still
+    differ when deaths self-excite.  Each grid point is scored against
+    both curves by ``_z``.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
@@ -125,14 +125,11 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
                for method, curve in (("paper", expected_intensity_paper),
                                      ("renewal", expected_intensity_renewal))]
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed)
+    samples = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid).intensity_samples
     # (grid, lambda1 / lambda2 / ungated lambda3, paths): numpy sums a
     # contiguous last axis pairwise, so a constant column's mean is exact
     # at any n and its standard error 0, which _z scores exactly.
-    lam = np.empty((t_grid.size, 3, n_paths))
-    for block, start, stop in batch_blocks(n_paths):
-        batch = simulate_markov_batch(bank, config, stop - start, block=block,
-                                      record_grid=t_grid)
-        lam[:, :, start:stop] = batch.intensity_samples.transpose(1, 2, 0)
+    lam = np.ascontiguousarray(samples.transpose(1, 2, 0))
     mean = lam.mean(axis=-1)
     stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)
     comparisons = {(i, method): CurveComparison(method, target,
@@ -141,13 +138,13 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
     return MCReport(t_grid, n_paths, mean, stderr, comparisons, bank.jumps[2][2] > 0)
 
 
-def _zeta(bank: KernelBank, state: IntensityState) -> np.ndarray:
-    """(n1, l1, n2, l2, n3, l3) with l_i the ungated intensity values."""
-    return np.array([
-        state.counts[0], bank.base_rates[0] + state.xi[0],
-        state.counts[1], bank.base_rates[1] + state.xi[1],
-        state.counts[2], bank.base_rates[2] + state.xi[2],
-    ], dtype=float)
+def _zeta(bank: KernelBank, counts, xi) -> np.ndarray:
+    """(n1, l1, n2, l2, n3, l3), l_i the ungated intensities, from (3,) or (3, R) counts and xi."""
+    xi = np.asarray(xi, dtype=float)
+    zeta = np.empty((6, *xi.shape[1:]))
+    zeta[0::2] = counts
+    zeta[1::2] = np.reshape(bank.base_rates, (3,) + (1,) * (xi.ndim - 1)) + xi
+    return zeta
 
 
 def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> float:
@@ -158,7 +155,7 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     current rates (a jump is alpha + delta, the kernel at lag zero), with
     the death term gated by the population size.
     """
-    zeta = _zeta(bank, state)
+    zeta = _zeta(bank, state.counts, state.xi)
     betas = bank.betas
     floor = np.array(state.counts) @ np.array(bank.offsets)
     out = 0.0
@@ -199,18 +196,17 @@ class DriftCheck:
         return float(_z(self.mc_mean, self.mc_stderr, self.analytic))
 
 
-def _block_values(f: Callable, k: int, zetas: np.ndarray, check: bool) -> np.ndarray:
-    """Test function ``k`` on a (6, R) block of states, as shape (R,)."""
+def _block_values(f: Callable, k: int, zetas: np.ndarray) -> np.ndarray:
+    """Test function ``k`` on a run's (6, R) end states, as shape (R,)."""
     try:
         values = np.broadcast_to(f(zetas), zetas.shape[1:])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"test function {k} does not act elementwise on a (6, R) "
                          f"array of states: {exc}") from exc
-    if check:
-        alone = f(zetas[:, 0])
-        if not abs(values[0] - alone) <= _ROUNDING * abs(alone):
-            raise ValueError(f"test function {k} does not act elementwise: {values[0]!r} "
-                             f"on the first state of a block, {alone!r} on it alone")
+    alone = f(zetas[:, 0])
+    if not abs(values[0] - alone) <= _ROUNDING * abs(alone):
+        raise ValueError(f"test function {k} does not act elementwise: {values[0]!r} "
+                         f"on the first state of the run, {alone!r} on it alone")
     return values
 
 
@@ -219,18 +215,18 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
                           n_reps: int = 100_000, seed: int = 0) -> list[DriftCheck]:
     """Compare E[F(Z_{t+h}) - F(Z_t)]/h from simulation with the generator.
 
-    All n_reps paths start from ``state`` and run to h in lockstep blocks
-    of the batched Markov engine.  The estimate is a secant over [0, h],
-    O(h) from the generator.  Where F only follows the event-free flow
+    All n_reps paths start from ``state`` and run to h as one run of the
+    batched Markov engine.  The estimate is a secant over [0, h], O(h)
+    from the generator.  Where F only follows the event-free flow
     (n3 * l3 while deaths are off) it has no spread, and that secant gap
     of the flow is all that remains.
 
     A test function reads the coordinates as z[0]..z[5] = (n1, l1, n2,
     l2, n3, l3) and acts elementwise: it gets one state of shape (6,)
-    here at the start and in ``generator_apply``, and a block's end
-    states as one (6, R) array, and returns shape (R,), or a scalar if
-    it is constant.  On the first block, its first entry must equal the
-    function at that state alone to a relative 1e-12.  A function that
+    here at the start and in ``generator_apply``, and the run's n_reps
+    end states as one (6, n_reps) array, and returns shape (n_reps,), or
+    a scalar if it is constant.  Its first entry must equal the function
+    at the first end state alone to a relative 1e-12.  A function that
     breaks this (``z.sum()``, or a ``math`` call) raises ValueError
     naming its position.
     """
@@ -239,20 +235,17 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     if n_reps < 2:
         raise ValueError("need at least 2 replications for standard errors")
     config = SimConfig(horizon=h, seed=seed)
-    zeta0 = _zeta(bank, state)
-    f0s = [f(zeta0) for f in test_functions]
+    zeta0 = _zeta(bank, state.counts, state.xi)
+    batch = simulate_markov_batch(bank, config, n_reps, state)
+    zetas = _zeta(bank, batch.counts.T, batch.xi.T)
+    # The end states are all the functions read; the batch would only
+    # raise the peak memory while they run.
+    del batch
     # One row of increments per function, so each reduction runs along a
     # contiguous row.
     d = np.empty((len(test_functions), n_reps))
-    base = np.array(bank.base_rates)[:, None]
-    for block, start, stop in batch_blocks(n_reps):
-        batch = simulate_markov_batch(bank, config, stop - start, state, block)
-        # Rows of (n1, l1, n2, l2, n3, l3), as _zeta orders them.
-        zetas = np.empty((6, stop - start))
-        zetas[0::2] = batch.counts.T
-        zetas[1::2] = base + batch.xi.T
-        for k, f in enumerate(test_functions):
-            d[k, start:stop] = (_block_values(f, k, zetas, start == 0) - f0s[k]) / h
+    for k, f in enumerate(test_functions):
+        d[k] = (_block_values(f, k, zetas) - f(zeta0)) / h
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat row.
     means = d.mean(axis=1)
     ses = d.std(axis=1, ddof=1) / math.sqrt(n_reps)
@@ -342,6 +335,8 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     bad = f_grid[~((f_grid >= 0) & (f_grid <= 1))]
     if bad.size:
         raise ValueError(f"f_grid points must be in [0, 1], got {bad[0]}")
+    if not f_grid.size:
+        raise ValueError("f_grid needs at least one point")
     if f_reference is not None and not 0 <= f_reference <= 1:
         raise ValueError(f"f_reference must be in [0, 1], got {f_reference}")
     fc_paper = critical_fitness(bank, "paper")

@@ -12,10 +12,11 @@ zero offsets the total intensity decays between events, so the value
 after the last event or candidate is a valid bound.  The loop draws its
 randoms from the path's stream in blocks of k exponentials then 2k
 uniforms, k = 64, 128, ..., 4096, and reads them in order (``_run``).
-The batched Markov engine runs the same loop on a block of paths at
-once, as numpy arrays, for the Monte Carlo harness; it draws per step,
-from streams of its own, and is the one engine that samples a grid: a
-scalar path's events fix its intensities, which ``intensities_at`` reads.
+The batched Markov engine runs the same loop on a whole run of paths,
+as numpy arrays in lockstep blocks, for the Monte Carlo harness; it
+draws per step, from streams of its own, and is the one engine that
+samples a grid: a scalar path's events fix its intensities, which
+``intensities_at`` reads.
 """
 
 from __future__ import annotations
@@ -191,9 +192,10 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) ->
 
 # Stream tags: path i's events draw from rng_for(seed, i), its fitness
 # uniforms from (seed, i, FITNESS_STREAM), its epsilon chain's from
-# (seed, i, EPSILON_STREAM), and block b of a batched run from (seed, b,
-# BATCH_STREAM).  A block holds BATCH_BLOCK paths, a fixed number, so a
-# run's results do not depend on how its blocks are spread over workers.
+# (seed, i, EPSILON_STREAM), and block b of a batched run, its rows from
+# b * BATCH_BLOCK on, from (seed, b, BATCH_STREAM).  A block's draws
+# depend on its size, so a batched run's rows depend on the seed and
+# n_paths alone.
 FITNESS_STREAM = 1
 EPSILON_STREAM = 2
 BATCH_STREAM = 3
@@ -217,32 +219,29 @@ class MarkovBatch:
     capped: np.ndarray
 
 
-def batch_blocks(n_paths: int) -> list[tuple[int, int, int]]:
-    """(block, first row, end row) of each block of an n_paths run."""
-    return [(b, start, min(start + BATCH_BLOCK, n_paths))
-            for b, start in enumerate(range(0, n_paths, BATCH_BLOCK))]
-
-
 def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
-                          initial_state: Optional[IntensityState] = None,
-                          block: int = 0, *, record_grid=None) -> MarkovBatch:
-    """Block ``block`` of a run: n_paths <= BATCH_BLOCK Markov paths in lockstep.
+                          initial_state: Optional[IntensityState] = None, *,
+                          record_grid=None) -> MarkovBatch:
+    """A run of n_paths >= 1 Markov paths, in lockstep blocks of up to BATCH_BLOCK.
 
-    Every path starts from ``initial_state`` (default empty) at t = 0;
-    this is the one engine that takes a start state, for
-    ``generator_drift_check``, and, keeping no event log, samples
-    ``record_grid`` as it runs (``check_grid``; points may repeat).
-    Each step follows ``_run`` for every active path at once: one
-    exponential at the path's last refreshed bound gives the candidate,
-    the grid points the step crosses are sampled, and two uniforms are
-    drawn.  Paths whose candidate passed the horizon then finish and
-    leave the block, so the rest of the step runs on the survivors: the
-    intensities at the candidate, acceptance by the first uniform times
-    the bound (a rejected candidate's total becomes the next bound), and
-    for an accepted candidate the mark by the second.  Deaths are gated
-    at N = 0, and a path stops, capped, at ``config.max_events`` events.
-    The streams differ from ``simulate_markov``'s, so the paths agree
-    with it in law, not draw for draw.
+    Block b holds rows b * BATCH_BLOCK onward and draws from
+    ``rng_for(config.seed, b, BATCH_STREAM)``.  Every path starts from
+    ``initial_state`` (default empty) at t = 0; this is the one engine
+    that takes a start state, for ``generator_drift_check``, and,
+    keeping no event log, samples ``record_grid`` as it runs
+    (``check_grid``; points may repeat).
+    Each step follows ``_run`` for every active path of a block at once:
+    one exponential at the path's last refreshed bound gives the
+    candidate, the grid points the step crosses are sampled, and two
+    uniforms are drawn.  Paths whose candidate passed the horizon then
+    finish and leave the block, so the rest of the step runs on the
+    survivors: the intensities at the candidate, acceptance by the first
+    uniform times the bound (a rejected candidate's total becomes the
+    next bound), and for an accepted candidate the mark by the second.
+    Deaths are gated at N = 0, and a path stops, capped, at
+    ``config.max_events`` events.  The streams differ from
+    ``simulate_markov``'s, so the paths agree with it in law, not draw
+    for draw.
 
     A step costs mostly the fixed overhead of its numpy calls, so the
     state is packed into two component-major arrays, one column per
@@ -251,21 +250,20 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     Finishing paths leave by one ``compress`` of each; accepted events
     update the state in place under the accept mask, the counts and N by
     one ``take`` from a step table.  With the same draws and the same
-    bits, the benchmark's ``mc_cross`` (1500-path blocks of
-    ``CROSS_BANK`` to horizon 10, 11 grid points) runs 46.1k
-    replications/s, up from 36.8k with one array per state variable
-    (``BENCH_19.json``; 2 vCPUs, Python 3.11.7, numpy 2.4.6).  Two
-    routes were ruled out: a scalar loop for the last few paths of a
-    block changes bits, since ``math.exp`` and numpy's SIMD ``exp``
-    differ in the last bit on 4.7% of inputs on an AVX512 host; one
-    lockstep pass over all blocks of a run keeps the bits but raised
-    the ``drift_check`` benchmark's peak memory by 9%.
+    bits, the benchmark's ``mc_cross`` (1500-path runs of ``CROSS_BANK``
+    to horizon 10, 11 grid points) runs 46.1k replications/s, up from
+    36.8k with one array per state variable (``BENCH_19.json``; 2 vCPUs,
+    Python 3.11.7, numpy 2.4.6).  Two routes were ruled out: a scalar
+    loop for the last few paths of a block changes bits, since
+    ``math.exp`` and numpy's SIMD ``exp`` differ in the last bit on 4.7%
+    of inputs on an AVX512 host; one lockstep pass over all blocks of a
+    run keeps the bits but raised the ``drift_check`` benchmark's peak
+    memory by 9%, so the blocks run one after another.
     """
     require_zero_offsets(bank, "simulate_markov_batch")
-    if not 0 < n_paths <= BATCH_BLOCK:
-        raise ValueError(f"a block holds 1 to {BATCH_BLOCK} paths, got {n_paths}")
+    if n_paths < 1:
+        raise ValueError(f"a run needs at least 1 path, got {n_paths}")
     grid = None if record_grid is None else check_grid(record_grid, "record_grid")
-    rng = rng_for(config.seed, block, BATCH_STREAM)
     state0 = initial_state if initial_state is not None else IntensityState()
     mu = np.array(bank.base_rates, dtype=float)[:, None]
     neg_beta = -np.array(bank.betas)[:, None]
@@ -283,30 +281,14 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     out_xi = np.empty((n_paths, 3))
     out_counts = np.empty((n_paths, 3), dtype=np.int64)
     out_capped = np.zeros(n_paths, dtype=bool)
+    samples = None
+    if grid is not None:
+        samples = np.full((n_paths, grid.size, 3), np.nan)
+        grid_ext = np.append(grid, np.inf)
 
     def gated_total(lam, n):
         """lambda1 + lambda2 + gated lambda3 per column of (lambda1, lambda2, lambda3)."""
         return lam[0] + lam[1] + np.where(n > 0, lam[2], 0.0)
-
-    # The state of the active paths, one column per path, compacted as
-    # paths finish.  Float rows: the shot noise x1, x2, x3 at t_last (the
-    # time of the path's last event), t_last, the clock t, the bound and
-    # the next grid time.  Int rows: the counts N1, N2, N3, the
-    # population N, the output row and the next grid index.  A sentinel
-    # past the last grid point ends the path's grid.
-    fs = np.zeros((7, n_paths))
-    fs[:3] = np.array(state0.xi, dtype=float)[:, None]
-    ns = np.zeros((6, n_paths), dtype=np.int64)
-    ns[:3] = np.array(state0.counts, dtype=np.int64)[:, None]
-    ns[3] = state0.population_size
-    ns[4] = np.arange(n_paths)
-    fs[5] = gated_total(mu + fs[:3], ns[3])
-    samples = None
-    fs[6] = np.inf
-    if grid is not None:
-        samples = np.full((n_paths, grid.size, 3), np.nan)
-        grid_ext = np.append(grid, np.inf)
-        fs[6] = grid_ext[0]
 
     def views():
         """Row views of the packed state; taken again after each compaction."""
@@ -315,7 +297,6 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         counts_n, n = ns[:4], ns[3]
 
     x = t_last = t = bound = next_grid = counts_n = n = None
-    views()
 
     def finish(done, capped):
         """Write out the paths of mask ``done`` and drop them from the state; the kept mask.
@@ -352,49 +333,67 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
             due, t_due = due[again], t_due[again]
             f, i = f.compress(again, axis=1), i.compress(again, axis=1)
 
-    steps = 0
-    while fs.shape[1]:
-        k = fs.shape[1]
-        t_cand = rng.standard_exponential(k)
-        t_cand /= bound
-        t_cand += t
-        if samples is not None:
-            t_next = np.minimum(t_cand, horizon)
-            due = (next_grid <= t_next).nonzero()[0]
-            if due.size:
-                sample_grid(due, t_next[due])
-        u = rng.random((2, k))
-        t[...] = t_cand
-        # A path whose candidate passes the horizon ends there.
-        done = t_cand >= horizon
-        if done.any():
-            u = u.compress(finish(done, False), axis=1)
-            if not fs.shape[1]:
-                break
-        y = x * np.exp(neg_beta * (t - t_last))
-        lam = mu + y
-        l12 = lam[0] + lam[1]
-        alive = n > 0
-        # The bound row takes the total at the candidate; the acceptance
-        # test reads the old bound first.
-        threshold = u[0] * bound
-        np.add(l12, np.where(alive, lam[2], 0.0), out=bound)
-        accept = threshold < bound
-        # Mark index 0, 1 or 2 (mutant, clone, death) as in _run; 3 if rejected.
-        v = u[1] * bound
-        mark = np.where(accept, np.add(v >= lam[0], (v >= l12) & alive, dtype=np.intp), 3)
-        np.copyto(x, y + jumps.take(mark, axis=1), where=accept)
-        np.copyto(t_last, t, where=accept)
-        counts_n += step.take(mark, axis=1)
-        # A rejected candidate's total is the next bound.
-        np.copyto(bound, gated_total(mu + x, n), where=accept)
-        steps += 1
-        # A path that accepts its last allowed event stops there, capped;
-        # no path has more events than steps.
-        if steps >= max_events:
-            capped = ns[:3].sum(axis=0) - events0 >= max_events
-            if capped.any():
-                finish(capped, True)
+    for block, start in enumerate(range(0, n_paths, BATCH_BLOCK)):
+        size = min(BATCH_BLOCK, n_paths - start)
+        rng = rng_for(config.seed, block, BATCH_STREAM)
+        # The state of the block's active paths, one column per path,
+        # compacted as paths finish.  Float rows: the shot noise x1, x2,
+        # x3 at t_last (the time of the path's last event), t_last, the
+        # clock t, the bound and the next grid time.  Int rows: the counts
+        # N1, N2, N3, the population N, the output row and the next grid
+        # index.  A sentinel past the last grid point ends the path's grid.
+        fs = np.zeros((7, size))
+        fs[:3] = np.array(state0.xi, dtype=float)[:, None]
+        ns = np.zeros((6, size), dtype=np.int64)
+        ns[:3] = np.array(state0.counts, dtype=np.int64)[:, None]
+        ns[3] = state0.population_size
+        ns[4] = np.arange(start, start + size)
+        fs[5] = gated_total(mu + fs[:3], ns[3])
+        fs[6] = np.inf if grid is None else grid_ext[0]
+        views()
+        steps = 0
+        while fs.shape[1]:
+            k = fs.shape[1]
+            t_cand = rng.standard_exponential(k)
+            t_cand /= bound
+            t_cand += t
+            if samples is not None:
+                t_next = np.minimum(t_cand, horizon)
+                due = (next_grid <= t_next).nonzero()[0]
+                if due.size:
+                    sample_grid(due, t_next[due])
+            u = rng.random((2, k))
+            t[...] = t_cand
+            # A path whose candidate passes the horizon ends there.
+            done = t_cand >= horizon
+            if done.any():
+                u = u.compress(finish(done, False), axis=1)
+                if not fs.shape[1]:
+                    break
+            y = x * np.exp(neg_beta * (t - t_last))
+            lam = mu + y
+            l12 = lam[0] + lam[1]
+            alive = n > 0
+            # The bound row takes the total at the candidate; the acceptance
+            # test reads the old bound first.
+            threshold = u[0] * bound
+            np.add(l12, np.where(alive, lam[2], 0.0), out=bound)
+            accept = threshold < bound
+            # Mark index 0, 1 or 2 (mutant, clone, death) as in _run; 3 if rejected.
+            v = u[1] * bound
+            mark = np.where(accept, np.add(v >= lam[0], (v >= l12) & alive, dtype=np.intp), 3)
+            np.copyto(x, y + jumps.take(mark, axis=1), where=accept)
+            np.copyto(t_last, t, where=accept)
+            counts_n += step.take(mark, axis=1)
+            # A rejected candidate's total is the next bound.
+            np.copyto(bound, gated_total(mu + x, n), where=accept)
+            steps += 1
+            # A path that accepts its last allowed event stops there, capped;
+            # no path has more events than steps.
+            if steps >= max_events:
+                capped = ns[:3].sum(axis=0) - events0 >= max_events
+                if capped.any():
+                    finish(capped, True)
     return MarkovBatch(samples, out_xi, out_counts, out_capped)
 
 

@@ -18,7 +18,7 @@ from hawkes_evolve import (
 )
 from hawkes_evolve import experiments
 from hawkes_evolve.experiments import _knee_estimate
-from hawkes_evolve.simulate import BATCH_BLOCK, batch_blocks, simulate_markov_batch
+from hawkes_evolve.simulate import BATCH_BLOCK, simulate_markov_batch
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -200,13 +200,12 @@ def _row_by_row_drift(bank, state, functions, h, n_reps, seed):
                       state.counts[1], bank.base_rates[1] + state.xi[1],
                       state.counts[2], bank.base_rates[2] + state.xi[2]])
     d = np.empty((len(functions), n_reps))
-    for block, start, stop in batch_blocks(n_reps):
-        batch = simulate_markov_batch(bank, config, stop - start, state, block)
-        zetas = np.empty((stop - start, 6))
-        zetas[:, 0::2] = batch.counts
-        zetas[:, 1::2] = np.array(bank.base_rates) + batch.xi
-        for k, f in enumerate(functions):
-            d[k, start:stop] = [(f(z) - f(zeta0)) / h for z in zetas]
+    batch = simulate_markov_batch(bank, config, n_reps, state)
+    zetas = np.empty((n_reps, 6))
+    zetas[:, 0::2] = batch.counts
+    zetas[:, 1::2] = np.array(bank.base_rates) + batch.xi
+    for k, f in enumerate(functions):
+        d[k] = [(f(z) - f(zeta0)) / h for z in zetas]
     # Reduced along each function's row, as generator_drift_check does.
     return d.mean(axis=1), d.std(axis=1, ddof=1) / math.sqrt(n_reps)
 
@@ -248,9 +247,8 @@ class TestGeneratorDrift:
     @pytest.mark.parametrize("h", [1e-3, 1e-2])
     @pytest.mark.parametrize("bank", [CROSS_BANK, HAWKES_BANK], ids=["cross", "hawkes"])
     def test_block_evaluation_matches_row_by_row(self, bank, h):
-        # Two full blocks and a last block that holds one state, of shape (6, 1).
+        # The engine runs two full blocks and a last block of one path.
         n_reps = 2 * BATCH_BLOCK + 1
-        assert batch_blocks(n_reps)[-1][1:] == (2 * BATCH_BLOCK, n_reps)
         for k, state in enumerate(CRITERION_4_STATES):
             checks = generator_drift_check(bank, state, CRITERION_4_FUNCTIONS, h=h,
                                            n_reps=n_reps, seed=404 + k)

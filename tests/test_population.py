@@ -329,7 +329,8 @@ class TestObservables:
         {"f_grid": [0.0, 0.5, 1.5]},
         {"f_grid": [0.0, float("nan")]},
         {"f_grid": [0.0, 0.5], "f_reference": -0.25},
-    ], ids=["grid_above_one", "grid_nan", "reference_below_zero"])
+        {"f_grid": []},
+    ], ids=["grid_above_one", "grid_nan", "reference_below_zero", "grid_empty"])
     def test_sweep_fitness_rejected_before_any_run(self, kw):
         # Every run was once simulated before theoretical_site_cdf refused
         # the point, and no point was refused when both critical fitnesses

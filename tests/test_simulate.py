@@ -28,7 +28,7 @@ from hawkes_evolve import (
     simulate_thinning_general,
     time_rescale_residuals,
 )
-from hawkes_evolve.simulate import BATCH_BLOCK, _History, batch_blocks
+from hawkes_evolve.simulate import BATCH_BLOCK, _History
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
@@ -404,15 +404,6 @@ SELF_EXCITING_DEATHS = KernelBank.exponential(
     (1.0, 0.8, 1.5), ((0.3, 0.2), (0.1, 0.4)), (1.0, 1.5), 0.8, 1.2)
 
 
-def _batch_run(bank, config, n_paths, state=None, record_grid=None):
-    """Every block of an n_paths batched run, stacked."""
-    blocks = [simulate_markov_batch(bank, config, stop - start, state, block,
-                                    record_grid=record_grid)
-              for block, start, stop in batch_blocks(n_paths)]
-    return {name: np.concatenate([getattr(b, name) for b in blocks])
-            for name in ("intensity_samples", "counts", "capped")}
-
-
 class TestMarkovBatch:
     @pytest.mark.parametrize("bank", [CROSS_BANK, HAWKES_BANK, SELF_EXCITING_DEATHS],
                              ids=["cross", "hawkes", "self_exciting_deaths"])
@@ -423,21 +414,22 @@ class TestMarkovBatch:
         # engine's columns 0, 1 and 3.
         n, horizon = 3000, 20.0
         grid = tuple(np.linspace(0.0, horizon, 11))
-        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1), n, record_grid=grid)
+        batch = simulate_markov_batch(bank, SimConfig(horizon=horizon, seed=1), n,
+                                      record_grid=grid)
         config = SimConfig(horizon=horizon, seed=2)
         paths = [simulate_markov(bank, config, path_index=i) for i in range(n)]
         counts = np.array([p.final_state.counts for p in paths])
         for i in range(3):
-            assert stats.ks_2samp(batch["counts"][:, i], counts[:, i]).pvalue > 0.01
+            assert stats.ks_2samp(batch.counts[:, i], counts[:, i]).pvalue > 0.01
 
         def z(a, b):
             se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
             return (a.mean(axis=0) - b.mean(axis=0)) / se
 
         samples = np.array([intensities_at(p, bank, grid) for p in paths])
-        assert np.max(np.abs(z(batch["intensity_samples"][:, 1:],
+        assert np.max(np.abs(z(batch.intensity_samples[:, 1:],
                                samples[:, 1:, [0, 1, 3]]))) < 4.0
-        assert not batch["capped"].any()
+        assert not batch.capped.any()
 
     def test_means_from_a_state_solve_the_moment_ode(self):
         # Births are ungated and deaths do not move xi1 or xi2, so y =
@@ -456,18 +448,18 @@ class TestMarkovBatch:
         y0 = np.array([*state.xi[:2], *state.counts[:2], 1.0])
         n, horizon = 3000, 20.0
         grid = np.linspace(0.0, horizon, 11)
-        batch = _batch_run(bank, SimConfig(horizon=horizon, seed=1), n, state,
-                           record_grid=grid)
-        assert not batch["capped"].any()
+        batch = simulate_markov_batch(bank, SimConfig(horizon=horizon, seed=1), n, state,
+                                      record_grid=grid)
+        assert not batch.capped.any()
         exact = np.array([expm(m * t) @ y0 for t in grid])
 
         def z(x, mean):
             return (x.mean(axis=0) - mean) / (x.std(axis=0, ddof=1) / math.sqrt(len(x)))
 
         # Grid point 0 is the start state itself, with no spread.
-        lam = batch["intensity_samples"][:, 1:, :2]
+        lam = batch.intensity_samples[:, 1:, :2]
         assert np.max(np.abs(z(lam, np.add(mu[:2], exact[1:, :2])))) < 4.0
-        assert np.max(np.abs(z(batch["counts"][:, :2], exact[-1, 2:4]))) < 4.0
+        assert np.max(np.abs(z(batch.counts[:, :2], exact[-1, 2:4]))) < 4.0
 
     def test_capped_paths_stop_at_max_events(self):
         grid = tuple(np.linspace(0.0, 100.0, 101))
@@ -513,15 +505,15 @@ class TestMarkovBatch:
         assert (n >= 0).all()
 
     def test_blocks_are_reproducible_and_distinct(self):
+        # Block 1 holds the last 50 rows and draws from a stream of its own.
         config = SimConfig(horizon=5.0, seed=3)
-        a, b = (simulate_markov_batch(HAWKES_BANK, config, 50, block=0) for _ in range(2))
-        c = simulate_markov_batch(HAWKES_BANK, config, 50, block=1)
+        a, b = (simulate_markov_batch(HAWKES_BANK, config, BATCH_BLOCK + 50) for _ in range(2))
         assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
-        assert not np.array_equal(a.counts, c.counts)
+        assert not np.array_equal(a.counts[:50], a.counts[BATCH_BLOCK:])
 
     # Fixed-seed runs of the batch engine, each hashed over all four
-    # MarkovBatch arrays: a change to any draw, formula or step order
-    # changes the digest.
+    # MarkovBatch arrays from the first row of its block on: a change to
+    # any draw, formula or step order changes the digest.
     PINNED_RUNS = {
         # Empty starts; the grid repeats a point and has one past the horizon.
         "cross": (CROSS_BANK, dict(horizon=10.0, seed=21, record_grid=(
@@ -536,7 +528,11 @@ class TestMarkovBatch:
         "capped": (CROSS_BANK, dict(horizon=5.0, seed=24, max_events=30, record_grid=tuple(
             np.linspace(0.0, 5.0, 21))), 400, None, 0),
         "block_1": (SELF_EXCITING_DEATHS, dict(horizon=8.0, seed=25, record_grid=(
-            0.0, 1.0, 4.0, 8.0)), 300, None, 1),
+            0.0, 1.0, 4.0, 8.0)), BATCH_BLOCK + 300, None, 1),
+        # Three blocks, the last of one path, from a state; the grid repeats a point.
+        "multi_block": (HAWKES_BANK, dict(horizon=4.0, seed=27, record_grid=(
+            0.0, 1.0, 1.0, 2.5, 4.0)), 2 * BATCH_BLOCK + 1,
+            IntensityState(xi=(0.5, 0.1, 0.7), counts=(1, 1, 2)), 0),
         # Every path returns to N = 0, and spends about half its time there.
         "extinct": (KernelBank.exponential((0.4, 0.3, 1.5), ((0.2, 0.1), (0.1, 0.2)),
                                            (1.0, 1.5), 0.5, 2.0),
@@ -550,14 +546,15 @@ class TestMarkovBatch:
         "capped": "b0d3c5e2f61739f30065cfc0ad606f649d20ecc3ffbb224c5180cefa14829464",
         "block_1": "8a1985cef432caab64eadaf833c114b4172044bd7eb3366faa856bc1809c4d45",
         "extinct": "85aabb72dcdcd152b19d55aba82f824d8f336159043d0f657606725c37a677d4",
+        "multi_block": "8485b8b9e4af953d1bce5cbf22523cf83f85f98216285ea8f4f19825572806ee",
     }
 
     @staticmethod
-    def batch_digest(batch):
-        """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array."""
+    def batch_digest(batch, first_row=0):
+        """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array's rows."""
         h = hashlib.sha256()
         for name in ("intensity_samples", "xi", "counts", "capped"):
-            a = np.ascontiguousarray(getattr(batch, name))
+            a = np.ascontiguousarray(getattr(batch, name)[first_row:])
             h.update(f"{name} {a.dtype.str} {a.shape}".encode())
             h.update(a.tobytes())
         return h.hexdigest()
@@ -567,15 +564,13 @@ class TestMarkovBatch:
         bank, config, n_paths, state, block = self.PINNED_RUNS[run]
         config = dict(config)
         grid = config.pop("record_grid")
-        batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state, block,
+        batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state,
                                       record_grid=grid)
-        assert self.batch_digest(batch) == self.PINNED_SHA256[run]
+        assert self.batch_digest(batch, block * BATCH_BLOCK) == self.PINNED_SHA256[run]
 
     def test_block_size_enforced(self):
-        config = SimConfig(horizon=1.0, seed=1)
-        for n in (0, BATCH_BLOCK + 1):
-            with pytest.raises(ValueError):
-                simulate_markov_batch(HAWKES_BANK, config, n)
+        with pytest.raises(ValueError):
+            simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=1.0, seed=1), 0)
 
 
 class TestThinningEngine:
