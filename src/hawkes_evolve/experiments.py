@@ -126,9 +126,10 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
                                      ("renewal", expected_intensity_renewal))]
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed)
     samples = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid).intensity_samples
-    # (grid, lambda1 / lambda2 / ungated lambda3, paths): numpy sums a
-    # contiguous last axis pairwise, so a constant column's mean is exact
-    # at any n and its standard error 0, which _z scores exactly.
+    # (grid, lambda1 / lambda2 / ungated lambda3, paths): the engine's own
+    # layout, so this makes no copy.  numpy sums a contiguous last axis
+    # pairwise, so a constant column's mean is exact at any n and its
+    # standard error 0, which _z scores exactly.
     lam = np.ascontiguousarray(samples.transpose(1, 2, 0))
     mean = lam.mean(axis=-1)
     stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)
@@ -143,7 +144,7 @@ def _zeta(bank: KernelBank, counts, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     zeta = np.empty((6, *xi.shape[1:]))
     zeta[0::2] = counts
-    zeta[1::2] = np.reshape(bank.base_rates, (3,) + (1,) * (xi.ndim - 1)) + xi
+    np.add(np.reshape(bank.base_rates, (3,) + (1,) * (xi.ndim - 1)), xi, out=zeta[1::2])
     return zeta
 
 
@@ -245,7 +246,9 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     # contiguous row.
     d = np.empty((len(test_functions), n_reps))
     for k, f in enumerate(test_functions):
-        d[k] = (_block_values(f, k, zetas) - f(zeta0)) / h
+        row = d[k]
+        np.subtract(_block_values(f, k, zetas), f(zeta0), out=row)
+        row /= h
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat row.
     means = d.mean(axis=1)
     ses = d.std(axis=1, ddof=1) / math.sqrt(n_reps)

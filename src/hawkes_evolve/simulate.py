@@ -14,9 +14,10 @@ randoms from the path's stream in blocks of k exponentials then 2k
 uniforms, k = 64, 128, ..., 4096, and reads them in order (``_run``).
 The batched Markov engine runs the same loop on a whole run of paths,
 as numpy arrays in lockstep blocks, for the Monte Carlo harness; it
-draws per step, from streams of its own, and is the one engine that
-samples a grid: a scalar path's events fix its intensities, which
-``intensities_at`` reads.
+draws per step, from streams of its own, stores its outputs
+component-major with the paths last, the layout its readers reduce, and
+is the one engine that samples a grid: a scalar path's events fix its
+intensities, which ``intensities_at`` reads.
 """
 
 from __future__ import annotations
@@ -211,6 +212,12 @@ class MarkovBatch:
     past a capped path's end, or None without a recording grid.  ``xi``
     and ``counts`` are the final shot noise and counts, (paths, 3);
     ``capped`` is per path.
+
+    The arrays are stored component-major, and these fields are
+    transposed views of them: ``xi.T`` and ``counts.T`` are C-contiguous
+    (3, paths) arrays and ``intensity_samples.transpose(1, 2, 0)`` a
+    C-contiguous (grid, 3, paths) one, so a reduction over the paths
+    reads contiguous rows.
     """
 
     intensity_samples: Optional[np.ndarray]
@@ -247,14 +254,22 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     state is packed into two component-major arrays, one column per
     path: a float array (x1, x2, x3, t_last, t, bound, next grid time)
     and an int64 array (N1, N2, N3, N, output row, next grid index).
-    Finishing paths leave by one ``compress`` of each; accepted events
-    update the state in place under the accept mask, the counts and N by
-    one ``take`` from a step table.  With the same draws and the same
-    bits, the benchmark's ``mc_cross`` (1500-path runs of ``CROSS_BANK``
-    to horizon 10, 11 grid points) runs 46.1k replications/s, up from
-    36.8k with one array per state variable (``BENCH_19.json``; 2 vCPUs,
-    Python 3.11.7, numpy 2.4.6).  Two routes were ruled out: a scalar
-    loop for the last few paths of a block changes bits, since
+    Each block starts from copies of the start state's two columns,
+    built once per run.  Finishing paths are written out from one
+    ``compress`` of the leading rows they need (x1..x3 and t_last; N1..N3,
+    N and the row) and leave by one ``compress`` of each array; accepted
+    events update the state in place under the accept mask, the counts
+    and N by one ``take`` from a step table.  The outputs are
+    component-major too (``MarkovBatch``): a finishing path's xi and
+    counts go out by one 1-D scatter per component, and a due grid
+    point's three intensities by one scatter.  With the same draws and
+    the same bits, the benchmark's ``drift_check`` (20,000-path runs of
+    ``CROSS_BANK`` to h = 1e-3 from three states) runs 4.61M
+    replications/s, up from 3.80M with row-major outputs, and
+    ``mc_cross`` (1500-path runs to horizon 10, 11 grid points) 52.8k,
+    level with 52.7k (``BENCH_30.json``; 2 vCPUs, Python 3.11.7, numpy
+    2.4.6).  Two routes were ruled out: a scalar loop for the last few
+    paths of a block changes bits, since
     ``math.exp`` and numpy's SIMD ``exp`` differ in the last bit on 4.7%
     of inputs on an AVX512 host; one lockstep pass over all blocks of a
     run keeps the bits but raised the ``drift_check`` benchmark's peak
@@ -277,13 +292,16 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     max_events = config.max_events
     events0 = sum(state0.counts)
 
-    # Per-path output, indexed by row.
-    out_xi = np.empty((n_paths, 3))
-    out_counts = np.empty((n_paths, 3), dtype=np.int64)
+    # Per-path output, component-major with the path (row) index last, so
+    # readers reduce contiguous rows; xi and the counts are written as six
+    # 1-D rows, which scatter faster than one 2-D write.
+    out_xi = np.empty((3, n_paths))
+    out_counts = np.empty((3, n_paths), dtype=np.int64)
+    out_rows = (*out_xi, *out_counts)
     out_capped = np.zeros(n_paths, dtype=bool)
     samples = None
     if grid is not None:
-        samples = np.full((n_paths, grid.size, 3), np.nan)
+        samples = np.full((grid.size, 3, n_paths), np.nan)
         grid_ext = np.append(grid, np.inf)
 
     def gated_total(lam, n):
@@ -304,11 +322,14 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         A capped path ends at its last event; any other at the horizon.
         """
         nonlocal fs, ns
-        f, i = fs.compress(done, axis=1), ns.compress(done, axis=1)
+        # Only the leading rows it reads: x1..x3 and t_last, N1..N3, N and the row.
+        f, i = fs[:4].compress(done, axis=1), ns[:5].compress(done, axis=1)
         r = i[4]
-        out_xi[r] = (f[:3] if capped else f[:3] * np.exp(neg_beta * (horizon - f[3]))).T
-        out_counts[r] = i[:3].T
-        out_capped[r] = capped
+        xi = f[:3] if capped else f[:3] * np.exp(neg_beta * (horizon - f[3]))
+        for out, values in zip(out_rows, (*xi, *i[:3])):
+            out[r] = values
+        if capped:
+            out_capped[r] = True
         keep = ~done
         fs, ns = fs.compress(keep, axis=1), ns.compress(keep, axis=1)
         views()
@@ -323,7 +344,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         f, i = fs[:4].take(due, axis=1), ns[4:].take(due, axis=1)
         while True:
             g = i[1]
-            samples[i[0], g] = (mu + f[:3] * np.exp(neg_beta * (grid[g] - f[3]))).T
+            samples[g, :, i[0]] = (mu + f[:3] * np.exp(neg_beta * (grid[g] - f[3]))).T
             g += 1
             upcoming = grid_ext[g]
             ns[5, due], next_grid[due] = g, upcoming
@@ -333,23 +354,25 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
             due, t_due = due[again], t_due[again]
             f, i = f.compress(again, axis=1), i.compress(again, axis=1)
 
+    # The state of a block's active paths, one column per path, compacted
+    # as paths finish.  Float rows: the shot noise x1, x2, x3 at t_last
+    # (the time of the path's last event), t_last, the clock t, the bound
+    # and the next grid time.  Int rows: the counts N1, N2, N3, the
+    # population N, the output row and the next grid index.  A sentinel
+    # past the last grid point ends the path's grid.  Every block starts
+    # from copies of the start state's columns.
+    fs0 = np.zeros((7, 1))
+    fs0[:3, 0] = state0.xi
+    ns0 = np.zeros((6, 1), dtype=np.int64)
+    ns0[:3, 0] = state0.counts
+    ns0[3] = state0.population_size
+    fs0[5] = gated_total(mu + fs0[:3], ns0[3])
+    fs0[6] = np.inf if grid is None else grid_ext[0]
     for block, start in enumerate(range(0, n_paths, BATCH_BLOCK)):
         size = min(BATCH_BLOCK, n_paths - start)
         rng = rng_for(config.seed, block, BATCH_STREAM)
-        # The state of the block's active paths, one column per path,
-        # compacted as paths finish.  Float rows: the shot noise x1, x2,
-        # x3 at t_last (the time of the path's last event), t_last, the
-        # clock t, the bound and the next grid time.  Int rows: the counts
-        # N1, N2, N3, the population N, the output row and the next grid
-        # index.  A sentinel past the last grid point ends the path's grid.
-        fs = np.zeros((7, size))
-        fs[:3] = np.array(state0.xi, dtype=float)[:, None]
-        ns = np.zeros((6, size), dtype=np.int64)
-        ns[:3] = np.array(state0.counts, dtype=np.int64)[:, None]
-        ns[3] = state0.population_size
+        fs, ns = fs0.repeat(size, axis=1), ns0.repeat(size, axis=1)
         ns[4] = np.arange(start, start + size)
-        fs[5] = gated_total(mu + fs[:3], ns[3])
-        fs[6] = np.inf if grid is None else grid_ext[0]
         views()
         steps = 0
         while fs.shape[1]:
@@ -394,7 +417,8 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
                 capped = ns[:3].sum(axis=0) - events0 >= max_events
                 if capped.any():
                     finish(capped, True)
-    return MarkovBatch(samples, out_xi, out_counts, out_capped)
+    return MarkovBatch(None if samples is None else samples.transpose(2, 0, 1),
+                       out_xi.T, out_counts.T, out_capped)
 
 
 class _History:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ class TestMcMeanIntensity:
         report = mc_mean_intensity(HAWKES_BANK, np.linspace(0, 5, 11), 20_000, seed=11)
         assert report.matched_method(1) == "renewal"
         assert report.matched_method(2) == "renewal"
+
+    def test_peak_memory_holds_the_samples_once(self):
+        # The engine's (grid, component, paths) samples are 5.04 MiB here;
+        # a transposed copy of them for the reductions read 3.0x that.
+        # The warm-up call imports scipy.linalg for the renewal solve,
+        # whose allocations would count too.
+        grid = np.linspace(0, 10, 11)
+        mc_mean_intensity(CROSS_BANK, grid, 2, seed=1)
+        n_paths = 20_000
+        tracemalloc.start()
+        try:
+            mc_mean_intensity(CROSS_BANK, grid, n_paths, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * (n_paths * grid.size * 3 * 8)
 
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):

@@ -568,9 +568,22 @@ class TestMarkovBatch:
                                       record_grid=grid)
         assert self.batch_digest(batch, block * BATCH_BLOCK) == self.PINNED_SHA256[run]
 
-    def test_block_size_enforced(self):
-        with pytest.raises(ValueError):
-            simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=1.0, seed=1), 0)
+    def test_empty_run_refused(self):
+        for n_paths in (0, -1):
+            with pytest.raises(ValueError, match="at least 1 path"):
+                simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=1.0, seed=1), n_paths)
+
+    def test_outputs_are_component_major(self):
+        # The engine writes each component as one contiguous row over the
+        # paths, which is how its readers reduce them; the public shapes
+        # put the paths first.
+        n_paths, grid = BATCH_BLOCK + 100, (0.0, 1.0, 1.0, 3.0)
+        batch = simulate_markov_batch(CROSS_BANK, SimConfig(horizon=3.0, seed=8), n_paths,
+                                      record_grid=grid)
+        assert batch.xi.shape == batch.counts.shape == (n_paths, 3)
+        assert batch.intensity_samples.shape == (n_paths, len(grid), 3)
+        assert batch.xi.T.flags.c_contiguous and batch.counts.T.flags.c_contiguous
+        assert batch.intensity_samples.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestThinningEngine:
