@@ -151,11 +151,12 @@ def _renewal_moments(bank: KernelBank, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
-    """Exact first-moment intensity of process i on t_grid."""
+    """Exact first-moment intensity of process i at each time of t_grid.
+
+    Each time is solved on its own, so any finite t >= 0 may be asked: a
+    grid (``check_grid``) need not start at 0, and its points may repeat.
+    """
     _check_index(i)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase from 0")
     return _renewal_moments(bank, t_grid)[0][..., i - 1]
 
 

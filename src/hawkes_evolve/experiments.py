@@ -115,22 +115,23 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
     (``simulate_markov_batch``).  The death intensity is recorded
     without its gate; see ``MCReport`` for why its comparisons still
     differ when deaths self-excite.  Each grid point is scored against
-    both curves by ``_z``.
+    both curves by ``_z``.  ``t_grid`` is a grid (``check_grid``) of at
+    least one point, checked, like the curves, before any path.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     t_grid = check_grid(t_grid, "t_grid")
-    # The curves reject a grid or a singular bank; they run before any path.
+    if not t_grid.size:
+        raise ValueError("t_grid needs at least one point")
+    # The curves reject a singular bank; they run before any path.
     targets = [(i, method, curve(bank, i, t_grid)) for i in (1, 2, 3)
                for method, curve in (("paper", expected_intensity_paper),
                                      ("renewal", expected_intensity_renewal))]
     config = SimConfig(horizon=float(t_grid[-1]) if t_grid[-1] > 0 else 1.0, seed=seed)
-    samples = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid).intensity_samples
-    # (grid, lambda1 / lambda2 / ungated lambda3, paths): the engine's own
-    # layout, so this makes no copy.  numpy sums a contiguous last axis
-    # pairwise, so a constant column's mean is exact at any n and its
-    # standard error 0, which _z scores exactly.
-    lam = np.ascontiguousarray(samples.transpose(1, 2, 0))
+    # (grid, lambda1 / lambda2 / ungated lambda3, paths).  numpy sums a
+    # contiguous last axis pairwise, so a constant column's mean is exact
+    # at any n and its standard error 0, which _z scores exactly.
+    lam = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid).intensity_samples
     mean = lam.mean(axis=-1)
     stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)
     comparisons = {(i, method): CurveComparison(method, target,
@@ -238,7 +239,7 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     config = SimConfig(horizon=h, seed=seed)
     zeta0 = _zeta(bank, state.counts, state.xi)
     batch = simulate_markov_batch(bank, config, n_reps, state)
-    zetas = _zeta(bank, batch.counts.T, batch.xi.T)
+    zetas = _zeta(bank, batch.counts, batch.xi)
     # The end states are all the functions read; the batch would only
     # raise the peak memory while they run.
     del batch
@@ -331,15 +332,19 @@ def _knee_estimate(f_grid: np.ndarray, avg_cdf: np.ndarray) -> float:
 def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int,
                            seed: int, f_reference: Optional[float] = None,
                            threads: int = 1) -> SweepResult:
-    """Averaged terminal site distribution and its distance to the limits."""
+    """Averaged terminal site distribution and its distance to the limits.
+
+    ``f_grid`` is a grid (``check_grid``) of at least one point, none
+    above 1, and ``f_reference``, when given, is in [0, 1]; both are
+    checked before any run.
+    """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    f_grid = np.asarray(f_grid, dtype=float)
-    bad = f_grid[~((f_grid >= 0) & (f_grid <= 1))]
-    if bad.size:
-        raise ValueError(f"f_grid points must be in [0, 1], got {bad[0]}")
+    f_grid = check_grid(f_grid, "f_grid")
     if not f_grid.size:
         raise ValueError("f_grid needs at least one point")
+    if f_grid[-1] > 1:
+        raise ValueError(f"f_grid points must be in [0, 1], got {f_grid[-1]}")
     if f_reference is not None and not 0 <= f_reference <= 1:
         raise ValueError(f"f_reference must be in [0, 1], got {f_reference}")
     fc_paper = critical_fitness(bank, "paper")

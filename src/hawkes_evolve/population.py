@@ -145,11 +145,10 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
 
     Fitness draws come from a stream independent of the event engine's,
     so the same event path can be re-partitioned reproducibly.  ``f``,
-    when given, must be in [0, 1].  ``snapshot_grid`` must be finite,
-    non-negative and non-decreasing, as a record grid (``check_grid``).
-    A snapshot at grid time g holds the partition after every event at
-    or before g; a grid time past ``path.elapsed`` (the horizon, or the
-    last event of a capped path) gets none.
+    when given, must be in [0, 1], and ``snapshot_grid`` is a grid
+    (``check_grid``).  A snapshot at grid time g holds the partition
+    after every event at or before g; a grid time past ``path.elapsed``
+    (the horizon, or the last event of a capped path) gets none.
     """
     if f is not None and not 0 <= f <= 1:
         raise ValueError(f"f must be in [0, 1], got {f}")
@@ -210,22 +209,13 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
                 left -= 1
             else:
                 right -= 1
-        elif mark == 1:  # a mutant
-            if u < f:
-                left += 1
-            else:
-                right += 1
-        else:  # clone
-            if left == 0 and right == 0:
-                if u < f:
-                    left += 1
-                else:
-                    right += 1
-            elif left == 0:
-                right += 1
-            elif right == 0:
-                left += 1
-            elif u < epsilon:
+        else:
+            # A birth lands left with probability p: f for a mutant and for a
+            # clone born into an empty population; for any other clone 0 while
+            # L = 0, 1 while R = 0, and epsilon once both sides are occupied.
+            p = (f if mark == 1 or left == right == 0 else 0.0 if left == 0
+                 else 1.0 if right == 0 else epsilon)
+            if u < p:
                 left += 1
             else:
                 right += 1

@@ -60,10 +60,18 @@ class SimConfig:
 
 
 def check_grid(grid, name: str) -> np.ndarray:
-    """``grid`` as a float array; ValueError, naming it, unless finite, >= 0 and non-decreasing."""
+    """``grid`` as a float array; ValueError, naming it, unless it is a grid.
+
+    The one definition of a grid, of times or of fitness values: a 1-D
+    array of finite, non-negative, non-decreasing values, which may
+    repeat.  Every reader takes a grid's points in one forward pass, so
+    a grid of another rank or order would be read out of order.
+    """
     grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0) or np.any(np.diff(grid) < 0):
-        raise ValueError(f"{name} must hold finite, non-negative, non-decreasing times")
+    if (grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(grid < 0)
+            or np.any(np.diff(grid) < 0)):
+        raise ValueError(f"{name} must be a 1-D array of finite, non-negative, "
+                         "non-decreasing values")
     return grid
 
 
@@ -205,19 +213,13 @@ BATCH_BLOCK = 2048
 
 @dataclass(frozen=True)
 class MarkovBatch:
-    """Lockstep Markov paths as arrays, one row per path.
+    """Lockstep Markov paths as C-contiguous arrays, with the paths last.
 
-    ``intensity_samples`` is (paths, grid, 3): lambda1, lambda2 and the
+    ``intensity_samples`` is (grid, 3, paths): lambda1, lambda2 and the
     ungated lambda3 (``intensities_at`` without its gated column), NaN
     past a capped path's end, or None without a recording grid.  ``xi``
-    and ``counts`` are the final shot noise and counts, (paths, 3);
-    ``capped`` is per path.
-
-    The arrays are stored component-major, and these fields are
-    transposed views of them: ``xi.T`` and ``counts.T`` are C-contiguous
-    (3, paths) arrays and ``intensity_samples.transpose(1, 2, 0)`` a
-    C-contiguous (grid, 3, paths) one, so a reduction over the paths
-    reads contiguous rows.
+    and ``counts`` are the final shot noise and counts, (3, paths);
+    ``capped`` is (paths,).  A reduction over the paths reads contiguous rows.
     """
 
     intensity_samples: Optional[np.ndarray]
@@ -235,8 +237,8 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     ``rng_for(config.seed, b, BATCH_STREAM)``.  Every path starts from
     ``initial_state`` (default empty) at t = 0; this is the one engine
     that takes a start state, for ``generator_drift_check``, and,
-    keeping no event log, samples ``record_grid`` as it runs
-    (``check_grid``; points may repeat).
+    keeping no event log, samples ``record_grid`` (``check_grid``) as
+    it runs.
     Each step follows ``_run`` for every active path of a block at once:
     one exponential at the path's last refreshed bound gives the
     candidate, the grid points the step crosses are sampled, and two
@@ -260,15 +262,10 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     N and the row) and leave by one ``compress`` of each array; accepted
     events update the state in place under the accept mask, the counts
     and N by one ``take`` from a step table.  The outputs are
-    component-major too (``MarkovBatch``): a finishing path's xi and
-    counts go out by one 1-D scatter per component, and a due grid
-    point's three intensities by one scatter.  With the same draws and
-    the same bits, the benchmark's ``drift_check`` (20,000-path runs of
-    ``CROSS_BANK`` to h = 1e-3 from three states) runs 4.61M
-    replications/s, up from 3.80M with row-major outputs, and
-    ``mc_cross`` (1500-path runs to horizon 10, 11 grid points) 52.8k,
-    level with 52.7k (``BENCH_30.json``; 2 vCPUs, Python 3.11.7, numpy
-    2.4.6).  Two routes were ruled out: a scalar loop for the last few
+    component-major too (``MarkovBatch``), the layout their readers
+    reduce: a finishing path's xi and counts go out by one 1-D scatter
+    per component, and a due grid point's three intensities by one
+    scatter.  Two routes were ruled out: a scalar loop for the last few
     paths of a block changes bits, since
     ``math.exp`` and numpy's SIMD ``exp`` differ in the last bit on 4.7%
     of inputs on an AVX512 host; one lockstep pass over all blocks of a
@@ -417,8 +414,7 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
                 capped = ns[:3].sum(axis=0) - events0 >= max_events
                 if capped.any():
                     finish(capped, True)
-    return MarkovBatch(None if samples is None else samples.transpose(2, 0, 1),
-                       out_xi.T, out_counts.T, out_capped)
+    return MarkovBatch(samples, out_xi, out_counts, out_capped)
 
 
 class _History:

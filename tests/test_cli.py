@@ -718,6 +718,20 @@ ARTIFACT_SHA256 = {
         "expectations.csv": "de54a80c3090f2e620c35205f651acf4884e5c4d81060b8cd3601e20d25bb847",
     },
 }
+# Digests that depend on numpy's exp dispatch target (conftest.py), where
+# ARTIFACT_SHA256 holds the X86_V4 one.  gof's KS p-value for process 1 on
+# the Poisson bank reads 0.7249543521421838 on X86_V4 and ...837 below it.
+ARTIFACT_SHA256_BY_TARGET = {
+    ("poisson", "gof"): {
+        "X86_V4": ARTIFACT_SHA256["poisson", "gof"],
+        "X86_V3": {
+            "gof.json": "ad39e46ecafc30b531c763366ecf223f8f9986638cb22d34eb0978973333ae23",
+        },
+        "baseline(X86_V2)": {
+            "gof.json": "ad39e46ecafc30b531c763366ecf223f8f9986638cb22d34eb0978973333ae23",
+        },
+    },
+}
 
 
 # Exit codes other than 0.  gof's death residual on the Poisson bank at
@@ -730,7 +744,7 @@ class TestArtifactBytes:
 
     @pytest.mark.parametrize("bank", sorted(BANKS))
     @pytest.mark.parametrize("command", list(RUNS))
-    def test_digests_pinned(self, bank, command, tmp_path):
+    def test_digests_pinned(self, bank, command, tmp_path, for_exp_target):
         bank_path = tmp_path / "bank.json"
         bank_path.write_text(bank_to_json(BANKS[bank]))
         args, artifacts = RUNS[command]
@@ -738,7 +752,9 @@ class TestArtifactBytes:
         assert code == ARTIFACT_EXIT.get((bank, command), 0)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in artifacts}
-        assert digests == ARTIFACT_SHA256[bank, command]
+        by_target = ARTIFACT_SHA256_BY_TARGET.get((bank, command))
+        assert digests == (ARTIFACT_SHA256[bank, command] if by_target is None
+                           else for_exp_target(by_target))
 
 
 # Runs each argv list through cli.run in one fresh interpreter (this one

@@ -216,8 +216,8 @@ class TestIntensityState:
         config = SimConfig(horizon=100.0, seed=1, max_events=1)
         batch = simulate_markov_batch(exp_bank(), config, 2000, state, record_grid=(0.0,))
         assert batch.capped.all()
-        return tuple(batch.intensity_samples[0, 0]), np.argmax(
-            batch.counts - np.array(state.counts), axis=1)
+        return tuple(batch.intensity_samples[0, :, 0]), np.argmax(
+            batch.counts - np.array(state.counts)[:, None], axis=0)
 
     def test_gate_closed_when_empty(self):
         path = simulate_markov(exp_bank(), SimConfig(horizon=1.0, seed=1))

@@ -102,20 +102,30 @@ class TestMcMeanIntensity:
         with pytest.raises(ValueError, match="t_grid"):
             mc_mean_intensity(HAWKES_BANK, [0.0, 10.0, 5.0], 10**6, seed=1)
 
-    @pytest.mark.parametrize("grid", [[0.0, math.nan, 2.0], [-1.0, 0.0, 1.0], [0.0, math.inf]],
-                             ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 2.0], [-1.0, 0.0, 1.0], [0.0, math.inf],
+                                      [[0.0, 5.0], [1.0, 2.0]], 0.5],
+                             ids=["nan", "negative", "inf", "2d", "0d"])
     def test_bad_grid_error_names_t_grid(self, grid):
-        # These once raised from SimConfig, naming record_grid or the horizon.
+        # The first three once raised from SimConfig, naming record_grid or
+        # the horizon; the last two with numpy messages naming no grid.
         with pytest.raises(ValueError, match="^t_grid"):
             mc_mean_intensity(HAWKES_BANK, grid, 10**6, seed=1)
 
-    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [1.0, 2.0]],
-                             ids=["repeated", "late_start"])
-    def test_renewal_grid_rejected_before_any_path(self, grid):
-        # SimConfig accepts these grids; the renewal curve does not, and
-        # 10^6 paths would take minutes before it raised.
-        with pytest.raises(ValueError, match="t_grid must increase from 0"):
-            mc_mean_intensity(HAWKES_BANK, grid, 10**6, seed=1)
+    @pytest.mark.parametrize("grid, from_zero, points", [
+        ([0.0, 1.0, 1.0], [0.0, 1.0], [0, 1, 1]),
+        ([1.0, 2.0], [0.0, 1.0, 2.0], [1, 2]),
+    ], ids=["repeated", "late_start"])
+    def test_grid_reads_the_bits_of_a_grid_from_zero(self, grid, from_zero, points):
+        # The renewal curve once refused these grids.  A grid moves no draw,
+        # so at the same horizon each point reads the samples, targets and
+        # z-scores it has in a strictly increasing grid from 0.
+        report = mc_mean_intensity(HAWKES_BANK, grid, 200, seed=1)
+        reference = mc_mean_intensity(HAWKES_BANK, from_zero, 200, seed=1)
+        assert report.mean.tolist() == reference.mean[points].tolist()
+        assert report.stderr.tolist() == reference.stderr[points].tolist()
+        for key, comparison in report.comparisons.items():
+            assert comparison.target.tolist() == reference.comparisons[key].target[points].tolist()
+            assert comparison.z.tolist() == reference.comparisons[key].z[points].tolist()
 
     def test_empty_grid_rejected_before_any_path(self):
         with pytest.raises(ValueError, match="t_grid"):
@@ -218,11 +228,11 @@ def _row_by_row_drift(bank, state, functions, h, n_reps, seed):
                       state.counts[2], bank.base_rates[2] + state.xi[2]])
     d = np.empty((len(functions), n_reps))
     batch = simulate_markov_batch(bank, config, n_reps, state)
-    zetas = np.empty((n_reps, 6))
-    zetas[:, 0::2] = batch.counts
-    zetas[:, 1::2] = np.array(bank.base_rates) + batch.xi
+    zetas = np.empty((6, n_reps))
+    zetas[0::2] = batch.counts
+    zetas[1::2] = np.array(bank.base_rates)[:, None] + batch.xi
     for k, f in enumerate(functions):
-        d[k] = [(f(z) - f(zeta0)) / h for z in zetas]
+        d[k] = [(f(z) - f(zeta0)) / h for z in zetas.T]
     # Reduced along each function's row, as generator_drift_check does.
     return d.mean(axis=1), d.std(axis=1, ddof=1) / math.sqrt(n_reps)
 

@@ -330,11 +330,21 @@ class TestObservables:
         {"f_grid": [0.0, float("nan")]},
         {"f_grid": [0.0, 0.5], "f_reference": -0.25},
         {"f_grid": []},
-    ], ids=["grid_above_one", "grid_nan", "reference_below_zero", "grid_empty"])
-    def test_sweep_fitness_rejected_before_any_run(self, kw):
+        {"f_grid": [0.5, 0.25, 1.0]},
+        {"f_grid": [[0.0, 0.5], [0.25, 0.75]]},
+        {"f_grid": 0.5},
+    ], ids=["grid_above_one", "grid_nan", "reference_below_zero", "grid_empty",
+            "grid_unsorted", "grid_2d", "grid_0d"])
+    def test_sweep_fitness_rejected_before_any_run(self, kw, monkeypatch):
         # Every run was once simulated before theoretical_site_cdf refused
         # the point, and no point was refused when both critical fitnesses
-        # were >= 1; 10^6 runs would take minutes before a late check.
+        # were >= 1; 10^6 runs would take minutes before a late check.  An
+        # unsorted grid misleads the knee estimate's first crossing, and a
+        # 2-D one failed only after every run.
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr("hawkes_evolve.experiments._sweep_worker", no_run)
         name = "f_reference" if "f_reference" in kw else "f_grid"
         with pytest.raises(ValueError, match=name):
             phase_transition_sweep(GROWING, kw["f_grid"], 30.0, 10**6, seed=5,
@@ -382,11 +392,13 @@ class TestPopulationSimulation:
         times = [t for t, _ in pop.snapshots]
         assert times == [t for t in np.linspace(0.0, 10.0, 41).tolist() if t <= pop.path.elapsed]
 
-    @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")], [-1.0, 0.0, 5.0]],
-                             ids=["unsorted", "nan", "negative"])
+    @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")], [-1.0, 0.0, 5.0],
+                                      [[0.0, 5.0], [1.0, 2.0]], 0.5],
+                             ids=["unsorted", "nan", "negative", "2d", "0d"])
     def test_snapshot_grid_must_be_finite_and_non_decreasing(self, grid):
         # The snapshots are taken in one forward pass: an unsorted grid once
-        # labelled the t = 1 snapshot with the partition at t = 5.
+        # labelled the t = 1 snapshot with the partition at t = 5, and so did
+        # a 2-D grid, read flattened, its t = 1 and t = 2 snapshots.
         with pytest.raises(ValueError, match="snapshot_grid"):
             simulate_population(GROWING, SimConfig(horizon=10.0, seed=5), snapshot_grid=grid)
 

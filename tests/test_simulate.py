@@ -138,12 +138,16 @@ class TestSimConfig:
             SimConfig(horizon=1.0, seed=1, engine="exact")
 
     @pytest.mark.parametrize("grid", [(5.0, 1.0, 3.0), (0.0, float("nan"), 2.0),
-                                      (0.0, 1.0, float("inf")), (-1.0, 0.0, 2.0), (-1e-300,)],
-                             ids=["unsorted", "nan", "inf", "negative", "tiny_negative"])
+                                      (0.0, 1.0, float("inf")), (-1.0, 0.0, 2.0), (-1e-300,),
+                                      ((0.0, 5.0), (1.0, 2.0)), 0.5],
+                             ids=["unsorted", "nan", "inf", "negative", "tiny_negative",
+                                  "2d", "0d"])
     def test_record_grid_must_be_finite_and_non_decreasing(self, grid):
         # An unsorted grid once read the shot noise before the path's last
         # event: lambda1 = 36.2 at t = 1 on CROSS_BANK, seed 1, against 4.38.
-        # Every path starts at t = 0, so a negative time has no state to read.
+        # A 2-D grid, its rows each sorted, was read flattened: lambda1 =
+        # 79.7 at t = 1 against 3.14.  Every path starts at t = 0, so a
+        # negative time has no state to read.
         config = SimConfig(horizon=10.0, seed=1)
         with pytest.raises(ValueError, match="record_grid"):
             simulate_markov_batch(CROSS_BANK, config, 4, record_grid=grid)
@@ -159,7 +163,7 @@ class TestSimConfig:
         start = [*CROSS_BANK.base_rates[:2], 0.0, CROSS_BANK.base_rates[2]]
         if engine == "batch":
             samples = simulate_markov_batch(CROSS_BANK, config, 4,
-                                            record_grid=grid).intensity_samples[0]
+                                            record_grid=grid).intensity_samples[:, :, 0]
             del start[2]
         else:
             samples = intensities_at(simulate(CROSS_BANK, config), CROSS_BANK, grid)
@@ -420,15 +424,16 @@ class TestMarkovBatch:
         paths = [simulate_markov(bank, config, path_index=i) for i in range(n)]
         counts = np.array([p.final_state.counts for p in paths])
         for i in range(3):
-            assert stats.ks_2samp(batch.counts[:, i], counts[:, i]).pvalue > 0.01
+            assert stats.ks_2samp(batch.counts[i], counts[:, i]).pvalue > 0.01
 
         def z(a, b):
-            se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
-            return (a.mean(axis=0) - b.mean(axis=0)) / se
+            """z of the mean difference over the last axis, the paths."""
+            se = np.sqrt((a.var(axis=-1, ddof=1) + b.var(axis=-1, ddof=1)) / n)
+            return (a.mean(axis=-1) - b.mean(axis=-1)) / se
 
-        samples = np.array([intensities_at(p, bank, grid) for p in paths])
-        assert np.max(np.abs(z(batch.intensity_samples[:, 1:],
-                               samples[:, 1:, [0, 1, 3]]))) < 4.0
+        # (grid, lambda1 / lambda2 / ungated lambda3, paths), as the batch's samples.
+        samples = np.stack([intensities_at(p, bank, grid)[:, [0, 1, 3]] for p in paths], axis=-1)
+        assert np.max(np.abs(z(batch.intensity_samples[1:], samples[1:]))) < 4.0
         assert not batch.capped.any()
 
     def test_means_from_a_state_solve_the_moment_ode(self):
@@ -454,27 +459,28 @@ class TestMarkovBatch:
         exact = np.array([expm(m * t) @ y0 for t in grid])
 
         def z(x, mean):
-            return (x.mean(axis=0) - mean) / (x.std(axis=0, ddof=1) / math.sqrt(len(x)))
+            """z of the mean over the last axis, the paths."""
+            return (x.mean(axis=-1) - mean) / (x.std(axis=-1, ddof=1) / math.sqrt(n))
 
         # Grid point 0 is the start state itself, with no spread.
-        lam = batch.intensity_samples[:, 1:, :2]
+        lam = batch.intensity_samples[1:, :2]
         assert np.max(np.abs(z(lam, np.add(mu[:2], exact[1:, :2])))) < 4.0
-        assert np.max(np.abs(z(batch.counts[:, :2], exact[-1, 2:4]))) < 4.0
+        assert np.max(np.abs(z(batch.counts[:2], exact[-1, 2:4]))) < 4.0
 
     def test_capped_paths_stop_at_max_events(self):
         grid = tuple(np.linspace(0.0, 100.0, 101))
         batch = simulate_markov_batch(
             CROSS_BANK, SimConfig(horizon=100.0, seed=4, max_events=30), 500, record_grid=grid)
         assert batch.capped.all()
-        assert (batch.counts.sum(axis=1) == 30).all()
+        assert (batch.counts.sum(axis=0) == 30).all()
         # Each path's samples are finite up to its last event and NaN
         # after it, which comes before the horizon.
         reached = np.isfinite(batch.intensity_samples)
-        assert (reached == reached[:, :, :1]).all()
-        reached = reached[:, :, 0]
-        assert (reached[:, :-1] >= reached[:, 1:]).all()
-        assert reached[:, 0].all() and not reached[:, -1].any()
-        assert np.isnan(batch.intensity_samples[~reached]).all()
+        assert (reached == reached[:, :1]).all()
+        reached = reached[:, 0]
+        assert (reached[:-1] >= reached[1:]).all()
+        assert reached[0].all() and not reached[-1].any()
+        assert np.isnan(batch.intensity_samples[:, 0][~reached]).all()
 
     def test_first_event_is_a_birth_in_the_base_rate_ratio(self):
         # One event per path: a mutant or a clone birth with odds
@@ -483,11 +489,11 @@ class TestMarkovBatch:
         batch = simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=100.0, seed=5,
                                                              max_events=1), 2000)
         assert batch.capped.all()
-        mutant = batch.counts[:, 0] == 1
-        assert (batch.counts[mutant] == (1, 0, 0)).all()
-        assert (batch.counts[~mutant] == (0, 1, 0)).all()
-        jumps = np.array(HAWKES_BANK.jumps)
-        assert np.array_equal(batch.xi, np.where(mutant[:, None], jumps[0], jumps[1]))
+        mutant = batch.counts[0] == 1
+        assert (batch.counts[:, mutant] == [[1], [0], [0]]).all()
+        assert (batch.counts[:, ~mutant] == [[0], [1], [0]]).all()
+        jumps = np.array(HAWKES_BANK.jumps)[:, :, None]
+        assert np.array_equal(batch.xi, np.where(mutant, jumps[0], jumps[1]))
         assert stats.binomtest(int(mutant.sum()), 2000, mu1 / (mu1 + mu2)).pvalue > 1e-4
 
     def test_final_state_and_grid_of_the_poisson_bank(self):
@@ -498,18 +504,26 @@ class TestMarkovBatch:
         assert not batch.capped.any()
         assert (batch.xi == 0.0).all()
         samples = batch.intensity_samples
-        assert samples.shape == (200, 4, 3)
-        assert (samples[:, :, 0] == 2.0).all() and (samples[:, :, 1] == 1.0).all()
-        assert (samples[:, :, 2] == 1.0).all()
-        n = batch.counts[:, 0] + batch.counts[:, 1] - batch.counts[:, 2]
+        assert samples.shape == (4, 3, 200)
+        assert (samples[:, 0] == 2.0).all() and (samples[:, 1] == 1.0).all()
+        assert (samples[:, 2] == 1.0).all()
+        n = batch.counts[0] + batch.counts[1] - batch.counts[2]
         assert (n >= 0).all()
 
     def test_blocks_are_reproducible_and_distinct(self):
         # Block 1 holds the last 50 rows and draws from a stream of its own.
+        # Every output is C-contiguous with the paths last, the layout its
+        # readers reduce.
+        n_paths, grid = BATCH_BLOCK + 50, (0.0, 1.0, 1.0, 3.0)
         config = SimConfig(horizon=5.0, seed=3)
-        a, b = (simulate_markov_batch(HAWKES_BANK, config, BATCH_BLOCK + 50) for _ in range(2))
+        a, b = (simulate_markov_batch(HAWKES_BANK, config, n_paths, record_grid=grid)
+                for _ in range(2))
+        assert a.intensity_samples.shape == (len(grid), 3, n_paths)
+        assert a.xi.shape == a.counts.shape == (3, n_paths) and a.capped.shape == (n_paths,)
+        assert all(x.flags.c_contiguous for x in (a.intensity_samples, a.xi, a.counts, a.capped))
         assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
-        assert not np.array_equal(a.counts[:50], a.counts[BATCH_BLOCK:])
+        assert np.array_equal(a.intensity_samples, b.intensity_samples)
+        assert not np.array_equal(a.counts[:, :50], a.counts[:, BATCH_BLOCK:])
 
     # Fixed-seed runs of the batch engine, each hashed over all four
     # MarkovBatch arrays from the first row of its block on: a change to
@@ -548,42 +562,50 @@ class TestMarkovBatch:
         "extinct": "85aabb72dcdcd152b19d55aba82f824d8f336159043d0f657606725c37a677d4",
         "multi_block": "8485b8b9e4af953d1bce5cbf22523cf83f85f98216285ea8f4f19825572806ee",
     }
+    # The engine calls numpy's exp, so each digest is pinned per dispatch
+    # target (conftest.py); PINNED_SHA256 holds the X86_V4 set.  The X86_V3
+    # and baseline sets are equal; only the Poisson run, whose shot noise
+    # stays 0, reads the same on every target.
+    _BELOW_X86_V4 = {
+        "cross": "aac3c4e1b011ec168d3a3a3cd1796bddb8d8f19caf0c04b41539218493be3e0f",
+        "poisson": PINNED_SHA256["poisson"],
+        "from_a_state": "03a03882395fbd945978ea30e2e5afd9fa5b2492992895aa5072e35f6e73bb2f",
+        "capped": "c6236dd225cc961102da7933cf1615afbfcdcbd5584c2ff0d56226f833816caa",
+        "block_1": "c859a8af62eabf4bee65ded444d9f50a23766af7c33cd129096ed421fe277234",
+        "extinct": "b3edf8e1180d35b36cf944e9f2c01e7870ed4950139d0e2a407b2441c398ff5a",
+        "multi_block": "c9bb9bab549b6e63a713f7d875cf7e11a529600f8f7ece062af5b87656c369b7",
+    }
+    PINNED_SHA256_BY_TARGET = {"X86_V4": PINNED_SHA256, "X86_V3": _BELOW_X86_V4,
+                               "baseline(X86_V2)": _BELOW_X86_V4}
 
     @staticmethod
     def batch_digest(batch, first_row=0):
-        """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array's rows."""
+        """SHA-256 over the name, dtype, shape and bytes of each MarkovBatch array's rows.
+
+        Each array is hashed path-major, its paths axis moved first, the
+        order in which these digests were first pinned.
+        """
         h = hashlib.sha256()
         for name in ("intensity_samples", "xi", "counts", "capped"):
-            a = np.ascontiguousarray(getattr(batch, name)[first_row:])
+            a = np.ascontiguousarray(np.moveaxis(getattr(batch, name), -1, 0)[first_row:])
             h.update(f"{name} {a.dtype.str} {a.shape}".encode())
             h.update(a.tobytes())
         return h.hexdigest()
 
     @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
-    def test_pinned_bytes(self, run):
+    def test_pinned_bytes(self, run, for_exp_target):
+        pinned = for_exp_target(self.PINNED_SHA256_BY_TARGET)[run]
         bank, config, n_paths, state, block = self.PINNED_RUNS[run]
         config = dict(config)
         grid = config.pop("record_grid")
         batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state,
                                       record_grid=grid)
-        assert self.batch_digest(batch, block * BATCH_BLOCK) == self.PINNED_SHA256[run]
+        assert self.batch_digest(batch, block * BATCH_BLOCK) == pinned
 
     def test_empty_run_refused(self):
         for n_paths in (0, -1):
             with pytest.raises(ValueError, match="at least 1 path"):
                 simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=1.0, seed=1), n_paths)
-
-    def test_outputs_are_component_major(self):
-        # The engine writes each component as one contiguous row over the
-        # paths, which is how its readers reduce them; the public shapes
-        # put the paths first.
-        n_paths, grid = BATCH_BLOCK + 100, (0.0, 1.0, 1.0, 3.0)
-        batch = simulate_markov_batch(CROSS_BANK, SimConfig(horizon=3.0, seed=8), n_paths,
-                                      record_grid=grid)
-        assert batch.xi.shape == batch.counts.shape == (n_paths, 3)
-        assert batch.intensity_samples.shape == (n_paths, len(grid), 3)
-        assert batch.xi.T.flags.c_contiguous and batch.counts.T.flags.c_contiguous
-        assert batch.intensity_samples.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestThinningEngine:
