@@ -512,15 +512,9 @@ class TestMarkovBatch:
 
     def test_blocks_are_reproducible_and_distinct(self):
         # Block 1 holds the last 50 rows and draws from a stream of its own.
-        # Every output is C-contiguous with the paths last, the layout its
-        # readers reduce.
-        n_paths, grid = BATCH_BLOCK + 50, (0.0, 1.0, 1.0, 3.0)
         config = SimConfig(horizon=5.0, seed=3)
-        a, b = (simulate_markov_batch(HAWKES_BANK, config, n_paths, record_grid=grid)
-                for _ in range(2))
-        assert a.intensity_samples.shape == (len(grid), 3, n_paths)
-        assert a.xi.shape == a.counts.shape == (3, n_paths) and a.capped.shape == (n_paths,)
-        assert all(x.flags.c_contiguous for x in (a.intensity_samples, a.xi, a.counts, a.capped))
+        a, b = (simulate_markov_batch(HAWKES_BANK, config, BATCH_BLOCK + 50,
+                                      record_grid=(0.0, 1.0, 1.0, 3.0)) for _ in range(2))
         assert np.array_equal(a.counts, b.counts) and np.array_equal(a.xi, b.xi)
         assert np.array_equal(a.intensity_samples, b.intensity_samples)
         assert not np.array_equal(a.counts[:, :50], a.counts[:, BATCH_BLOCK:])
@@ -606,6 +600,19 @@ class TestMarkovBatch:
         for n_paths in (0, -1):
             with pytest.raises(ValueError, match="at least 1 path"):
                 simulate_markov_batch(HAWKES_BANK, SimConfig(horizon=1.0, seed=1), n_paths)
+
+    def test_outputs_are_component_major(self):
+        # The engine writes each component as one contiguous row over the
+        # paths, which is how its readers reduce them; every output is
+        # C-contiguous with the paths last.
+        n_paths, grid = BATCH_BLOCK + 100, (0.0, 1.0, 1.0, 3.0)
+        batch = simulate_markov_batch(CROSS_BANK, SimConfig(horizon=3.0, seed=8), n_paths,
+                                      record_grid=grid)
+        assert batch.xi.shape == batch.counts.shape == (3, n_paths)
+        assert batch.intensity_samples.shape == (len(grid), 3, n_paths)
+        assert batch.capped.shape == (n_paths,)
+        assert all(x.flags.c_contiguous for x in (batch.intensity_samples, batch.xi,
+                                                  batch.counts, batch.capped))
 
 
 class TestThinningEngine:
