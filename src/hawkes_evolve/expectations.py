@@ -153,8 +153,8 @@ def _renewal_moments(bank: KernelBank, t) -> tuple[np.ndarray, np.ndarray]:
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
     """Exact first-moment intensity of process i at each time of t_grid.
 
-    Each time is solved on its own, so any finite t >= 0 may be asked: a
-    grid (``check_grid``) need not start at 0, and its points may repeat.
+    ``t_grid`` is any array of finite times >= 0, of any shape and in any
+    order: each time is solved on its own.
     """
     _check_index(i)
     return _renewal_moments(bank, t_grid)[0][..., i - 1]

@@ -480,7 +480,7 @@ class TestMarkovBatch:
         reached = reached[:, 0]
         assert (reached[:-1] >= reached[1:]).all()
         assert reached[0].all() and not reached[-1].any()
-        assert np.isnan(batch.intensity_samples[:, 0][~reached]).all()
+        assert np.isnan(batch.intensity_samples.transpose(0, 2, 1)[~reached]).all()
 
     def test_first_event_is_a_birth_in_the_base_rate_ratio(self):
         # One event per path: a mutant or a clone birth with odds
