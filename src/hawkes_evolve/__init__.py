@@ -6,7 +6,6 @@ from .core import (
     IntensityState,
     KernelBank,
     Mark,
-    UnsupportedKernelError,
     bank_from_json,
     bank_to_json,
 )

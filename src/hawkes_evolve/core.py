@@ -5,10 +5,10 @@ clone births (type 2) and deaths (type 3).  The first two are mutually
 exciting, the third is self exciting and gated by the population size.
 This module holds the static parameters (the kernel tables and baseline
 rates), the event log of a realization, and the shot-noise state record.
-Every kernel is exponential, which is what makes (counts, shot noise) a
-Markov process: the shot noise decays in closed form between events
-and jumps by ``KernelBank.jumps`` at each one.  The engines in
-``simulate`` run that recursion on plain floats.
+Every kernel is alpha e^{-beta t}, with no constant offset, which is
+what makes (counts, shot noise) a Markov process: the shot noise decays
+in closed form between events and jumps by ``KernelBank.jumps`` at each
+one.  The engines in ``simulate`` run that recursion on plain floats.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class UnsupportedKernelError(ValueError):
-    """Raised when an operation needs a kernel structure the bank lacks."""
 
 
 class DegenerateParametersError(ValueError):
@@ -43,57 +39,46 @@ class KernelBank:
     """Baseline rates and exponential excitation kernels of the three processes, as tables.
 
     An event of mark m raises the intensity of process i by the kernel
-    delta + alpha * exp(-beta * t): ``jumps[m - 1][i - 1]`` is its alpha,
-    ``offsets[m - 1][i - 1]`` its delta, and ``betas[i - 1]`` the decay
-    rate that every kernel on intensity i shares, which is what makes
-    the system Markov.  Births never move lambda3 and deaths never move
-    lambda1 or lambda2, so those entries are zero.  Values are kept as
-    given and validated once, here.
+    alpha * exp(-beta * t): ``jumps[m - 1][i - 1]`` is its alpha, and
+    ``betas[i - 1]`` the decay rate that every kernel on intensity i
+    shares, which is what makes the system Markov.  Births never move
+    lambda3 and deaths never move lambda1 or lambda2, so those entries
+    are zero.  Values are kept as given and validated once, here.
     """
 
     base_rates: tuple[float, float, float]
     jumps: tuple[tuple[float, float, float], ...]
     betas: tuple[float, float, float]
-    offsets: tuple[tuple[float, float, float], ...] = ((0.0,) * 3,) * 3
 
     def __post_init__(self):
         if len(self.base_rates) != 3 or not all(0 < r < math.inf for r in self.base_rates):
             raise ValueError(f"base_rates must be three finite numbers > 0, got {self.base_rates}")
         if len(self.betas) != 3 or not all(0 < b < math.inf for b in self.betas):
             raise ValueError(f"betas must be three finite numbers > 0, got {self.betas}")
-        for name, table in (("alpha", self.jumps), ("delta", self.offsets)):
-            if len(table) != 3 or any(len(row) != 3 for row in table) or not all(
-                    0 <= x < math.inf for row in table for x in row):
-                raise ValueError(f"{name} table must be 3x3 of finite numbers >= 0, got {table}")
-            if table[0][2] or table[1][2] or table[2][0] or table[2][1]:
-                raise ValueError(f"births never move lambda3 and deaths never move lambda1 "
-                                 f"or lambda2, got {name} table {table}")
+        jumps = self.jumps
+        if len(jumps) != 3 or any(len(row) != 3 for row in jumps) or not all(
+                0 <= x < math.inf for row in jumps for x in row):
+            raise ValueError(f"alpha table must be 3x3 of finite numbers >= 0, got {jumps}")
+        if jumps[0][2] or jumps[1][2] or jumps[2][0] or jumps[2][1]:
+            raise ValueError(f"births never move lambda3 and deaths never move lambda1 "
+                             f"or lambda2, got alpha table {jumps}")
 
     @classmethod
-    def exponential(cls, base_rates, alphas, betas, death_alpha, death_beta,
-                    deltas=None, death_delta=0.0) -> "KernelBank":
+    def exponential(cls, base_rates, alphas, betas, death_alpha, death_beta) -> "KernelBank":
         """Build a bank from the kernel parameters.
 
         ``alphas[j][i]`` is the jump of intensity i+1 at a type-(j+1)
         event; ``betas[i]`` is the decay rate attached to intensity i+1.
         """
         (a11, a12), (a21, a22) = alphas
-        (d11, d12), (d21, d22) = ((0.0, 0.0), (0.0, 0.0)) if deltas is None else deltas
         return cls(tuple(base_rates),
                    ((a11, a12, 0.0), (a21, a22, 0.0), (0.0, 0.0, death_alpha)),
-                   (betas[0], betas[1], death_beta),
-                   ((d11, d12, 0.0), (d21, d22, 0.0), (0.0, 0.0, death_delta)))
+                   (betas[0], betas[1], death_beta))
 
     @classmethod
     def poisson(cls, base_rates) -> "KernelBank":
         """Bank with all excitation switched off (three Poisson processes)."""
         return cls.exponential(base_rates, ((0.0, 0.0), (0.0, 0.0)), (1.0, 1.0), 0.0, 1.0)
-
-
-def require_zero_offsets(bank: KernelBank, what: str) -> None:
-    """Raise UnsupportedKernelError, naming ``what``, if any kernel has an offset delta."""
-    if np.any(bank.offsets):
-        raise UnsupportedKernelError(f"{what}: kernels with a constant offset are not supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +167,7 @@ class IntensityState:
 
 
 def _kernel_to_dict(bank: KernelBank, m: int, i: int) -> dict:
-    return {"alpha": bank.jumps[m][i], "beta": bank.betas[i], "delta": bank.offsets[m][i]}
+    return {"alpha": bank.jumps[m][i], "beta": bank.betas[i], "delta": 0.0}
 
 
 def _number(value, what: str) -> float:
@@ -197,15 +182,17 @@ def _require_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
-def _kernel_from_dict(d, what: str) -> tuple[float, float, float]:
+def _kernel_from_dict(d, what: str) -> tuple[float, float]:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = set(d) - {"alpha", "beta", "delta"}
     if unknown:
         raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
     _require_keys(d, ("alpha", "beta"), what)
-    return (_number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta"),
-            _number(d.get("delta", 0.0), f"{what} delta"))
+    if _number(d.get("delta", 0.0), f"{what} delta") != 0:
+        raise ValueError(f"{what} delta must be 0 (a kernel has no constant offset), "
+                         f"got {d['delta']!r}")
+    return _number(d["alpha"], f"{what} alpha"), _number(d["beta"], f"{what} beta")
 
 
 def bank_to_json(bank: KernelBank) -> str:
@@ -221,7 +208,9 @@ def bank_from_json(text: str) -> KernelBank:
     """Parse the JSON bank document; unknown, missing and non-numeric entries are rejected.
 
     The file holds one beta per kernel, so this is where the rule that
-    the kernels on one intensity share their decay rate is checked.
+    the kernels on one intensity share their decay rate is checked.  A
+    kernel's ``"delta"``, a constant offset, must be 0 or absent: it is
+    read so that files written with it still load.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -246,5 +235,4 @@ def bank_from_json(text: str) -> KernelBank:
                              f"rate, got {births[0][i][1]} and {births[1][i][1]}")
     return KernelBank.exponential(
         [_number(r, "base_rates entry") for r in rates],
-        [[k[0] for k in row] for row in births], [k[1] for k in births[0]], death[0], death[1],
-        [[k[2] for k in row] for row in births], death[2])
+        [[k[0] for k in row] for row in births], [k[1] for k in births[0]], death[0], death[1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateParametersError, KernelBank, require_zero_offsets
+from .core import DegenerateParametersError, KernelBank
 
 
 class NoStationaryRateError(ValueError):
@@ -37,7 +37,6 @@ def _paper_limit(bank: KernelBank, i: int) -> float:
     l0j a_ji) / b_i - (a_ii a_jj - a_ij a_ji) l0i / (b_i b_j), which stays
     finite at equal decay rates.
     """
-    require_zero_offsets(bank, "the closed forms")
     # a[j][i] is alpha_{ji}: effect of a type-j event on intensity i.
     a, betas = bank.jumps, bank.betas
     if i == 3:
@@ -92,8 +91,11 @@ def _paper_mean(bank: KernelBank, i: int) -> tuple[float, tuple[float, ...], tup
     return coef.c, (coef.a, coef.b), (betas[i - 1], betas[2 - i])
 
 
-def expected_intensity_paper(bank: KernelBank, i: int, t) -> float:
-    """Closed-form mean intensity of process i at time t (ungated for i=3)."""
+def expected_intensity_paper(bank: KernelBank, i: int, t) -> float | np.ndarray:
+    """Closed-form mean intensity of process i at time t (ungated for i=3).
+
+    A float for a scalar t, an array of t's shape otherwise.
+    """
     _check_index(i)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
@@ -121,33 +123,30 @@ def univariate_remark_intensity(lam0: float, alpha: float, beta: float, t) -> np
 def _renewal_moments(bank: KernelBank, t) -> tuple[np.ndarray, np.ndarray]:
     """Exact renewal mean intensities and mean counts of the three processes at t.
 
-    With A = ``bank.jumps``, Delta = ``bank.offsets`` and phi_ji(t) =
-    Delta_ji + A_ji exp(-beta_i t), the first-moment equation y =
-    lambda0 + Phi^T * y is a linear ODE in the mean shot noise x and the
-    mean counts c: x' = -diag(beta) x + A^T y, c' = y, with y = lambda0
-    + x + Delta^T c.  The state (x, c, 1) starts at (0, 0, 1), so its
-    value at a finite t is the last column of expm(M t).  M is defective
-    (the counts grow linearly), which rules out diagonalizing it.
-    Returns (y, c), each with a last axis of 3.  ``scipy.linalg`` is
-    imported here, on the first solve, so that importing the package and
-    every command off the renewal route load numpy alone.
+    With A = ``bank.jumps`` and phi_ji(t) = A_ji exp(-beta_i t), the
+    first-moment equation y = lambda0 + Phi^T * y is a linear ODE in the
+    mean shot noise x and the mean counts c: x' = -diag(beta) x + A^T y,
+    c' = y, with y = lambda0 + x.  The state (x, c, 1) starts at
+    (0, 0, 1), so its value at a finite t is the last column of
+    expm(M t).  M is defective (the counts grow linearly), which rules
+    out diagonalizing it.  Returns (y, c), each with a last axis of 3.
+    ``scipy.linalg`` is imported here, on the first solve, so that
+    importing the package and every command off the renewal route load
+    numpy alone.
     """
     from scipy.linalg import expm  # deferred: 0.3 s and 28 MiB at import
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError("t must be finite and >= 0")
     lam0 = np.array(bank.base_rates)
-    a, delta = np.array(bank.jumps), np.array(bank.offsets)
+    a = np.array(bank.jumps)
     m = np.zeros((7, 7))
     m[:3, :3] = a.T - np.diag(bank.betas)
-    m[:3, 3:6] = a.T @ delta.T
     m[:3, -1] = a.T @ lam0
     m[3:6, :3] = np.eye(3)
-    m[3:6, 3:6] = delta.T
     m[3:6, -1] = lam0
     z = expm(t[..., None, None] * m)[..., -1]
-    x, c = z[..., :3], z[..., 3:6]
-    return lam0 + x + c @ delta, c
+    return lam0 + z[..., :3], z[..., 3:6]
 
 
 def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
@@ -163,16 +162,16 @@ def expected_intensity_renewal(bank: KernelBank, i: int, t_grid) -> np.ndarray:
 def expected_count(bank: KernelBank, i: int, t: float, method: str = "paper") -> float:
     """Mean event count of process i on [0, t] for the selected curve."""
     _check_index(i)
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if method not in ("paper", "renewal"):
+        raise ValueError(f"unknown method {method!r}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return 0.0
     if method == "paper":
         c, weights, rates = _paper_mean(bank, i)
         return c * t + sum(w * (1.0 - math.exp(-r * t)) / r for w, r in zip(weights, rates))
-    if method == "renewal":
-        return float(_renewal_moments(bank, t)[1][i - 1])
-    raise ValueError(f"unknown method {method!r}")
+    return float(_renewal_moments(bank, t)[1][i - 1])
 
 
 def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, float, float]:
@@ -181,14 +180,11 @@ def asymptotic_rates(bank: KernelBank, method: str = "paper") -> tuple[float, fl
     The paper route takes the t -> inf limits of the closed forms; the
     renewal route solves the stationary balance Lambda = lambda0 + K^T
     Lambda of the three processes at once, with K[j, i] = alpha_ji /
-    beta_i the kernels' L1 norms.  That needs zero offsets (an offset
-    makes a norm infinite) and a subcritical K.
+    beta_i the kernels' L1 norms.  That needs a subcritical K.
     """
     if method == "paper":
         return (_paper_limit(bank, 1), _paper_limit(bank, 2), _paper_limit(bank, 3))
     if method == "renewal":
-        if np.any(bank.offsets):
-            raise NoStationaryRateError("a kernel with a constant offset has infinite L1 norm")
         k = np.array(bank.jumps) / np.array(bank.betas)
         if np.max(np.abs(np.linalg.eigvals(k))) >= 1:
             raise NoStationaryRateError("branching matrix is not subcritical")

@@ -152,19 +152,17 @@ def _zeta(bank: KernelBank, counts, xi) -> np.ndarray:
 def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> float:
     """Analytic generator of the joint (counts, intensities) process at a state.
 
-    Drift moves each intensity toward its baseline (plus the offset floor
-    when kernels carry one); jump terms weigh the post-jump change by the
-    current rates (a jump is alpha + delta, the kernel at lag zero), with
-    the death term gated by the population size.
+    Drift moves each intensity toward its baseline; jump terms weigh the
+    post-jump change by the current rates (a jump is alpha, the kernel at
+    lag zero), with the death term gated by the population size.
     """
     zeta = _zeta(bank, state.counts, state.xi)
     betas = bank.betas
-    floor = np.array(state.counts) @ np.array(bank.offsets)
     out = 0.0
     # Drift part: central differences in the intensity coordinates.
     for i in range(3):
         li = zeta[2 * i + 1]
-        coeff = betas[i] * (floor[i] - li + bank.base_rates[i])
+        coeff = betas[i] * (bank.base_rates[i] - li)
         h = 1e-6 * max(1.0, abs(li))
         up, dn = zeta.copy(), zeta.copy()
         up[2 * i + 1] += h
@@ -173,7 +171,7 @@ def generator_apply(bank: KernelBank, state: IntensityState, f: Callable) -> flo
     # Jump parts: row m - 1 adds one mark-m event and the mark's kernels at lag zero.
     jumps = np.zeros((3, 6))
     jumps[:, 0::2] = np.eye(3)
-    jumps[:, 1::2] = np.add(bank.jumps, bank.offsets)
+    jumps[:, 1::2] = bank.jumps
     f0 = f(zeta)
     out += zeta[1] * (f(zeta + jumps[0]) - f0)
     out += zeta[3] * (f(zeta + jumps[1]) - f0)

@@ -185,6 +185,13 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     return PopulationPath(path, partition, snapshots, lr)
 
 
+def _check_split(f: float, epsilon: float) -> None:
+    if not 0 < f < 1:
+        raise ValueError(f"f must be in (0, 1), got {f}")
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+
+
 def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: SimConfig,
                            path_index: int = 0) -> np.ndarray:
     """Trajectory (t, L, R) of the modified chain with constant clone split.
@@ -194,10 +201,7 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
     L/N.  Runs with the same seed share the event path and the per-event
     uniforms, giving the monotone coupling in epsilon.
     """
-    if not 0 < f < 1:
-        raise ValueError(f"f must be in (0, 1), got {f}")
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    _check_split(f, epsilon)
     path = simulate(bank, config, path_index)
     # One draw per event keeps coupling across epsilon.
     uniforms = rng_for(config.seed, path_index, EPSILON_STREAM).random(len(path.events)).tolist()
@@ -225,6 +229,7 @@ def simulate_epsilon_chain(bank: KernelBank, f: float, epsilon: float, config: S
 
 def rho_limit(bank: KernelBank, f: float, epsilon: float, rate_method: str = "paper") -> float:
     """Limiting left-mass fraction of the modified chain in the growth regime."""
+    _check_split(f, epsilon)
     lam1, lam2, lam3 = asymptotic_rates(bank, rate_method)
     denom = lam1 + lam2 - lam3
     if denom <= 0:

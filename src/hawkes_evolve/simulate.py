@@ -7,11 +7,12 @@ engine, which sums the kernels over every past event and so serves as an
 independent reference check on it.  The loop evaluates the shot noise
 once per candidate: a rejected candidate's intensities are the next
 bound, and at an accepted event the loop adds the mark's jumps
-(``KernelBank.jumps``) to the shot noise it has just evaluated.  With
-zero offsets the total intensity decays between events, so the value
-after the last event or candidate is a valid bound.  The loop draws its
-randoms from the path's stream in blocks of k exponentials then 2k
-uniforms, k = 64, 128, ..., 4096, and reads them in order (``_run``).
+(``KernelBank.jumps``) to the shot noise it has just evaluated.  Every
+kernel decays, so the total intensity decays between events, and the
+value after the last event or candidate is a valid bound.  The loop
+draws its randoms from the path's stream in blocks of k exponentials
+then 2k uniforms, k = 64, 128, ..., 4096, and reads them in order
+(``_run``).
 The batched Markov engine runs the same loop on a whole run of paths,
 as numpy arrays in lockstep blocks, for the Monte Carlo harness; it
 draws per step, from streams of its own, stores its outputs
@@ -32,7 +33,7 @@ import numpy as np
 # the pool workers forked by each sweep or rho call inherit it.
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import EventLog, IntensityState, KernelBank, require_zero_offsets
+from .core import EventLog, IntensityState, KernelBank
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,6 @@ def simulate_markov(bank: KernelBank, config: SimConfig, path_index: int = 0) ->
     The shot noise is three floats and the time of the last event, which
     ``_run`` keeps as locals and decays in closed form.
     """
-    require_zero_offsets(bank, "simulate_markov")
     return _run(bank, config, rng_for(config.seed, path_index))
 
 
@@ -272,7 +272,6 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     run keeps the bits but raised the ``drift_check`` benchmark's peak
     memory by 9%, so the blocks run one after another.
     """
-    require_zero_offsets(bank, "simulate_markov_batch")
     if n_paths < 1:
         raise ValueError(f"a run needs at least 1 path, got {n_paths}")
     grid = None if record_grid is None else check_grid(record_grid, "record_grid")
@@ -476,7 +475,6 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
     per evaluation: one exp and one masked row-wise sum cover every
     kernel.
     """
-    require_zero_offsets(bank, "simulate_thinning_general")
     history = _History(bank)
     return _run(bank, config, rng_for(config.seed, path_index), history)
 
@@ -498,7 +496,6 @@ def intensities_at(path: SimPath, bank: KernelBank, record_grid) -> np.ndarray:
     The ungated column ignores the gate; the path's deaths still stop at N = 0.
     """
     grid = check_grid(record_grid, "record_grid")
-    require_zero_offsets(bank, "intensities_at")
     mu, betas, jumps = bank.base_rates, bank.betas, bank.jumps
     out = np.full((grid.size, 4), np.nan)
     x, t_last, n = (0.0, 0.0, 0.0), 0.0, 0
@@ -527,7 +524,6 @@ def time_rescale_residuals(path: SimPath, bank: KernelBank, i: int) -> np.ndarra
     """
     if i not in (1, 2, 3):
         raise ValueError(f"index must be 1, 2 or 3, got {i}")
-    require_zero_offsets(bank, "time_rescale_residuals")
     lam0 = bank.base_rates[i - 1]
     beta = bank.betas[i - 1]
     # jump[m - 1] is xi_i's jump at an event of int mark m; 3 is a death.

@@ -220,22 +220,25 @@ class TestExitCodes:
         assert not (tmp_path / "expectations.csv").exists()
 
     @pytest.mark.parametrize("argv, bank, message", [
-        (["simulate", "--horizon", "1"], bank_to_json(KernelBank.exponential(
-            (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)),
-         "constant offset"),
+        (["simulate", "--horizon", "1"], bank_to_json(KernelBank.poisson((1.0, 1.0, 1.0))).replace(
+            '"delta": 0.0\n  }\n}', '"delta": 0.2\n  }\n}'),
+         "death_kernel delta must be 0"),
         (["expect", "--method", "paper"], bank_to_json(KernelBank.exponential(
             (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.0), 0.4, 1.0)),
          "equal decay rates"),
         (["regime"], '{"base_rates": [1, 2', "delimiter"),
     ], ids=["offset_bank_simulated", "paper_curve_at_equal_decay_rates", "bank_not_json"])
     def test_value_error_subclasses_exit_2(self, argv, bank, message, tmp_path, capsys):
-        # UnsupportedKernelError, DegenerateParametersError and
+        # A plain ValueError, DegenerateParametersError and
         # json.JSONDecodeError, each a ValueError.
         path = tmp_path / "bank.json"
         path.write_text(bank)
-        assert run(argv + ["--bank", str(path), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert run(argv + ["--bank", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        # --out is created once the bank loads, and only the expect case's bank does.
+        assert out.exists() is (argv[0] == "expect")
 
     def test_expect_single_point(self, bank_file, tmp_path):
         assert run(["expect", "--bank", bank_file, "--method", "paper", "--points", "1",

@@ -29,8 +29,6 @@ def exp_bank(alphas=((0.5, 0.2), (0.3, 0.4)), betas=(2.0, 3.0), a3=0.4, b3=1.0,
 
 HAWKES_BANK = KernelBank.exponential(
     (1.0, 0.8, 1.2), ((0.4, 0.6), (0.2, 0.3)), (1.0, 1.5), 0.4, 1.0)
-# Every alpha and delta distinct, so a transposed or repeated row shows.
-ASYMMETRIC_BANK = exp_bank(deltas=((0.1, 0.2), (0.3, 0.4)), death_delta=0.5)
 
 
 class TestKernels:
@@ -39,15 +37,12 @@ class TestKernels:
             exp_bank(alphas=((0.5, 0.2), (-1.0, 0.4)))
         with pytest.raises(ValueError, match="beta"):
             exp_bank(betas=(2.0, 0.0))
-        with pytest.raises(ValueError, match="delta"):
-            exp_bank(death_delta=-0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("field", ["alpha", "beta", "delta"])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_non_finite_parameters_rejected(self, field, value):
         params = {"alpha": dict(alphas=((0.5, value), (0.3, 0.4))),
-                  "beta": dict(b3=value),
-                  "delta": dict(deltas=((0.0, 0.0), (0.0, value)))}[field]
+                  "beta": dict(b3=value)}[field]
         with pytest.raises(ValueError, match=field):
             exp_bank(**params)
 
@@ -67,8 +62,6 @@ class TestKernelBank:
         zero = ((0.0,) * 3,) * 3
         with pytest.raises(ValueError, match="alpha table must be 3x3"):
             KernelBank(bank.base_rates, bank.jumps[:2], bank.betas)
-        with pytest.raises(ValueError, match="delta table must be 3x3"):
-            KernelBank(bank.base_rates, bank.jumps, bank.betas, tuple(r[:2] for r in zero))
         with pytest.raises(ValueError, match="betas must be three"):
             KernelBank(bank.base_rates, bank.jumps, bank.betas[:2])
         # Births never move lambda3 and deaths never move lambda1 or lambda2.
@@ -77,8 +70,6 @@ class TestKernelBank:
             table[m][i] = 0.1
             with pytest.raises(ValueError, match="alpha table"):
                 KernelBank(bank.base_rates, tuple(map(tuple, table)), bank.betas)
-            with pytest.raises(ValueError, match="delta table"):
-                KernelBank(bank.base_rates, bank.jumps, bank.betas, tuple(map(tuple, table)))
 
     def test_positive_base_rates(self):
         with pytest.raises(ValueError):
@@ -98,34 +89,20 @@ class TestKernelBank:
         # The alphas are asymmetric, so a transposed table fails here.
         assert exp_bank().jumps == ((0.5, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.4))
 
-    def test_offsets_are_the_deltas_by_mark_and_target(self):
-        # Row m - 1, column i - 1: the offset of mark m's kernel on lambda_i.
-        # The deltas are asymmetric, so a transposed table fails here.
-        bank = exp_bank(deltas=((0.1, 0.2), (0.3, 0.4)), death_delta=0.5)
-        assert bank.offsets == ((0.1, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.5))
-        assert exp_bank().offsets == ((0.0,) * 3,) * 3
-
     def test_poisson_constructor(self):
         bank = KernelBank.poisson((2.0, 1.0, 1.0))
-        assert not np.any(bank.jumps) and not np.any(bank.offsets)
+        assert not np.any(bank.jumps)
 
     def test_json_round_trip(self):
         bank = exp_bank()
         again = bank_from_json(bank_to_json(bank))
         assert again == bank
 
-    def test_json_round_trip_of_an_asymmetric_offset_bank(self):
-        again = bank_from_json(bank_to_json(ASYMMETRIC_BANK))
-        assert again == ASYMMETRIC_BANK
-        assert again.jumps == ((0.5, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.4))
-        assert again.offsets == ((0.1, 0.2, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 0.5))
-
     @pytest.mark.parametrize("bank, digest", [
         (HAWKES_BANK, "6cff31466836308a9b22627374f3552070983c6b0b0c9e2c2427abf272e2790f"),
-        (ASYMMETRIC_BANK, "68165cd6cbcfeaa4410122e326d0c40ca58d108f5d8964821b0329b16e9ee87c"),
         (KernelBank.exponential((2, 1, 1), ((1, 0), (0, 1)), (3, 2), 1, 4),
          "c1c60bd1305359f150e208c6b45be8bc79437e5cd7ea69565c18e6661bbadfac"),
-    ], ids=["hawkes", "asymmetric_offsets", "int_built"])
+    ], ids=["hawkes", "int_built"])
     def test_json_text_pinned(self, bank, digest):
         # The bank file format, byte for byte: key order, nesting, and each
         # number as it was given (an int-built bank writes ints).
@@ -197,9 +174,29 @@ class TestKernelBank:
             bank_from_json(json.dumps(doc))
 
     def test_json_default_delta(self):
-        doc = json.loads(bank_to_json(ASYMMETRIC_BANK))
-        del doc["death_kernel"]["delta"]
-        assert bank_from_json(json.dumps(doc)).offsets[2][2] == 0.0
+        # A file without "delta" and one with "delta": 0 load as the same bank.
+        doc = json.loads(bank_to_json(exp_bank()))
+        doc["death_kernel"]["delta"] = 0
+        with_zero = bank_from_json(json.dumps(doc))
+        for kernel in [*doc["birth_kernels"][0], *doc["birth_kernels"][1], doc["death_kernel"]]:
+            del kernel["delta"]
+        assert bank_from_json(json.dumps(doc)) == with_zero == exp_bank()
+
+    @pytest.mark.parametrize("where, name", [
+        (("birth_kernels", 1, 0), r"birth_kernels\[1\]\[0\]"),
+        (("death_kernel",), "death_kernel"),
+    ], ids=["birth", "death"])
+    @pytest.mark.parametrize("value", [0.2, math.nan], ids=["positive", "nan"])
+    def test_json_nonzero_delta_rejected(self, where, name, value):
+        # The kernel is alpha e^{-beta t}: a constant offset is refused when
+        # the file is read, naming the kernel that carries it.
+        doc = json.loads(bank_to_json(exp_bank()))
+        node = doc
+        for key in where:
+            node = node[key]
+        node["delta"] = value
+        with pytest.raises(ValueError, match=f"^{name} delta must be 0"):
+            bank_from_json(json.dumps(doc))
 
 
 class TestIntensityState:

@@ -24,17 +24,14 @@ from hawkes_evolve import (
 rates = st.floats(0.1, 3.0)
 jumps = st.floats(0.0, 1.5)
 decays = st.floats(0.5, 3.0)
-offsets = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
 
 
 @st.composite
-def random_banks(draw, jumps=jumps, offsets=offsets):
+def random_banks(draw, jumps=jumps):
     return KernelBank.exponential(
         draw(st.tuples(rates, rates, rates)),
         draw(st.tuples(st.tuples(jumps, jumps), st.tuples(jumps, jumps))),
-        draw(st.tuples(decays, decays)), draw(jumps), draw(decays),
-        deltas=draw(st.tuples(st.tuples(offsets, offsets), st.tuples(offsets, offsets))),
-        death_delta=draw(offsets))
+        draw(st.tuples(decays, decays)), draw(jumps), draw(decays))
 
 
 # Mutant and clone rows alike: the bank the Monte Carlo checks read.
@@ -146,15 +143,14 @@ class TestRenewal:
         grid = np.linspace(0.0, 5.0, 4001)
         h = grid[1]
         y = {i: expected_intensity_renewal(bank, i, grid) for i in (1, 2, 3)}
-        # phi_ji(t) = delta + alpha exp(-beta t), read from the tables; the
-        # entries that couple births and deaths are zero.
+        # phi_ji(t) = alpha exp(-beta t), read from the tables; the entries
+        # that couple births and deaths are zero.
         for i in (1, 2, 3):
             for m in range(400, grid.size, 400):
                 lag = grid[m] - grid[:m + 1]
                 rhs = bank.base_rates[i - 1]
                 for j in (1, 2, 3):
-                    phi = (bank.offsets[j - 1][i - 1]
-                           + bank.jumps[j - 1][i - 1] * np.exp(-bank.betas[i - 1] * lag))
+                    phi = bank.jumps[j - 1][i - 1] * np.exp(-bank.betas[i - 1] * lag)
                     f = phi * y[j][:m + 1]
                     rhs += h * (f.sum() - 0.5 * (f[0] + f[-1]))
                 assert rhs == pytest.approx(y[i][m], rel=1e-5)
@@ -182,7 +178,7 @@ class TestRenewal:
 
     # Jumps of at most 0.2 against decay rates of at least 0.5 keep every
     # column of the branching matrix below 0.8: subcritical by construction.
-    @given(bank=random_banks(jumps=st.floats(0.0, 0.2), offsets=st.just(0.0)))
+    @given(bank=random_banks(jumps=st.floats(0.0, 0.2)))
     @settings(max_examples=40, deadline=None)
     def test_tends_to_stationary_rates(self, bank):
         limits = asymptotic_rates(bank, "renewal")
@@ -245,8 +241,8 @@ class TestExpectedCount:
 class TestTimeChecks:
     """NaN passes a ``t < 0`` check; every mean curve must refuse it.
 
-    At t = inf the paper curves read their limit; the renewal route,
-    whose expm(inf * M) is NaN, refuses it.
+    At t = inf the paper intensity reads its limit; the renewal route,
+    whose expm(inf * M) is NaN, refuses it, and so does every count.
     """
 
     BANK = KernelBank.exponential(
@@ -264,12 +260,23 @@ class TestTimeChecks:
 
     @pytest.mark.parametrize("method", ["paper", "renewal"])
     def test_count(self, method):
-        with pytest.raises(ValueError, match="t must be >= 0"):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
             expected_count(self.BANK, 1, math.nan, method)
 
     def test_renewal_count_at_infinity(self):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             expected_count(self.BANK, 1, math.inf, "renewal")
+
+    @pytest.mark.parametrize("method, t, message", [
+        ("bogus", 0.0, "unknown method 'bogus'"),
+        ("bogus", math.nan, "unknown method 'bogus'"),
+        ("paper", math.inf, "t must be finite and >= 0"),
+    ], ids=["method_at_zero", "method_before_t", "paper_at_infinity"])
+    def test_count_checked_before_the_zero_shortcut(self, method, t, message):
+        # An unknown method at t = 0 once returned 0.0, and the paper count
+        # at t = inf returned inf where the renewal count refuses it.
+        with pytest.raises(ValueError, match=message):
+            expected_count(self.BANK, 1, t, method)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_paper_intensity_at_infinity_is_the_limit(self, i):
@@ -307,16 +314,6 @@ class TestAsymptoticRates:
         with pytest.raises(NoStationaryRateError):
             asymptotic_rates(bank, "renewal")
 
-    @pytest.mark.parametrize("offsets", [
-        {"deltas": ((0.0, 0.1), (0.0, 0.0))},
-        {"death_delta": 0.1},
-    ], ids=["birth", "death"])
-    def test_offsets_refused(self, offsets):
-        # An offset makes its kernel's L1 norm infinite.
-        bank = KernelBank.exponential(
-            (1.0, 1.0, 1.0), ((0.4, 0.2), (0.1, 0.3)), (2.0, 3.0), 0.4, 1.0, **offsets)
-        with pytest.raises(NoStationaryRateError):
-            asymptotic_rates(bank, "renewal")
 
 
 class TestCriticalFitness:
@@ -332,7 +329,7 @@ class TestCriticalFitness:
             (1.5, 1.0, 1.0), ((1.0, 1.0), (1.0, 1.0)), (1.0, 1.0), 1.0, 1.0)
         assert critical_fitness(bank, "paper") == pytest.approx(0.5)
 
-    @given(bank=random_banks(offsets=st.just(0.0)))
+    @given(bank=random_banks())
     # The paper limit of the mutant rate is exactly 0 here:
     # 1 + 1/1 - 1/(1 * 0.5).
     @example(bank=KernelBank.exponential(

@@ -195,14 +195,14 @@ class TestGeneratorApply:
         assert generator_apply(ints, IntensityState(xi=(1, 0, 0), counts=(1, 0, 0)), f) == (
             generator_apply(floats, IntensityState(xi=(1.0, 0.0, 0.0), counts=(1, 0, 0)), f))
 
-    def test_offset_jumps_by_alpha_plus_delta(self):
-        # l1 = 1.9, l2 = 1.1; relaxation 2 * (0.3*2 + 0.2*1 - 0.9) = -0.2;
-        # jumps 1.9 * (0.5 + 0.3) + 1.1 * (0.3 + 0.2) = 2.07.
+    def test_relaxes_to_baseline_and_jumps_by_alpha(self):
+        # The kernels carry no offset, so lambda1 relaxes to its baseline and
+        # jumps by alpha.  l1 = 1.9, l2 = 1.1; relaxation 2 * (1 - 1.9);
+        # jumps 1.9 * 0.5 + 1.1 * 0.3; total -0.52.
         bank = KernelBank.exponential((1.0, 0.8, 1.2), ((0.5, 0.2), (0.3, 0.4)), (2.0, 3.0),
-                                      0.4, 1.0, deltas=((0.3, 0.1), (0.2, 0.05)),
-                                      death_delta=0.2)
+                                      0.4, 1.0)
         state = IntensityState(xi=(0.9, 0.3, 0.5), counts=(2, 1, 1))
-        assert generator_apply(bank, state, lambda z: z[1]) == pytest.approx(1.87, rel=1e-6)
+        assert generator_apply(bank, state, lambda z: z[1]) == pytest.approx(-0.52, rel=1e-6)
 
 
 # Criterion 4's test functions and states (tests/test_acceptance.py).

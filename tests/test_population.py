@@ -454,7 +454,8 @@ class TestRhoLimit:
         assert rho_limit(GROWING, 0.75, 0.0) == pytest.approx(0.25)
 
     def test_unit_endpoint(self):
-        assert rho_limit(GROWING, 1.0, 1.0) == pytest.approx(1.0)
+        # The chain needs f < 1, so the limit is read as f tends to 1.
+        assert rho_limit(GROWING, 1.0 - 1e-9, 1.0) == pytest.approx(1.0)
 
     def test_zero_at_critical_fitness(self):
         assert rho_limit(GROWING, 0.5, 0.0) == pytest.approx(0.0)
@@ -462,3 +463,15 @@ class TestRhoLimit:
     def test_shrinking_population_rejected(self):
         with pytest.raises(ValueError):
             rho_limit(KernelBank.poisson((1.0, 1.0, 3.0)), 0.5, 0.5)
+
+    @pytest.mark.parametrize("f, epsilon, message", [
+        (2.0, 0.5, r"f must be in \(0, 1\), got 2.0"),
+        (1.0, 1.0, r"f must be in \(0, 1\), got 1.0"),
+        (float("nan"), 0.5, r"f must be in \(0, 1\), got nan"),
+        (0.5, -0.5, r"epsilon must be in \[0, 1\], got -0.5"),
+        (0.5, float("nan"), r"epsilon must be in \[0, 1\], got nan"),
+    ], ids=["f_above_one", "f_one", "f_nan", "epsilon_negative", "epsilon_nan"])
+    def test_split_out_of_range_rejected(self, f, epsilon, message):
+        # f = 2 once returned 1.75 as a left-mass fraction.
+        with pytest.raises(ValueError, match=message):
+            rho_limit(GROWING, f, epsilon)

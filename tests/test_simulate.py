@@ -12,14 +12,10 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from hawkes_evolve import (
-    EventLog,
     IntensityState,
     KernelBank,
     Mark,
     SimConfig,
-    SimPath,
-    UnsupportedKernelError,
-    expected_intensity_paper,
     intensities_at,
     rng_for,
     simulate,
@@ -325,23 +321,6 @@ class TestBlockDraws:
         assert path.final_state.counts == tuple(full.counts(path.elapsed))
 
 
-OFFSET_BANK = KernelBank.exponential(
-    (1.0, 1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), (1.0, 2.0), 0.0, 1.0, death_delta=0.2)
-EMPTY_PATH = SimPath(EventLog(), IntensityState(), 1.0, 1.0)
-
-
-@pytest.mark.parametrize("call", [
-    lambda bank: simulate_markov(bank, SimConfig(horizon=1.0, seed=1)),
-    lambda bank: simulate_thinning_general(bank, SimConfig(horizon=1.0, seed=1)),
-    lambda bank: time_rescale_residuals(EMPTY_PATH, bank, 1),
-    lambda bank: expected_intensity_paper(bank, 1, 1.0),
-    lambda bank: simulate_markov_batch(bank, SimConfig(horizon=1.0, seed=1), 4),
-], ids=["markov", "thinning", "residuals", "paper", "batch"])
-def test_offset_kernels_rejected(call):
-    with pytest.raises(UnsupportedKernelError):
-        call(OFFSET_BANK)
-
-
 class TestPinnedOutput:
     """Fixed-seed paths, with literal values to catch changes across versions."""
 
@@ -395,7 +374,7 @@ decays = st.floats(1.0, 3.0)
 
 
 @st.composite
-def zero_offset_banks(draw):
+def hawkes_banks(draw):
     rates = st.floats(0.1, 2.0)
     return KernelBank.exponential(
         draw(st.tuples(rates, rates, rates)),
@@ -648,7 +627,7 @@ class TestThinningEngine:
         assert np.array_equal(a.events.marks, b.events.marks)
 
     @settings(max_examples=25, deadline=None)
-    @given(bank=zero_offset_banks(), seed=st.integers(0, 2**16))
+    @given(bank=hawkes_banks(), seed=st.integers(0, 2**16))
     def test_samples_are_the_direct_kernel_sums(self, bank, seed):
         # Distinct mutant and clone rows: a swap of a kernel's source and
         # target would change the sums.
@@ -687,7 +666,7 @@ class TestThinningEngine:
 
 class TestIntensitiesAt:
     @settings(max_examples=50, deadline=None)
-    @given(bank=zero_offset_banks(), seed=st.integers(0, 2**16))
+    @given(bank=hawkes_banks(), seed=st.integers(0, 2**16))
     def test_read_back_at_the_end_is_the_final_state(self, bank, seed):
         # The read-back replays the Markov engine's own recursion, so at
         # the horizon it gives the engine's final shot noise bit for bit.
