@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from hawkes_evolve import (
     RegimeKind,
     abc_coefficients,
     asymptotic_rates,
+    bank_from_json,
+    bank_to_json,
     classify_regime,
     critical_fitness,
     expected_count,
@@ -314,6 +317,21 @@ class TestAsymptoticRates:
         with pytest.raises(NoStationaryRateError):
             asymptotic_rates(bank, "renewal")
 
+    @pytest.mark.parametrize("where, name", [
+        (("birth_kernels", 0, 1), r"birth_kernels\[0\]\[1\]"),
+        (("death_kernel",), "death_kernel"),
+    ], ids=["birth", "death"])
+    def test_offsets_refused(self, where, name):
+        # An offset makes its kernel's L1 norm infinite.  No bank carries
+        # one: a file's is refused when read, naming the kernel.
+        doc = json.loads(bank_to_json(KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((0.4, 0.2), (0.1, 0.3)), (2.0, 3.0), 0.4, 1.0)))
+        node = doc
+        for key in where:
+            node = node[key]
+        node["delta"] = 0.1
+        with pytest.raises(ValueError, match=f"^{name} delta must be 0"):
+            bank_from_json(json.dumps(doc))
 
 
 class TestCriticalFitness:

@@ -195,9 +195,9 @@ class TestGeneratorApply:
         assert generator_apply(ints, IntensityState(xi=(1, 0, 0), counts=(1, 0, 0)), f) == (
             generator_apply(floats, IntensityState(xi=(1.0, 0.0, 0.0), counts=(1, 0, 0)), f))
 
-    def test_relaxes_to_baseline_and_jumps_by_alpha(self):
-        # The kernels carry no offset, so lambda1 relaxes to its baseline and
-        # jumps by alpha.  l1 = 1.9, l2 = 1.1; relaxation 2 * (1 - 1.9);
+    def test_offset_jumps_by_alpha_plus_delta(self):
+        # Every offset delta is 0, so lambda1 relaxes to its baseline and
+        # jumps by alpha alone.  l1 = 1.9, l2 = 1.1; relaxation 2 * (1 - 1.9);
         # jumps 1.9 * 0.5 + 1.1 * 0.3; total -0.52.
         bank = KernelBank.exponential((1.0, 0.8, 1.2), ((0.5, 0.2), (0.3, 0.4)), (2.0, 3.0),
                                       0.4, 1.0)

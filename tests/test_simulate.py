@@ -16,6 +16,7 @@ from hawkes_evolve import (
     KernelBank,
     Mark,
     SimConfig,
+    bank_to_json,
     intensities_at,
     rng_for,
     simulate,
@@ -24,6 +25,7 @@ from hawkes_evolve import (
     simulate_thinning_general,
     time_rescale_residuals,
 )
+from hawkes_evolve.cli import run
 from hawkes_evolve.simulate import BATCH_BLOCK, _History
 
 HAWKES_BANK = KernelBank.exponential(
@@ -319,6 +321,29 @@ class TestBlockDraws:
         assert np.array_equal(path.events.marks, full.marks[:max_events])
         assert path.elapsed == full.times[max_events - 1]
         assert path.final_state.counts == tuple(full.counts(path.elapsed))
+
+
+# A bank file whose death kernel carries a constant offset of 0.2.
+OFFSET_BANK_FILE = bank_to_json(KernelBank.poisson((1.0, 1.0, 1.0))).replace(
+    '"delta": 0.0\n  }\n}', '"delta": 0.2\n  }\n}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--engine", "markov", "--horizon", "1"],
+    ["simulate", "--engine", "thinning", "--horizon", "1"],
+    ["gof", "--horizon", "1"],
+    ["expect", "--method", "paper"],
+    ["generator-check", "--reps", "4"],
+], ids=["markov", "thinning", "residuals", "paper", "batch"])
+def test_offset_kernels_rejected(argv, tmp_path, capsys):
+    # No engine takes an offset: each route's bank file is refused when
+    # read, before --out is created.
+    path = tmp_path / "bank.json"
+    path.write_text(OFFSET_BANK_FILE)
+    out = tmp_path / "out"
+    assert run(argv + ["--bank", str(path), "--out", str(out)]) == 2
+    assert "death_kernel delta must be 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPinnedOutput:
