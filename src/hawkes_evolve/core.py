@@ -187,7 +187,7 @@ def _kernel_from_dict(d, what: str) -> tuple[float, float]:
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = set(d) - {"alpha", "beta", "delta"}
     if unknown:
-        raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
+        raise ValueError(f"{what} has unknown keys: {sorted(unknown)}")
     _require_keys(d, ("alpha", "beta"), what)
     if _number(d.get("delta", 0.0), f"{what} delta") != 0:
         raise ValueError(f"{what} delta must be 0 (a kernel has no constant offset), "

@@ -421,10 +421,16 @@ class _History:
 
     Rows run in the summation order of the pinned fixed-seed outputs: a
     mutant's kernels, a clone's, then the death kernel.  A row holds its
-    mark's times as a prefix of a float64 buffer that doubles when full,
-    and ``live`` marks the prefix.  numpy applies a reduction's mask run
-    by run, so each masked row sum equals ``np.add.reduce`` of the prefix.
+    mark's times as a prefix of one C-contiguous float64 buffer, and
+    ``live`` marks the prefix; the unfilled cells hold time 0.  The
+    buffer grows by ``GROW`` columns when a row fills it, so its width
+    stays close to the longest row, and each growth also rebuilds the
+    scratch ``z`` and ``decay``, -beta of each row in every cell, to the
+    same shape.  numpy applies a reduction's mask run by run, so each
+    masked row sum equals ``np.add.reduce`` of the prefix.
     """
+
+    GROW = 64
 
     def __init__(self, bank: KernelBank):
         self.rows, self.targets = [], []
@@ -434,10 +440,18 @@ class _History:
             self.rows.append(slice(n, n + len(live)) if live else None)
             self.targets += live
         self.sizes = [0, 0, 0]
-        self.top = 0
-        self.times = np.zeros((len(self.targets), 64))
-        self.live = np.zeros((len(self.targets), 64), dtype=bool)
         self.neg_betas = np.array([-bank.betas[i] for i, _ in self.targets])[:, None]
+        self.times = np.zeros((len(self.targets), 0))
+        self.live = np.zeros(self.times.shape, dtype=bool)
+        self._grow()
+
+    def _grow(self) -> None:
+        """Add ``GROW`` unfilled columns and rebuild ``z`` and ``decay`` to the new shape."""
+        cells = (len(self.targets), self.GROW)
+        self.times = np.concatenate((self.times, np.zeros(cells)), axis=1)
+        self.live = np.concatenate((self.live, np.zeros(cells, dtype=bool)), axis=1)
+        self.z = np.empty_like(self.times)
+        self.decay = np.repeat(self.neg_betas, self.times.shape[1], axis=1)
 
     def record(self, mark: int, t: float) -> None:
         """Append an event's time to its mark's rows."""
@@ -446,22 +460,25 @@ class _History:
             return
         k = self.sizes[mark - 1]
         if k == self.times.shape[1]:
-            self.times = np.concatenate((self.times, np.zeros_like(self.times)), axis=1)
-            self.live = np.concatenate((self.live, np.zeros_like(self.live)), axis=1)
+            self._grow()
         self.times[rows, k] = t
         self.live[rows, k] = True
         self.sizes[mark - 1] = k + 1
-        self.top = max(self.top, k + 1)
 
     def xi_at(self, t: float) -> tuple[float, float, float]:
-        """Add alpha * sum_k exp(-beta (t - t_k)) of each row to its target, in row order."""
+        """Add alpha * sum_k exp(-beta (t - t_k)) of each row to its target, in row order.
+
+        Five numpy calls on the whole buffer, with no slicing: an
+        unfilled cell reads exp(-beta t) <= 1, which the mask drops.  A
+        bank with no excitation has no rows and skips the five calls.
+        """
         xi = [0.0, 0.0, 0.0]
-        top = self.top
-        if top:
-            z = np.subtract(t, self.times[:, :top])
-            z *= self.neg_betas
+        if self.targets:
+            z = self.z
+            np.subtract(t, self.times, out=z)
+            np.multiply(z, self.decay, out=z)
             np.exp(z, out=z)
-            sums = np.add.reduce(z, axis=1, where=self.live[:, :top])
+            sums = np.add.reduce(z, axis=1, where=self.live)
             for (i, alpha), s in zip(self.targets, sums.tolist()):
                 xi[i] += alpha * s
         return tuple(xi)
@@ -472,8 +489,8 @@ def simulate_thinning_general(bank: KernelBank, config: SimConfig, path_index: i
 
     The path draws from the same stream as ``simulate_markov``'s.  Each
     intensity evaluation sums the kernels over the entire history, O(n)
-    per evaluation: one exp and one masked row-wise sum cover every
-    kernel.
+    per evaluation: one exp and one masked row-wise sum over the whole
+    ``_History`` buffer, unsliced, cover every kernel.
     """
     history = _History(bank)
     return _run(bank, config, rng_for(config.seed, path_index), history)

@@ -282,6 +282,18 @@ def test_missing_bank_key_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: birth_kernels[0][1] is missing 'alpha'\n"
 
 
+def test_unknown_kernel_key_named(tmp_path, capsys):
+    # The message once read "unknown kernel keys", naming no kernel.
+    bank = tmp_path / "bank.json"
+    doc = json.loads(bank_to_json(KernelBank.poisson((2.0, 1.0, 1.0))))
+    doc["birth_kernels"][1][0]["gamma"] = 1
+    bank.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["regime", "--bank", str(bank), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: birth_kernels[1][0] has unknown keys: ['gamma']\n"
+    assert not out.exists()
+
+
 # The arguments each subcommand needs besides --bank and --out.
 REQUIRED_ARGS = {
     "expect": [],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,10 +125,13 @@ class TestKernelBank:
             bank_from_json(json.dumps(doc))
 
     def test_json_unknown_kernel_key(self):
-        doc = json.loads(bank_to_json(exp_bank()))
-        doc["death_kernel"]["gamma"] = 1
-        with pytest.raises(ValueError):
-            bank_from_json(json.dumps(doc))
+        # The message once read "unknown kernel keys", naming no kernel.
+        for name, kernel_of in [("death_kernel", lambda doc: doc["death_kernel"]),
+                                ("birth_kernels[1][0]", lambda doc: doc["birth_kernels"][1][0])]:
+            doc = json.loads(bank_to_json(exp_bank()))
+            kernel_of(doc)["gamma"] = 1
+            with pytest.raises(ValueError, match=re.escape(f"{name} has unknown keys: ['gamma']")):
+                bank_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where, field", [
         (("base_rates", 1), "base_rates"),

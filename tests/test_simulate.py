@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -706,10 +707,11 @@ class TestHistory:
     @pytest.mark.parametrize("n", [7, 8, 129, 8193])
     def test_masked_row_sums_equal_contiguous_sums(self, n):
         # One row per mark, alpha = 1, so xi[i] is row i's masked sum.  The
-        # rows are ragged (n, n // 3 and n - 1 times, interleaved), and
-        # 8193 crosses both a buffer doubling and numpy's 8192-element
-        # buffer.  The engine's fixed-seed output relies on each masked
-        # row sum equalling np.add.reduce over that row alone.
+        # rows are ragged (n, n // 3 and n - 1 times, interleaved); 129
+        # outgrows the first two 64-column widths of the buffer, and 8193
+        # both ends one column past a multiple of 64 and crosses numpy's
+        # 8192-element buffer.  The engine's fixed-seed output relies on
+        # each masked row sum equalling np.add.reduce over that row alone.
         betas = (0.7, 1.3, 2.1)
         history = _History(KernelBank.exponential(
             (1.0, 1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), betas[:2], 1.0, betas[2]))
@@ -728,6 +730,45 @@ class TestHistory:
                 z = np.subtract(t, np.array(rows[i]))
                 z *= -beta
                 assert xi[i] == np.add.reduce(np.exp(z)), (i, len(rows[i]))
+
+
+    def test_short_row_past_the_underflow(self):
+        # Row 1 holds 300 early times, so the buffer is 320 columns wide;
+        # row 2 holds 3 and row 3 one.  At t = 1200 > 745 / 0.7 the early
+        # events and every unfilled cell read exp(-beta (t - t_k)) = 0
+        # exactly, and each masked row sum still equals np.add.reduce
+        # over that row alone.
+        betas = (0.7, 1.3, 2.1)
+        history = _History(KernelBank.exponential(
+            (1.0, 1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), betas[:2], 1.0, betas[2]))
+        rows = [np.linspace(0.0, 3.0, 300).tolist(), [1.0, 1199.0, 1199.6], [1199.3]]
+        for mark, row in enumerate(rows, start=1):
+            for t in row:
+                history.record(mark, t)
+        assert history.times.shape[1] == 320
+        t = 1200.0
+        xi = history.xi_at(t)
+        for i, beta in enumerate(betas):
+            assert math.exp(-beta * t) == 0.0
+            z = np.subtract(t, np.array(rows[i]))
+            z *= -beta
+            assert xi[i] == np.add.reduce(np.exp(z)), i
+        assert xi[0] == 0.0 and xi[1] > 0.0 and xi[2] > 0.0
+
+    def test_sparse_long_path_matches_markov(self):
+        # Base rates of 0.02 to horizon 2000: long gaps between events, so
+        # most kernel terms and the unfilled cells underflow to 0, with no
+        # warning, and the path follows the Markov engine's on the same draws.
+        bank = KernelBank.exponential(
+            (0.02, 0.02, 0.02), ((0.3, 0.2), (0.1, 0.4)), (1.0, 1.5), 0.8, 1.2)
+        config = SimConfig(horizon=2000.0, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = simulate_thinning_general(bank, config)
+        markov = simulate_markov(bank, config)
+        assert len(path.events) == len(markov.events) == 194
+        assert np.array_equal(path.events.marks, markov.events.marks)
+        assert path.events.times == pytest.approx(markov.events.times, rel=1e-12)
 
 
 class TestJumpTable:
