@@ -7,7 +7,8 @@ only then does the subcommand write plot-ready CSV/JSON artifacts into
 the output directory.  A ``start:stop:step`` grid never goes past
 ``stop``.  Exit codes: 0 success, 2 validation error (single-line
 diagnostic on stderr), 1 when a statistical check the subcommand
-performs comes out negative.
+performs comes out negative, or when a ``sweep`` run stopped at
+``max_events`` (single line on stderr; the artifacts are still written).
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ def _cmd_sweep(args, bank: KernelBank) -> int:
     if args.gnuplot:
         _write_gnuplot(os.path.join(args.out, "sweep.gp"), "sweep.csv",
                        "terminal site distribution", [(2, "avg F_T")])
+    if result.n_capped:
+        print(f"sweep: {result.n_capped} of {args.runs} runs stopped at max_events; "
+              "their terminal sites are truncated", file=sys.stderr)
+        return 1
     return 0
 
 

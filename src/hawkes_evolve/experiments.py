@@ -270,6 +270,7 @@ class SweepResult:
     r_gap_over_n: np.ndarray       # mean over runs of R^f / N per grid point
     zero_occupation: np.ndarray    # per run
     f_reference: Optional[float]
+    n_capped: int                  # runs stopped at max_events; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -288,23 +289,26 @@ class SweepResult:
 
 
 def _sweep_worker(bank, config, f_grid, f_ref, i):
+    """Terminal site CDF, R^f / N on ``f_grid`` and at ``f_ref``, zero-occupation
+    fraction and capped flag of run ``i``; NaN rows for a run that ends empty.
+
+    The sites come as two fitness-sorted arrays (``site_arrays``).
+    """
     pop = simulate_population(bank, config, path_index=i)
-    sites = pop.partition.sites()
-    xs = np.array([x for x, _ in sites])
-    ks = np.array([k for _, k in sites], dtype=float)
-    n = ks.sum()
-    if len(sites) == 0:
+    xs, ks = pop.partition.site_arrays()
+    if not xs.size:
         cdf = np.full(f_grid.size, np.nan)
         r_over_n = np.full(f_grid.size, np.nan)
         r_ref = np.nan
     else:
+        n = ks.sum()
         idx = np.searchsorted(xs, f_grid, side="right")
-        cdf = idx / len(sites)
-        cum = np.concatenate([[0.0], np.cumsum(ks)])
+        cdf = idx / xs.size
+        cum = np.concatenate([[0], np.cumsum(ks)])
         r_over_n = (n - cum[idx]) / n
-        r_ref = float((ks[xs > f_ref].sum()) / n) if f_ref is not None else np.nan
+        r_ref = float(ks[xs > f_ref].sum() / n) if f_ref is not None else np.nan
     zero_frac = pop.path.zero_occupation_time / pop.path.elapsed
-    return cdf, r_over_n, r_ref, zero_frac
+    return cdf, r_over_n, r_ref, zero_frac, pop.path.capped
 
 
 def _knee_estimate(f_grid: np.ndarray, avg_cdf: np.ndarray) -> float:
@@ -359,6 +363,7 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     gaps = np.stack([r[1] for r in results])
     r_refs = np.array([r[2] for r in results])
     zero_fracs = np.array([r[3] for r in results])
+    n_capped = sum(r[4] for r in results)
     empty = np.isnan(cdfs).all()
     avg_cdf = np.full(f_grid.size, np.nan) if empty else np.nanmean(cdfs, axis=0)
     sup_paper = sup_renewal = None
@@ -371,7 +376,7 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     r_gap = np.full(f_grid.size, np.nan) if empty else np.nanmean(gaps, axis=0)
     fc_hat = math.nan if empty else _knee_estimate(f_grid, avg_cdf)
     return SweepResult(f_grid, avg_cdf, fc_paper, fc_renewal, sup_paper, sup_renewal,
-                       fc_hat, r_refs, r_gap, zero_fracs, f_reference)
+                       fc_hat, r_refs, r_gap, zero_fracs, f_reference, n_capped)
 
 
 def _rho_worker(bank, f, epsilon, config, i):

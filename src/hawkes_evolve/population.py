@@ -13,8 +13,8 @@ scans at most 16 counts per level; a lazy min-heap gives the lowest site.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,10 @@ class FitnessPartition:
     Slots are never reused: an emptied site keeps its slot at count 0,
     and a fitness that returns opens a new one.  ``total`` is the number
     of individuals.  ``_levels`` holds one count per slot, then one per
-    16 entries below, up to a top level of at most 16 entries.
+    16 entries below, up to a top level of at most 16 entries; ``insert``,
+    ``clone`` and ``remove_min`` each walk that path inline.  The sites
+    are read as two arrays, the slots with a positive count sorted by
+    fitness (``site_arrays``).
     """
 
     def __init__(self):
@@ -44,17 +47,21 @@ class FitnessPartition:
     def site_count(self) -> int:
         return len(self._slot)
 
+    def site_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occupied sites as (fitness float64, count int64) arrays sorted by fitness.
+
+        Live fitness values are unique, so the order is fixed.
+        """
+        count = np.array(self._levels[0], dtype=np.int64)
+        live = count > 0
+        fitness, count = np.array(self._fitness, dtype=float)[live], count[live]
+        order = np.argsort(fitness)
+        return fitness[order], count[order]
+
     def sites(self) -> list[tuple[float, int]]:
         """(fitness, count) pairs sorted by fitness."""
-        count = self._levels[0]
-        return sorted((x, count[slot]) for x, slot in self._slot.items())
-
-    def _add(self, slot: int, step: int) -> None:
-        """Move ``step`` individuals into ``slot``: one count per level along its path."""
-        for level in self._levels:
-            level[slot] += step
-            slot >>= 4
-        self.total += step
+        fitness, count = self.site_arrays()
+        return list(zip(fitness.tolist(), count.tolist()))
 
     def _pick(self, u: float) -> int:
         """The first slot whose inclusive running count exceeds ``int(u * total)``."""
@@ -88,14 +95,21 @@ class FitnessPartition:
             if len(levels[-1]) > 16:
                 levels.append([sum(levels[-1][:16]), sum(levels[-1][16:])])
             heapq.heappush(self._heap, x)
-        self._add(slot, 1)
+        for level in self._levels:
+            level[slot] += 1
+            slot >>= 4
+        self.total += 1
         return x
 
     def clone(self, u: float) -> float:
         """Add one individual to the site ``sample_site(u)`` picks; its fitness."""
         slot = self._pick(u)
-        self._add(slot, 1)
-        return self._fitness[slot]
+        x = self._fitness[slot]
+        for level in self._levels:
+            level[slot] += 1
+            slot >>= 4
+        self.total += 1
+        return x
 
     def sample_site(self, u: float) -> float:
         """Fitness of a site drawn with probability count / total (``_pick``)."""
@@ -112,12 +126,15 @@ class FitnessPartition:
         """Remove one individual from the lowest site; True if the site emptied."""
         x = self.min_fitness()
         slot = self._slot[x]
-        self._add(slot, -1)
-        if self._levels[0][slot] == 0:
+        emptied = self._levels[0][slot] == 1
+        for level in self._levels:
+            level[slot] -= 1
+            slot >>= 4
+        self.total -= 1
+        if emptied:
             del self._slot[x]
             heapq.heappop(self._heap)
-            return x, True
-        return x, False
+        return x, emptied
 
 
 def theoretical_site_cdf(f: float, f_c: float) -> float:
@@ -148,7 +165,9 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
     when given, must be in [0, 1], and ``snapshot_grid`` is a grid
     (``check_grid``).  A snapshot at grid time g holds the partition
     after every event at or before g; a grid time past ``path.elapsed``
-    (the horizon, or the last event of a capped path) gets none.
+    (the horizon, or the last event of a capped path) gets none.  One
+    ``searchsorted`` over the event times gives each snapshot's cut
+    point, and the events are replayed segment by segment between cuts.
     """
     if f is not None and not 0 <= f <= 1:
         raise ValueError(f"f must be in [0, 1], got {f}")
@@ -160,27 +179,32 @@ def simulate_population(bank: KernelBank, config: SimConfig, f: Optional[float] 
         int(np.count_nonzero(marks != 3))).tolist())
     partition = FitnessPartition()
     insert, clone, remove_min = partition.insert, partition.clone, partition.remove_min
-    # Grid times past the path's end get no snapshot; inf ends the grid.
-    grid = grid[grid <= path.elapsed].tolist() + [math.inf]
-    snapshots, gi, left = [], 0, 0
+    # Grid times past the path's end get no snapshot.  Each other grid
+    # time cuts the events after the last one at or before it; the final
+    # segment runs to the end of the path.
+    grid = grid[grid <= path.elapsed]
+    times = path.events.times
+    ends = np.searchsorted(times, grid, side="right").tolist() + [len(times)]
+    events = zip(times.tolist(), marks.tolist())
+    snapshots, done, left = [], 0, 0
     lr_rows = None if f is None else [(0.0, 0, 0, 0)]
-    for t, mark in zip(path.events.times.tolist(), marks.tolist()):
-        while grid[gi] < t:
-            snapshots.append((grid[gi], partition.sites()))
-            gi += 1
-        if mark == 3:  # a death
-            x, _ = remove_min()
-            step = -1
-        else:
-            # The uniform is the fitness of a mutant, and of a clone born
-            # into an empty population; otherwise it picks the site cloned.
-            x = (clone if mark == 2 and partition.total else insert)(next(births))
-            step = 1
-        if f is not None:
-            if x <= f:
-                left += step
-            lr_rows.append((t, left, partition.total - left, partition.total))
-    snapshots += [(g, partition.sites()) for g in grid[gi:-1]]
+    for g, end in zip(grid.tolist() + [None], ends):
+        for t, mark in islice(events, end - done):
+            if mark == 3:  # a death
+                x, _ = remove_min()
+                step = -1
+            else:
+                # The uniform is the fitness of a mutant, and of a clone born
+                # into an empty population; otherwise it picks the site cloned.
+                x = (clone if mark == 2 and partition.total else insert)(next(births))
+                step = 1
+            if f is not None:
+                if x <= f:
+                    left += step
+                lr_rows.append((t, left, partition.total - left, partition.total))
+        done = end
+        if g is not None:
+            snapshots.append((g, partition.sites()))
     lr = None if f is None else np.asarray(lr_rows, dtype=float)
     return PopulationPath(path, partition, snapshots, lr)
 

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkes_evolve import KernelBank, bank_to_json
+from hawkes_evolve import KernelBank, SimConfig, bank_to_json, experiments
 from hawkes_evolve.cli import build_parser, parse_grid, run
 
 
@@ -600,6 +601,17 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert doc["fc_paper"] == pytest.approx(0.5)
         assert len(doc["avg_cdf"]) == 3
+
+    def test_capped_sweep_exits_one(self, bank_file, tmp_path, capsys, monkeypatch):
+        # Every run stops at its fifth event: the artifacts are written, one
+        # line on stderr names the capped runs, and the exit code is 1.
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        assert run(["sweep", "--bank", bank_file, "--f-grid", "0:1:0.5",
+                    "--horizon", "20", "--runs", "3", "--seed", "1",
+                    "--threads", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "3 of 3 runs stopped at max_events" in err
+        assert (tmp_path / "sweep.json").exists() and (tmp_path / "sweep.csv").exists()
 
     def test_rho_artifact(self, bank_file, tmp_path):
         assert run(["rho", "--bank", bank_file, "--f", "0.75", "--epsilon", "0",

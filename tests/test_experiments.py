@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -320,6 +321,40 @@ class TestSummaries:
         result = phase_transition_sweep(DYING_BANK, [0.0, 0.5, 1.0], 10.0, 2, seed=0)
         assert math.isnan(result.fc_hat)
         assert np.isnan(result.avg_cdf).all() and np.isnan(result.r_gap_over_n).all()
+
+
+class TestWorkerCount:
+    """Results are the same bit for bit whatever the number of workers."""
+
+    BANKS = {"poisson": KernelBank.poisson((2.0, 1.0, 1.0)), "cross": CROSS_BANK,
+             "dying": DYING_BANK}
+
+    @pytest.mark.parametrize("name", BANKS)
+    def test_sweep(self, name):
+        one, two = (phase_transition_sweep(self.BANKS[name], np.linspace(0.0, 1.0, 21), 60.0,
+                                           5, seed=3, threads=threads)
+                    for threads in (1, 2))
+        assert repr(one.to_dict()) == repr(two.to_dict())
+        assert one.n_capped == two.n_capped == 0
+
+    @pytest.mark.parametrize("name", BANKS)
+    def test_rho(self, name):
+        one, two = (rho_convergence_check(self.BANKS[name], 0.5, 0.5, 60.0, 5, seed=3,
+                                          threads=threads)
+                    for threads in (1, 2))
+        assert one.terminal_rho.tobytes() == two.terminal_rho.tobytes()
+        assert one.zero_returns.tolist() == two.zero_returns.tolist()
+        assert (one.limit_paper, one.limit_renewal) == (two.limit_paper, two.limit_renewal)
+
+
+class TestCappedSweep:
+    def test_capped_runs_counted(self, monkeypatch):
+        # Every run stops at its fifth event, long before the horizon.
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        result = phase_transition_sweep(KernelBank.poisson((2.0, 1.0, 1.0)),
+                                        [0.0, 0.5, 1.0], 50.0, 3, seed=1)
+        assert result.n_capped == 3
+        assert "n_capped" not in result.to_dict()
 
 
 class TestRhoCheck:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +17,11 @@ from hawkes_evolve import (
     simulate_population,
     theoretical_site_cdf,
 )
+from hawkes_evolve.experiments import _sweep_worker
 
 GROWING = KernelBank.poisson((2.0, 1.0, 1.0))
+CROSS_BANK = KernelBank.exponential(
+    (1.0, 0.8, 1.2), ((0.4, 0.6), (0.4, 0.6)), (1.0, 1.5), 0.4, 1.0)
 # Deaths outpace births, so the population keeps emptying.
 DYING = KernelBank.poisson((0.5, 1.0, 3.0))
 
@@ -96,6 +101,24 @@ class TestPartition:
         assert p.remove_min() == (0.2, False)
         assert p.sites() == [(0.2, 1), (0.7, 3)]
 
+    def test_site_arrays_of_an_empty_partition(self):
+        xs, ks = FitnessPartition().site_arrays()
+        assert (xs.size, ks.size) == (0, 0)
+        assert (xs.dtype, ks.dtype) == (np.float64, np.int64)
+
+    def test_returning_fitness_appears_once(self):
+        # The emptied site keeps its slot at count 0 and the returning
+        # fitness opens a second one; only the live slot is read.
+        p = build([(0.2, 1), (0.7, 2)])
+        assert p.remove_min() == (0.2, True)
+        p.insert(0.2)
+        p.insert(0.2)
+        p.insert(0.2)
+        assert p._fitness == [0.2, 0.7, 0.2]
+        xs, ks = p.site_arrays()
+        assert xs.tolist() == [0.2, 0.7] and ks.tolist() == [3, 2]
+        assert p.sites() == [(0.2, 3), (0.7, 2)]
+
     def test_min_reachable_after_removal(self):
         p = build([(0.1, 1), (0.5, 1), (0.9, 1)])
         p.remove_min()
@@ -148,7 +171,11 @@ class TestPartition:
             assert p.total == expected
             assert all(k >= 1 for _, k in p.sites())
             assert sum(k for _, k in p.sites()) == expected
-            assert p.sites() == sorted((x, k) for x, k in slots if k)
+            occupied = sorted((x, k) for x, k in slots if k)
+            assert p.sites() == occupied
+            xs, ks = p.site_arrays()
+            assert (xs.dtype, ks.dtype) == (np.float64, np.int64)
+            assert list(zip(xs.tolist(), ks.tolist())) == occupied
             if expected:
                 for u in (0.0, 0.3, 0.5, 0.7, 0.999999):
                     assert p.sample_site(u) == cumulative_pick(slots, u * expected)
@@ -321,6 +348,28 @@ class TestObservables:
               .partition.sites()]
         assert sweep.avg_cdf.tolist() == [sum(x <= f for x in xs) / len(xs) for f in f_grid]
 
+    def test_sweep_worker_rows_of_a_run_that_ends_empty(self):
+        # Deaths outpace births; each run's row is NaN exactly when its
+        # partition ends empty, and is read from the sites otherwise.
+        config = SimConfig(horizon=40.0, seed=1)
+        f_grid = np.linspace(0.0, 1.0, 5)
+        empty = []
+        for i in range(6):
+            cdf, r_over_n, r_ref, _, capped = _sweep_worker(DYING, config, f_grid, 0.5, i)
+            sites = simulate_population(DYING, config, path_index=i).partition.sites()
+            assert not capped
+            empty.append(not sites)
+            if not sites:
+                assert np.isnan(cdf).all() and np.isnan(r_over_n).all() and np.isnan(r_ref)
+            else:
+                n = sum(k for _, k in sites)
+                assert cdf.tolist() == [sum(x <= f for x, _ in sites) / len(sites)
+                                        for f in f_grid]
+                assert r_over_n.tolist() == [sum(k for x, k in sites if x > f) / n
+                                             for f in f_grid]
+                assert r_ref == sum(k for x, k in sites if x > 0.5) / n
+        assert any(empty) and not all(empty)
+
     def test_sweep_needs_one_run(self):
         with pytest.raises(ValueError, match="n_runs"):
             phase_transition_sweep(GROWING, np.linspace(0.0, 1.0, 11), 30.0, 0, seed=5)
@@ -391,6 +440,38 @@ class TestPopulationSimulation:
         assert pop.path.capped and pop.path.elapsed < 9.0
         times = [t for t, _ in pop.snapshots]
         assert times == [t for t in np.linspace(0.0, 10.0, 41).tolist() if t <= pop.path.elapsed]
+
+    def test_snapshot_at_an_event_time_holds_that_event(self):
+        config = SimConfig(horizon=30.0, seed=4)
+        events = simulate_population(GROWING, config).path.events
+        times, marks = events.times, events.marks
+        picks = [0, 1, 17, times.size // 2, times.size - 1]
+        pop = simulate_population(GROWING, config, snapshot_grid=times[picks])
+        for j, (g, sites) in zip(picks, pop.snapshots):
+            assert g == times[j]
+            prefix = SimpleNamespace(events=SimpleNamespace(times=times[:j + 1],
+                                                            marks=marks[:j + 1]))
+            assert sites == reference_replay(prefix, rng_for(4, 0, 1), 0.5)[0]
+
+    def test_repeated_grid_time_gives_equal_snapshots(self):
+        pop = simulate_population(GROWING, SimConfig(horizon=20.0, seed=3),
+                                  snapshot_grid=[0.0, 7.5, 7.5, 7.5, 20.0, 20.0])
+        (_, a), (_, b), (_, c) = pop.snapshots[1:4]
+        assert a == b == c and a
+        assert pop.snapshots[4][1] == pop.snapshots[5][1] == pop.partition.sites()
+
+    @pytest.mark.parametrize("bank", [GROWING, CROSS_BANK], ids=["poisson", "cross"])
+    @pytest.mark.parametrize("path_index", [0, 1, 2])
+    def test_snapshots_are_the_partitions_of_shorter_runs(self, bank, path_index):
+        # A run's events up to t do not depend on the horizon, nor do its
+        # fitness draws, so a snapshot at t is the final partition of the
+        # run to horizon t.
+        pop = simulate_population(bank, SimConfig(horizon=2000.0, seed=9),
+                                  snapshot_grid=[100.0, 500.0], path_index=path_index)
+        for t, sites in pop.snapshots:
+            short = simulate_population(bank, SimConfig(horizon=t, seed=9),
+                                        path_index=path_index)
+            assert sites == short.partition.sites()
 
     @pytest.mark.parametrize("grid", [[5.0, 1.0], [0.0, float("nan")], [-1.0, 0.0, 5.0],
                                       [[0.0, 5.0], [1.0, 2.0]], 0.5],
