@@ -7,8 +7,8 @@ only then does the subcommand write plot-ready CSV/JSON artifacts into
 the output directory.  A ``start:stop:step`` grid never goes past
 ``stop``.  Exit codes: 0 success, 2 validation error (single-line
 diagnostic on stderr), 1 when a statistical check the subcommand
-performs comes out negative, or when a ``sweep`` run stopped at
-``max_events`` (single line on stderr; the artifacts are still written).
+performs comes out negative, or when a ``sweep`` or ``rho`` run stopped
+at ``max_events`` (single line on stderr; the artifacts are still written).
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ def _write_json(path: str, obj) -> None:
         fh.write(_json_text(obj) + "\n")
 
 
+def _capped_exit(name: str, n_capped: int, runs: int, what: str) -> int:
+    """0, or 1 after one line on stderr when some of a command's runs stopped at max_events."""
+    if n_capped:
+        print(f"{name}: {n_capped} of {runs} runs stopped at max_events; {what}", file=sys.stderr)
+    return 1 if n_capped else 0
+
+
 def _write_gnuplot(path: str, csv_name: str, title: str, columns: list[tuple[int, str]]) -> None:
     lines = [
         "set datafile separator ','",
@@ -201,11 +208,7 @@ def _cmd_sweep(args, bank: KernelBank) -> int:
     if args.gnuplot:
         _write_gnuplot(os.path.join(args.out, "sweep.gp"), "sweep.csv",
                        "terminal site distribution", [(2, "avg F_T")])
-    if result.n_capped:
-        print(f"sweep: {result.n_capped} of {args.runs} runs stopped at max_events; "
-              "their terminal sites are truncated", file=sys.stderr)
-        return 1
-    return 0
+    return _capped_exit("sweep", result.n_capped, args.runs, "their terminal sites are truncated")
 
 
 def _cmd_rho(args, bank: KernelBank) -> int:
@@ -213,15 +216,9 @@ def _cmd_rho(args, bank: KernelBank) -> int:
                                    args.runs, args.seed,
                                    threads=_resolve_threads(args.threads))
     _write_json(os.path.join(args.out, "rho.json"), {
-        "f": args.f,
-        "epsilon": args.epsilon,
-        "terminal_rho": report.terminal_rho.tolist(),
-        "mean_rho": report.mean_rho,
-        "zero_returns": report.zero_returns.tolist(),
-        "limit_paper": report.limit_paper,
-        "limit_renewal": report.limit_renewal,
-    })
-    return 0
+        "f": args.f, "epsilon": args.epsilon, "mean_rho": report.mean_rho,
+        **report.to_dict()})
+    return _capped_exit("rho", report.n_capped, args.runs, "their terminal rho is truncated")
 
 
 def _cmd_gof(args, bank: KernelBank) -> int:

@@ -3,18 +3,19 @@
 Every estimate carries a standard error; where the two analytic routes
 disagree, the reports show both z-scores and flag which curve the data
 matched instead of hard-failing on either.  Replications use independent
-derived RNG streams and aggregate in index order, so results are
+derived RNG streams.  A sweep or rho replication returns one named record,
+whose fields ``_replicate`` stacks by name in index order, so results are
 reproducible bit for bit for a given seed and independent of the worker
-count.
+count; both loops count the runs capped at ``max_events`` (``n_capped``).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,12 +39,23 @@ from .simulate import (SimConfig, SimPath, check_grid, simulate_markov,
                        simulate_markov_batch, time_rescale_residuals)
 
 
-def _pmap(fn: Callable, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], in a process pool when threads > 1."""
+def _replicate(worker: Callable, n_runs: int, threads: int):
+    """Records worker(0), ..., worker(n_runs - 1), run in a pool when threads > 1,
+    stacked into one record of the same NamedTuple: each field an array in index order."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if threads <= 1:
-        return list(map(fn, range(n)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n), chunksize=max(1, n // (4 * threads))))
+        runs = list(map(worker, range(n_runs)))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(worker, range(n_runs), chunksize=max(1, n_runs // (4 * threads))))
+    return type(runs[0])(*map(np.array, zip(*runs)))
+
+
+def _report_dict(report) -> dict:
+    """A report's fields but ``n_capped``, arrays as lists, for its JSON artifact."""
+    values = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "n_capped"}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -272,25 +284,20 @@ class SweepResult:
     f_reference: Optional[float]
     n_capped: int                  # runs stopped at max_events; not in to_dict
 
-    def to_dict(self) -> dict:
-        return {
-            "f_grid": self.f_grid.tolist(),
-            "avg_cdf": self.avg_cdf.tolist(),
-            "fc_paper": self.fc_paper,
-            "fc_renewal": self.fc_renewal,
-            "sup_dist_paper": self.sup_dist_paper,
-            "sup_dist_renewal": self.sup_dist_renewal,
-            "fc_hat": self.fc_hat,
-            "r_fc_over_n": self.r_fc_over_n.tolist(),
-            "r_gap_over_n": self.r_gap_over_n.tolist(),
-            "zero_occupation": self.zero_occupation.tolist(),
-            "f_reference": self.f_reference,
-        }
+    to_dict = _report_dict
 
 
-def _sweep_worker(bank, config, f_grid, f_ref, i):
-    """Terminal site CDF, R^f / N on ``f_grid`` and at ``f_ref``, zero-occupation
-    fraction and capped flag of run ``i``; NaN rows for a run that ends empty.
+class SweepRun(NamedTuple):
+    """Terminal site CDF and R^f / N on f_grid and at f_ref, zero-occupation fraction."""
+    cdf: np.ndarray
+    r_over_n: np.ndarray
+    r_ref: float
+    zero_frac: float
+    capped: bool
+
+
+def _sweep_worker(bank, config, f_grid, f_ref, i) -> SweepRun:
+    """The record of sweep run ``i``; NaN rows for a run that ends empty.
 
     The sites come as two fitness-sorted arrays (``site_arrays``).
     """
@@ -308,7 +315,7 @@ def _sweep_worker(bank, config, f_grid, f_ref, i):
         r_over_n = (n - cum[idx]) / n
         r_ref = float(ks[xs > f_ref].sum() / n) if f_ref is not None else np.nan
     zero_frac = pop.path.zero_occupation_time / pop.path.elapsed
-    return cdf, r_over_n, r_ref, zero_frac, pop.path.capped
+    return SweepRun(cdf, r_over_n, r_ref, zero_frac, pop.path.capped)
 
 
 def _knee_estimate(f_grid: np.ndarray, avg_cdf: np.ndarray) -> float:
@@ -340,8 +347,6 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
     above 1, and ``f_reference``, when given, is in [0, 1]; both are
     checked before any run.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     f_grid = check_grid(f_grid, "f_grid")
     if not f_grid.size:
         raise ValueError("f_grid needs at least one point")
@@ -358,28 +363,27 @@ def phase_transition_sweep(bank: KernelBank, f_grid, horizon: float, n_runs: int
         candidates = [fc for fc in (fc_renewal, fc_paper) if fc is not None and fc < 1]
         f_reference = candidates[0] if candidates else None
     config = SimConfig(horizon=horizon, seed=seed)
-    results = _pmap(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs, threads)
-    cdfs = np.stack([r[0] for r in results])
-    gaps = np.stack([r[1] for r in results])
-    r_refs = np.array([r[2] for r in results])
-    zero_fracs = np.array([r[3] for r in results])
-    n_capped = sum(r[4] for r in results)
-    empty = np.isnan(cdfs).all()
-    avg_cdf = np.full(f_grid.size, np.nan) if empty else np.nanmean(cdfs, axis=0)
-    sup_paper = sup_renewal = None
-    if fc_paper < 1:
-        theo = np.array([theoretical_site_cdf(f, fc_paper) for f in f_grid])
-        sup_paper = float(np.max(np.abs(avg_cdf - theo)))
-    if fc_renewal is not None and fc_renewal < 1:
-        theo = np.array([theoretical_site_cdf(f, fc_renewal) for f in f_grid])
-        sup_renewal = float(np.max(np.abs(avg_cdf - theo)))
-    r_gap = np.full(f_grid.size, np.nan) if empty else np.nanmean(gaps, axis=0)
+    runs = _replicate(partial(_sweep_worker, bank, config, f_grid, f_reference), n_runs, threads)
+    empty = np.isnan(runs.cdf).all()
+    avg_cdf = np.full(f_grid.size, np.nan) if empty else np.nanmean(runs.cdf, axis=0)
+    sup_paper, sup_renewal = (
+        float(np.max(np.abs(avg_cdf - np.array([theoretical_site_cdf(f, fc) for f in f_grid]))))
+        if fc is not None and fc < 1 else None for fc in (fc_paper, fc_renewal))
+    r_gap = np.full(f_grid.size, np.nan) if empty else np.nanmean(runs.r_over_n, axis=0)
     fc_hat = math.nan if empty else _knee_estimate(f_grid, avg_cdf)
     return SweepResult(f_grid, avg_cdf, fc_paper, fc_renewal, sup_paper, sup_renewal,
-                       fc_hat, r_refs, r_gap, zero_fracs, f_reference, n_capped)
+                       fc_hat, runs.r_ref, r_gap, runs.zero_frac, f_reference,
+                       int(runs.capped.sum()))
 
 
-def _rho_worker(bank, f, epsilon, config, i):
+class RhoRun(NamedTuple):
+    """Terminal L/N and the number of returns of L to 0."""
+    rho: float
+    returns: int
+    capped: bool
+
+
+def _rho_worker(bank, f, epsilon, config, i) -> RhoRun:
     traj = simulate_epsilon_chain(bank, f, epsilon, config, path_index=i)
     left, right = traj[-1, 1], traj[-1, 2]
     n = left + right
@@ -387,7 +391,8 @@ def _rho_worker(bank, f, epsilon, config, i):
     # A return is any event at which L reaches 0 from above.
     l_col = traj[:, 1]
     returns = int(np.sum((l_col[1:] == 0) & (l_col[:-1] > 0)))
-    return rho, returns
+    # The engine stops a path right after its max_events-th event.
+    return RhoRun(rho, returns, len(traj) - 1 >= config.max_events)
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,9 @@ class RhoReport:
     zero_returns: np.ndarray
     limit_paper: Optional[float]
     limit_renewal: Optional[float]
+    n_capped: int                  # runs stopped at max_events; not in to_dict
+
+    to_dict = _report_dict
 
     @property
     def mean_rho(self) -> float:
@@ -409,19 +417,16 @@ class RhoReport:
 def rho_convergence_check(bank: KernelBank, f: float, epsilon: float, horizon: float,
                           n_runs: int, seed: int, threads: int = 1) -> RhoReport:
     """Terminal L/N of the modified chain over runs, plus zero-return counts."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     config = SimConfig(horizon=horizon, seed=seed)
-    results = _pmap(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads)
-    rhos = np.array([r[0] for r in results])
-    returns = np.array([r[1] for r in results])
+    runs = _replicate(partial(_rho_worker, bank, f, epsilon, config), n_runs, threads)
     limits = {}
     for method in ("paper", "renewal"):
         try:
             limits[method] = rho_limit(bank, f, epsilon, method)
         except (ValueError, NoStationaryRateError):
             limits[method] = None
-    return RhoReport(rhos, returns, limits["paper"], limits["renewal"])
+    return RhoReport(runs.rho, runs.returns, limits["paper"], limits["renewal"],
+                     int(runs.capped.sum()))
 
 
 @dataclass(frozen=True)

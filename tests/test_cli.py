@@ -613,6 +613,18 @@ class TestSubcommands:
         assert err.count("\n") == 1 and "3 of 3 runs stopped at max_events" in err
         assert (tmp_path / "sweep.json").exists() and (tmp_path / "sweep.csv").exists()
 
+    def test_capped_rho_exits_one(self, bank_file, tmp_path, capsys, monkeypatch):
+        # As for sweep: rho.json is written, one line on stderr names the
+        # capped runs, and the exit code is 1.
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        assert run(["rho", "--bank", bank_file, "--f", "0.75", "--epsilon", "0.25",
+                    "--horizon", "50", "--runs", "3", "--seed", "1",
+                    "--threads", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rho: 3 of 3 runs stopped at max_events" in err
+        doc = json.loads((tmp_path / "rho.json").read_text())
+        assert "n_capped" not in doc and len(doc["terminal_rho"]) == 3
+
     def test_rho_artifact(self, bank_file, tmp_path):
         assert run(["rho", "--bank", bank_file, "--f", "0.75", "--epsilon", "0",
                     "--horizon", "50", "--runs", "2", "--seed", "1",

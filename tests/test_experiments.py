@@ -345,6 +345,7 @@ class TestWorkerCount:
         assert one.terminal_rho.tobytes() == two.terminal_rho.tobytes()
         assert one.zero_returns.tolist() == two.zero_returns.tolist()
         assert (one.limit_paper, one.limit_renewal) == (two.limit_paper, two.limit_renewal)
+        assert one.n_capped == two.n_capped == 0
 
 
 class TestCappedSweep:
@@ -355,6 +356,59 @@ class TestCappedSweep:
                                         [0.0, 0.5, 1.0], 50.0, 3, seed=1)
         assert result.n_capped == 3
         assert "n_capped" not in result.to_dict()
+
+    def test_capped_rho_runs_counted(self, monkeypatch):
+        # Every run stops at its fifth event; terminal_rho reads [0.67, 1, 1]
+        # here, and nothing once said that the runs were truncated.
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        report = rho_convergence_check(KernelBank.poisson((2.0, 1.0, 1.0)), 0.75, 0.25,
+                                       50.0, 3, seed=1)
+        assert report.n_capped == 3
+        assert "n_capped" not in report.to_dict()
+
+    def test_rho_capped_flag_is_the_paths(self):
+        # A run is capped exactly when its path stopped at max_events, not
+        # when it merely has a few events.
+        bank = KernelBank.poisson((2.0, 1.0, 1.0))
+        config = SimConfig(horizon=2.0, seed=4, max_events=8)
+        flags = [experiments._rho_worker(bank, 0.75, 0.25, config, i).capped for i in range(8)]
+        assert flags == [simulate(bank, config, i).capped for i in range(8)]
+        assert any(flags) and not all(flags)
+
+
+class TestRecords:
+    """Each replication returns one named record; the aggregates read its fields."""
+
+    def test_sweep_worker_record(self):
+        config = SimConfig(horizon=30.0, seed=2)
+        run = experiments._sweep_worker(CROSS_BANK, config, np.linspace(0.0, 1.0, 5), 0.5, 0)
+        assert isinstance(run, experiments.SweepRun)
+        assert run._fields == ("cdf", "r_over_n", "r_ref", "zero_frac", "capped")
+
+    def test_rho_worker_record(self):
+        config = SimConfig(horizon=30.0, seed=2)
+        run = experiments._rho_worker(CROSS_BANK, 0.5, 0.5, config, 0)
+        assert isinstance(run, experiments.RhoRun)
+        assert run._fields == ("rho", "returns", "capped")
+
+    def test_replicate_stacks_each_field_in_run_order(self):
+        worker = partial(experiments._sweep_worker, CROSS_BANK, SimConfig(horizon=30.0, seed=2),
+                         np.linspace(0.0, 1.0, 5), 0.5)
+        runs = experiments._replicate(worker, 4, threads=1)
+        assert isinstance(runs, experiments.SweepRun)
+        one_by_one = [worker(i) for i in range(4)]
+        for name in runs._fields:
+            stacked = getattr(runs, name)
+            assert isinstance(stacked, np.ndarray) and len(stacked) == 4
+            assert stacked.tobytes() == np.array([getattr(r, name) for r in one_by_one]).tobytes()
+        assert runs.cdf.shape == (4, 5)
+
+    def test_replicate_needs_one_run(self):
+        def no_run(i):
+            raise AssertionError("a run was started")
+
+        with pytest.raises(ValueError, match="n_runs"):
+            experiments._replicate(no_run, 0, threads=1)
 
 
 class TestRhoCheck:
