@@ -92,6 +92,7 @@ class MCReport:
     stderr: np.ndarray
     comparisons: dict  # (index, method) -> CurveComparison
     deaths_self_excite: bool = False
+    n_capped: int = 0  # paths stopped at max_events, NaN past their end
 
     def matched_method(self, i: int) -> Optional[str]:
         """Which analytic curve the MC mean matched, if exactly one did."""
@@ -143,13 +144,14 @@ def mc_mean_intensity(bank: KernelBank, t_grid, n_paths: int, seed: int) -> MCRe
     # (grid, lambda1 / lambda2 / ungated lambda3, paths).  numpy sums a
     # contiguous last axis pairwise, so a constant column's mean is exact
     # at any n and its standard error 0, which _z scores exactly.
-    lam = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid).intensity_samples
-    mean = lam.mean(axis=-1)
-    stderr = lam.std(axis=-1, ddof=1) / math.sqrt(n_paths)
+    batch = simulate_markov_batch(bank, config, n_paths, record_grid=t_grid)
+    mean = batch.intensity_samples.mean(axis=-1)
+    stderr = batch.intensity_samples.std(axis=-1, ddof=1) / math.sqrt(n_paths)
     comparisons = {(i, method): CurveComparison(method, target,
                                                 _z(mean[:, i - 1], stderr[:, i - 1], target))
                    for i, method, target in targets}
-    return MCReport(t_grid, n_paths, mean, stderr, comparisons, bank.jumps[2][2] > 0)
+    return MCReport(t_grid, n_paths, mean, stderr, comparisons, bank.jumps[2][2] > 0,
+                    int(batch.capped.sum()))
 
 
 def _zeta(bank: KernelBank, counts, xi) -> np.ndarray:

@@ -366,6 +366,16 @@ class TestCappedSweep:
         assert report.n_capped == 3
         assert "n_capped" not in report.to_dict()
 
+    def test_capped_mc_paths_counted(self, monkeypatch):
+        # Every batch path stops at its fifth event, so the grid samples
+        # past it are NaN; the report counts the paths that stopped.
+        bank, grid = KernelBank.poisson((2.0, 1.0, 1.0)), np.linspace(0.0, 5.0, 6)
+        assert mc_mean_intensity(bank, grid, 200, seed=1).n_capped == 0
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        report = mc_mean_intensity(bank, grid, 200, seed=1)
+        assert report.n_capped == report.n_paths == 200
+        assert np.isnan(report.mean[-1]).all()
+
     def test_rho_capped_flag_is_the_paths(self):
         # A run is capped exactly when its path stopped at max_events, not
         # when it merely has a few events.

@@ -771,6 +771,68 @@ class TestHistory:
         assert path.events.times == pytest.approx(markov.events.times, rel=1e-12)
 
 
+class TestKernelRows:
+    """The full-history sum runs on five fixed rows, one per kernel the model allows."""
+
+    @staticmethod
+    def kernel_sums(bank, times, marks, t):
+        """xi at t kernel by kernel: each target adds the mutant's kernel, then the clone's."""
+        def kernel(mark, i):
+            z = (t - times[marks == mark]) * -bank.betas[i]
+            return float(bank.jumps[mark - 1][i] * np.add.reduce(np.exp(z)))
+        return kernel(1, 0) + kernel(2, 0), kernel(1, 1) + kernel(2, 1), kernel(3, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bank=hawkes_banks(), seed=st.integers(0, 2**16))
+    def test_sums_equal_the_per_kernel_reference(self, bank, seed):
+        # hawkes_banks draws zero alphas too: a zero kernel's row adds
+        # 0.0 * s = +0.0, so the sums equal the reference with ==, at the
+        # path's end and past its last event.
+        path = simulate_thinning_general(bank, SimConfig(horizon=30.0, seed=seed, max_events=600))
+        times, marks = path.events.times, path.events.marks
+        assert path.final_state.xi == self.kernel_sums(bank, times, marks, path.elapsed)
+        history = _History(bank)
+        for mark, t in zip(marks.tolist(), times.tolist()):
+            history.record(mark, t)
+        t = path.elapsed + 0.5
+        assert history.xi_at(t) == self.kernel_sums(bank, times, marks, t)
+
+    def test_poisson_bank_sums_nothing(self):
+        bank = KernelBank.poisson((1.0, 0.8, 1.2))
+        history = _History(bank)
+        for k, mark in enumerate([1, 2, 3, 1, 1, 2]):
+            history.record(mark, 0.1 * k)
+        assert history.xi_at(1.0) == (0.0, 0.0, 0.0)
+        assert not history.live.any()
+        path = simulate_thinning_general(bank, SimConfig(horizon=20.0, seed=3))
+        assert len(path.events) > 0 and path.final_state.xi == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bank", [
+        HAWKES_BANK,
+        KernelBank.exponential((1.0, 0.8, 1.2), ((0.4, 0.0), (0.0, 0.0)), (1.0, 1.5), 0.0, 1.0),
+    ], ids=["all_alphas", "only_alpha11"])
+    def test_one_row_outgrows_the_buffer(self, bank):
+        # 100 mutants, 10 clones and 5 deaths, interleaved: only the
+        # mutant's rows cross GROW columns.  Every array keeps one shape,
+        # as wide as the longest mark's count rounded up to GROW, and a
+        # zero kernel keeps its row.
+        history = _History(bank)
+        marks = np.repeat([1, 2, 3], (100, 10, 5))
+        np.random.default_rng(3).shuffle(marks)
+        times = 0.01 * np.arange(marks.size)
+        for mark, t in zip(marks.tolist(), times.tolist()):
+            history.record(mark, t)
+        width = math.ceil(100 / _History.GROW) * _History.GROW
+        assert width == 128
+        for array in (history.times, history.live, history.z, history.decay):
+            assert array.shape == (5, width)
+        assert history.live.sum(axis=1).tolist() == [100, 100, 10, 10, 5]
+        for row, mark in enumerate([1, 1, 2, 2, 3]):
+            assert history.times[row][history.live[row]].tolist() == times[marks == mark].tolist()
+        b1, b2, b3 = bank.betas
+        assert (history.decay == np.array([[-b1], [-b2], [-b1], [-b2], [-b3]])).all()
+
+
 class TestJumpTable:
     @pytest.mark.parametrize("bank", [
         KernelBank.poisson((1.0, 0.8, 1.2)),
