@@ -6,7 +6,9 @@ matched instead of hard-failing on either.  Replications use independent
 derived RNG streams.  A sweep or rho replication returns one named record,
 whose fields ``_replicate`` stacks by name in index order, so results are
 reproducible bit for bit for a given seed and independent of the worker
-count; both loops count the runs capped at ``max_events`` (``n_capped``).
+count; both loops count the runs capped at ``max_events`` (``n_capped``),
+and ``mc_mean_intensity`` and ``generator_drift_check`` count their
+batch's capped paths.
 """
 
 from __future__ import annotations
@@ -199,11 +201,14 @@ class DriftCheck:
     """MC drift estimate against the analytic generator for one function.
 
     ``z`` scores a rounding-level stderr as zero spread (``_z``).
+    ``n_capped`` counts the run's paths stopped at max_events, whose end
+    states are truncated; every check of one run holds the same count.
     """
 
     analytic: float
     mc_mean: float
     mc_stderr: float
+    n_capped: int = 0
 
     @property
     def z(self) -> float:
@@ -252,6 +257,7 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     zeta0 = _zeta(bank, state.counts, state.xi)
     batch = simulate_markov_batch(bank, config, n_reps, state)
     zetas = _zeta(bank, batch.counts, batch.xi)
+    n_capped = int(batch.capped.sum())
     # The end states are all the functions read; the batch would only
     # raise the peak memory while they run.
     del batch
@@ -265,7 +271,7 @@ def generator_drift_check(bank: KernelBank, state: IntensityState,
     # Two-pass variance: E[d^2] - mean^2 cancels to noise on a flat row.
     means = d.mean(axis=1)
     ses = d.std(axis=1, ddof=1) / math.sqrt(n_reps)
-    return [DriftCheck(generator_apply(bank, state, f), float(m), float(se))
+    return [DriftCheck(generator_apply(bank, state, f), float(m), float(se), n_capped)
             for f, m, se in zip(test_functions, means, ses)]
 
 

@@ -625,6 +625,20 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "rho.json").read_text())
         assert "n_capped" not in doc and len(doc["terminal_rho"]) == 3
 
+    def test_capped_generator_check_exits_one(self, bank_file, tmp_path, capsys, monkeypatch):
+        # Every path stops at its fifth event, long before h = 10:
+        # generator_check.json is written, one line on stderr names the
+        # capped paths, and the exit code is 1.
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        assert run(["generator-check", "--bank", bank_file, "--h", "10", "--reps", "1000",
+                    "--seed", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "generator-check: 1000 of 1000 runs stopped at max_events" in err
+        doc = json.loads((tmp_path / "generator_check.json").read_text())
+        assert [row["function"] for row in doc] == ["1", "n1+n2-n3", "l1", "l1*l2", "n3*l3"]
+        assert "n_capped" not in doc[0]
+
     def test_rho_artifact(self, bank_file, tmp_path):
         assert run(["rho", "--bank", bank_file, "--f", "0.75", "--epsilon", "0",
                     "--horizon", "50", "--runs", "2", "--seed", "1",

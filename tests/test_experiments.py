@@ -376,6 +376,19 @@ class TestCappedSweep:
         assert report.n_capped == report.n_paths == 200
         assert np.isnan(report.mean[-1]).all()
 
+    def test_capped_drift_paths_counted(self, monkeypatch):
+        # Every batch path stops at its fifth event, long before h = 10:
+        # F = n1 then reads about 0.26 against the generator's 2.0, and
+        # every check of the run counts the 1000 truncated paths.
+        bank, state = KernelBank.poisson((2.0, 1.0, 1.0)), IntensityState()
+        assert generator_drift_check(bank, state, [lambda z: z[0]], h=10.0, n_reps=1000,
+                                     seed=1)[0].n_capped == 0
+        monkeypatch.setattr(experiments, "SimConfig", partial(SimConfig, max_events=5))
+        checks = generator_drift_check(bank, state, [lambda z: z[0], lambda z: z[2]],
+                                       h=10.0, n_reps=1000, seed=1)
+        assert [chk.n_capped for chk in checks] == [1000, 1000]
+        assert checks[0].analytic == 2.0 and checks[0].mc_mean < 0.5
+
     def test_rho_capped_flag_is_the_paths(self):
         # A run is capped exactly when its path stopped at max_events, not
         # when it merely has a few events.

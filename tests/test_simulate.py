@@ -832,6 +832,33 @@ class TestKernelRows:
         b1, b2, b3 = bank.betas
         assert (history.decay == np.array([[-b1], [-b2], [-b1], [-b2], [-b3]])).all()
 
+    def test_every_mark_outgrows_the_buffer_twice(self):
+        # 2 * GROW + 1 events of each mark, interleaved, so every mark's
+        # count passes two buffer widths.  After every growth and at the
+        # end, each row holds its mark's times as a prefix and zeros after
+        # it, live is exactly the prefixes, and the sums equal the
+        # per-kernel reference: a record that wrote through a view of the
+        # replaced buffers would leave a hole here.
+        bank, n = HAWKES_BANK, 2 * _History.GROW + 1
+        history = _History(bank)
+        marks = np.repeat([1, 2, 3], n)
+        np.random.default_rng(5).shuffle(marks)
+        times = 0.01 * np.arange(1, marks.size + 1)
+        widths = [history.times.shape[1]]
+        for k, (mark, t) in enumerate(zip(marks.tolist(), times.tolist())):
+            history.record(mark, t)
+            width = history.times.shape[1]
+            if width == widths[-1] and k + 1 < marks.size:
+                continue
+            widths.append(width)
+            seen, seen_marks = times[:k + 1], marks[:k + 1]
+            for row, m in enumerate([1, 1, 2, 2, 3]):
+                own = seen[seen_marks == m]
+                assert history.times[row].tolist() == own.tolist() + [0.0] * (width - own.size)
+                assert history.live[row].tolist() == [True] * own.size + [False] * (width - own.size)
+            assert history.xi_at(t) == self.kernel_sums(bank, seen, seen_marks, t)
+        assert widths == [64, 128, 192, 192]
+
 
 class TestJumpTable:
     @pytest.mark.parametrize("bank", [
