@@ -21,7 +21,10 @@ as numpy arrays in lockstep blocks, for the Monte Carlo harness; it
 draws per step, from streams of its own, stores its outputs
 component-major with the paths last, the layout its readers reduce, and
 is the one engine that samples a grid: a scalar path's events fix its
-intensities, which ``intensities_at`` reads.
+intensities, which ``intensities_at`` reads.  A block's output rows
+start as the end values of a path with no event, so the paths that end
+at the block's first step, most of them at a short horizon, write
+nothing.
 """
 
 from __future__ import annotations
@@ -260,9 +263,16 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     path: a float array (x1, x2, x3, t_last, t, bound, next grid time)
     and an int64 array (N1, N2, N3, N, output row, next grid index).
     Each block starts from copies of the start state's two columns,
-    built once per run.  Finishing paths are written out from one
-    ``compress`` of the leading rows they need (x1..x3 and t_last; N1..N3,
-    N and the row) and leave by one ``compress`` of each array; accepted
+    built once per run, and its output rows start as the end values of
+    a path with no event: the start counts, and the start xi decayed to
+    the horizon by the same expression, computed once per run.  At a
+    block's first step no path has an event yet, so the paths that
+    finish there only leave the state: at a total intensity near 4 and a
+    horizon of 1e-3, about 99.6% of them.  From the second step on,
+    finishing paths are written out, an eventless one with the same
+    values again, from one ``compress`` of the leading rows they need
+    (x1..x3 and t_last; N1..N3, N and the row) and leave by one
+    ``compress`` of each array; accepted
     events update the state in place under the accept mask, the counts
     and N by one ``take`` from a step table.  The outputs are
     component-major too (``MarkovBatch``), the layout their readers
@@ -321,14 +331,17 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
         A capped path ends at its last event; any other at the horizon.
         """
         nonlocal fs, ns
-        # Only the leading rows it reads: x1..x3 and t_last, N1..N3, N and the row.
-        f, i = fs[:4].compress(done, axis=1), ns[:5].compress(done, axis=1)
-        r = i[4]
-        xi = f[:3] if capped else f[:3] * np.exp(neg_beta * (horizon - f[3]))
-        for out, values in zip(out_rows, (*xi, *i[:3])):
-            out[r] = values
-        if capped:
-            out_capped[r] = True
+        # At a block's first step no path has an event yet, and its rows
+        # already hold the start state's end values.
+        if steps:
+            # Only the leading rows it reads: x1..x3 and t_last, N1..N3, N and the row.
+            f, i = fs[:4].compress(done, axis=1), ns[:5].compress(done, axis=1)
+            r = i[4]
+            xi = f[:3] if capped else f[:3] * np.exp(neg_beta * (horizon - f[3]))
+            for out, values in zip(out_rows, (*xi, *i[:3])):
+                out[r] = values
+            if capped:
+                out_capped[r] = True
         keep = ~done
         fs, ns = fs.compress(keep, axis=1), ns.compress(keep, axis=1)
         views()
@@ -367,8 +380,13 @@ def simulate_markov_batch(bank: KernelBank, config: SimConfig, n_paths: int,
     ns0[3] = state0.population_size
     fs0[5] = gated_total(mu + fs0[:3], ns0[3])
     fs0[6] = np.inf if grid is None else grid_ext[0]
+    # The end values of a path with no event, by ``finish``'s expression;
+    # each block's rows start as these.
+    xi_end0 = fs0[:3] * np.exp(neg_beta * (horizon - fs0[3]))
     for block, start in enumerate(range(0, n_paths, BATCH_BLOCK)):
         size = min(BATCH_BLOCK, n_paths - start)
+        out_xi[:, start:start + size] = xi_end0
+        out_counts[:, start:start + size] = ns0[:3]
         rng = rng_for(config.seed, block, BATCH_STREAM)
         fs, ns = fs0.repeat(size, axis=1), ns0.repeat(size, axis=1)
         ns[4] = np.arange(start, start + size)

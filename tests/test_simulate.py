@@ -551,6 +551,11 @@ class TestMarkovBatch:
                                            (1.0, 1.5), 0.5, 2.0),
                     dict(horizon=20.0, seed=26, record_grid=(
                         0.0, 0.5, 3.0, 3.0, 10.0, 19.5, 25.0)), 400, None, 0),
+        # The generator check's window, over three blocks from a state:
+        # about 99.6% of the paths see no event and end at their first step.
+        "window": (CROSS_BANK, dict(horizon=1e-3, seed=28, record_grid=(
+            0.0, 5e-4, 1e-3, 2e-3)), 2 * BATCH_BLOCK + 7,
+            IntensityState(xi=(0.3, 0.2, 0.1), counts=(2, 1, 1)), 0),
     }
     PINNED_SHA256 = {
         "cross": "2f023a950917c6f949667d02cff2f90f155d06d7e3089091f2d7eaed0fe04fd0",
@@ -560,11 +565,13 @@ class TestMarkovBatch:
         "block_1": "8a1985cef432caab64eadaf833c114b4172044bd7eb3366faa856bc1809c4d45",
         "extinct": "85aabb72dcdcd152b19d55aba82f824d8f336159043d0f657606725c37a677d4",
         "multi_block": "8485b8b9e4af953d1bce5cbf22523cf83f85f98216285ea8f4f19825572806ee",
+        "window": "97e66fc886818dc6d88b30288458e3538500d413c508bbdf85adc60a1c16c04c",
     }
     # The engine calls numpy's exp, so each digest is pinned per dispatch
     # target (conftest.py); PINNED_SHA256 holds the X86_V4 set.  The X86_V3
-    # and baseline sets are equal; only the Poisson run, whose shot noise
-    # stays 0, reads the same on every target.
+    # and baseline sets are equal.  Two runs read the same on every target:
+    # the Poisson run, whose shot noise stays 0, and the window run, whose
+    # few exp inputs each kernel maps to the same bits.
     _BELOW_X86_V4 = {
         "cross": "aac3c4e1b011ec168d3a3a3cd1796bddb8d8f19caf0c04b41539218493be3e0f",
         "poisson": PINNED_SHA256["poisson"],
@@ -573,6 +580,7 @@ class TestMarkovBatch:
         "block_1": "c859a8af62eabf4bee65ded444d9f50a23766af7c33cd129096ed421fe277234",
         "extinct": "b3edf8e1180d35b36cf944e9f2c01e7870ed4950139d0e2a407b2441c398ff5a",
         "multi_block": "c9bb9bab549b6e63a713f7d875cf7e11a529600f8f7ece062af5b87656c369b7",
+        "window": PINNED_SHA256["window"],
     }
     PINNED_SHA256_BY_TARGET = {"X86_V4": PINNED_SHA256, "X86_V3": _BELOW_X86_V4,
                                "baseline(X86_V2)": _BELOW_X86_V4}
@@ -600,6 +608,32 @@ class TestMarkovBatch:
         batch = simulate_markov_batch(bank, SimConfig(**config), n_paths, state,
                                       record_grid=grid)
         assert self.batch_digest(batch, block * BATCH_BLOCK) == pinned
+
+    def test_eventless_rows_hold_the_start_state_decayed(self):
+        # At h = 1e-3 almost every path ends at its first step, in a row
+        # that holds the start state's end values from before the step.
+        # A path without events keeps the start counts and ends with xi
+        # exactly the start column decayed to h.  With max_events = 1 a
+        # path's first event caps it, and its row must hold that event.
+        state, h = IntensityState(xi=(0.3, 0.2, 0.1), counts=(2, 1, 1)), 1e-3
+        start = np.array(state.counts)[:, None]
+        decayed = np.array(state.xi)[:, None] * np.exp(-np.array(CROSS_BANK.betas)[:, None] * h)
+        n_paths = 2 * BATCH_BLOCK + 7
+        blocks = np.arange(n_paths) // BATCH_BLOCK
+        for max_events in (10_000_000, 1):
+            batch = simulate_markov_batch(
+                CROSS_BANK, SimConfig(horizon=h, seed=29, max_events=max_events), n_paths, state)
+            eventless = (batch.counts == start).all(axis=0)
+            assert np.array_equal(np.unique(blocks[eventless]), [0, 1, 2])
+            assert 0 < (~eventless).sum() < 0.01 * n_paths
+            assert (batch.xi[:, eventless] == decayed).all()
+            assert (batch.xi[:, ~eventless] != decayed).any(axis=0).all()
+            added = batch.counts[:, ~eventless] - start
+            if max_events == 1:
+                assert (added >= 0).all() and (added.sum(axis=0) == 1).all()
+                assert np.array_equal(batch.capped, ~eventless)
+            else:
+                assert not batch.capped.any()
 
     def test_empty_run_refused(self):
         for n_paths in (0, -1):
